@@ -78,13 +78,15 @@ struct Phase {
     pending: usize,
     drift_score: f64,
     epoch: u64,
-    /// Per-query exec latency distribution over this phase alone — the
+    /// Per-query latency distribution over this phase alone — the
     /// delta of the process-wide `coax.query.latency_us` histogram
-    /// across the phase's measurement passes.
+    /// across the phase's measurement passes. Each value covers the
+    /// whole handle query: overlay scan, translation and the epoch
+    /// probe.
     latency: HistogramSummary,
 }
 
-/// Runs `measure` bracketed by snapshots of the exec-latency histogram,
+/// Runs `measure` bracketed by snapshots of the query-latency histogram,
 /// so each phase reports its own percentile distribution.
 fn measure_with_latency(
     index: &dyn MultidimIndex,

@@ -56,7 +56,7 @@
 
 use crate::discovery::CorrelationGroup;
 use crate::index::{CoaxIndex, CoaxQueryStats};
-use crate::obs::{Obs, QueryPhase};
+use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::translate::translate_all;
 use coax_data::{RangeQuery, RowId};
 use coax_index::{CursorSource, FilteredProbe, QueryResult, RowCursor, ScanStats};
@@ -181,13 +181,14 @@ pub(crate) fn scan_pending(
 }
 
 /// Runs a full plan: primary probe, outlier probe, pending scan, merged
-/// per-part counters.
+/// per-part counters. Marks each phase on the caller's `span`, which the
+/// caller finishes.
 pub(crate) fn execute(
     index: &CoaxIndex,
     plan: &QueryPlan,
     out: &mut Vec<RowId>,
+    span: &mut QuerySpan<'_>,
 ) -> CoaxQueryStats {
-    let mut span = index.obs.query_span();
     let mut stats =
         CoaxQueryStats { primary: probe_primary(index, plan, out), ..Default::default() };
     span.phase(QueryPhase::PrimaryProbe);
@@ -197,8 +198,21 @@ pub(crate) fn execute(
     span.phase(QueryPhase::PendingScan);
     stats.pending_examined = examined;
     stats.pending_matches = matched;
-    span.finish(&stats.flatten());
     stats
+}
+
+/// Steps 1–4 for one query: translates `query` (marked on `span` as
+/// [`QueryPhase::Translate`]) and runs the plan through [`execute`].
+/// The one-query path of every entry point that opens a span.
+pub(crate) fn execute_query(
+    index: &CoaxIndex,
+    query: &RangeQuery,
+    out: &mut Vec<RowId>,
+    span: &mut QuerySpan<'_>,
+) -> CoaxQueryStats {
+    let plan = QueryPlan::new(query, &index.discovery.groups);
+    span.phase(QueryPhase::Translate);
+    execute(index, &plan, out, span)
 }
 
 /// Streaming counterpart of [`execute`]: a [`RowCursor`] that chains the
@@ -613,7 +627,7 @@ impl BatchPlan {
         if !shared_probes {
             for plan in plans {
                 let mut ids = Vec::new();
-                let stats = execute(index, plan, &mut ids).flatten();
+                let stats = index.execute_plan(plan, &mut ids).flatten();
                 results.push(QueryResult { ids, stats });
             }
             index.obs.record_chunk(chunk_timer, plans.len());

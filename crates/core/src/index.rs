@@ -552,7 +552,9 @@ impl CoaxIndex {
 
     /// Translates `query` once into an executable [`QueryPlan`] (step 1
     /// of the [`crate::exec`] sequence). Plans can be executed repeatedly
-    /// and are what the batch path builds up front.
+    /// and are what the batch path builds up front. Records its own
+    /// translate time; single queries translate inside their query span
+    /// instead.
     pub fn plan(&self, query: &RangeQuery) -> QueryPlan {
         let t = self.obs.timer();
         let plan = QueryPlan::new(query, &self.discovery.groups);
@@ -561,10 +563,13 @@ impl CoaxIndex {
     }
 
     /// Executes a prepared plan: primary probe + outlier probe + pending
-    /// scan, with per-part counters. [`CoaxIndex::query_detailed`] is
-    /// `execute_plan(plan(query))`.
+    /// scan, with per-part counters. [`CoaxIndex::query_detailed`]
+    /// answers exactly as `execute_plan(&plan(query))`.
     pub fn execute_plan(&self, plan: &QueryPlan, out: &mut Vec<RowId>) -> CoaxQueryStats {
-        exec::execute(self, plan, out)
+        let mut span = self.obs.query_span();
+        let stats = exec::execute(self, plan, out, &mut span);
+        span.finish(&stats.flatten());
+        stats
     }
 
     /// Translates a whole batch in one pass into a reusable
@@ -660,9 +665,12 @@ impl CoaxIndex {
     }
 
     /// Full query: primary + outliers + pending buffer, with per-part
-    /// counters.
+    /// counters. Translation and execution share one query span.
     pub fn query_detailed(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> CoaxQueryStats {
-        self.execute_plan(&self.plan(query), out)
+        let mut span = self.obs.query_span();
+        let stats = exec::execute_query(self, query, out, &mut span);
+        span.finish(&stats.flatten());
+        stats
     }
 
     /// Inserts a row, routing it by the margin check and advancing the
@@ -805,10 +813,11 @@ impl MultidimIndex for CoaxIndex {
     }
 
     /// Point lookups run the same four-step [`crate::exec`] sequence as
-    /// every other query: the degenerate rectangle is translated through
-    /// [`CoaxIndex::plan`] (navigation tightening applies to points too —
-    /// a point on a dependent attribute becomes a narrow predictor band)
-    /// and executed against primary, outliers, and the pending buffer.
+    /// every other query: the degenerate rectangle goes through
+    /// [`CoaxIndex::query_detailed`], so it is translated (navigation
+    /// tightening applies to points too — a point on a dependent
+    /// attribute becomes a narrow predictor band) and executed against
+    /// primary, outliers, and the pending buffer.
     ///
     /// The trait default already degenerates to
     /// [`MultidimIndex::range_query_stats`] and thus takes this path;
@@ -818,7 +827,7 @@ impl MultidimIndex for CoaxIndex {
     /// regression test pins `ScanStats` equality with the equivalent
     /// degenerate-rectangle call.
     fn point_query_stats(&self, point: &[Value], out: &mut Vec<RowId>) -> ScanStats {
-        self.execute_plan(&self.plan(&RangeQuery::point(point)), out).flatten()
+        self.query_detailed(&RangeQuery::point(point), out).flatten()
     }
 
     /// Streaming override — the [`crate::exec`] plan cursor: the query is

@@ -38,7 +38,7 @@ use super::drift::{DriftMonitor, DriftReport};
 use super::policy::{MaintenanceAction, MaintenancePolicy};
 use crate::discovery::Discovery;
 use crate::index::{refresh_group, CoaxConfig, CoaxIndex, InsertError};
-use crate::obs::Obs;
+use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::regression::BayesianLinReg;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 use coax_index::{MultidimIndex, QueryResult, ScanStats};
@@ -407,17 +407,13 @@ impl MultidimIndex for IndexHandle {
     /// trigger copy-on-write for the writer. Multi-query consumers that
     /// need *one* version across queries take the snapshot themselves.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        let timer = self.obs.timer();
+        let span = self.obs.query_span();
         let (index, scanned, matched) = {
             let st = read_guard(&self.state);
             let matched = scan_overlay(&st.overlay, query, out);
             (Arc::clone(&st.index), st.overlay.len(), matched)
         };
-        let mut stats = index.range_query_stats(query, out);
-        stats.scanned_pending += scanned;
-        stats.matches += matched;
-        self.obs.record_handle_query(timer);
-        stats
+        query_epoch(&index, span, scanned, matched, query, out)
     }
 
     /// One snapshot for the whole batch: every query in the batch sees
@@ -476,6 +472,27 @@ fn scan_overlay(overlay: &[OverlayRow], query: &RangeQuery, out: &mut Vec<RowId>
         }
     }
     matched
+}
+
+/// The epoch half of a one-query session whose overlay (`scanned` rows,
+/// `matched` of them into `out`) was just scanned under `span`: marks
+/// the overlay scan, translates and executes against `index`, charges
+/// the overlay to the stats, and finishes the span with the stats the
+/// caller receives.
+fn query_epoch(
+    index: &CoaxIndex,
+    mut span: QuerySpan<'_>,
+    scanned: usize,
+    matched: usize,
+    query: &RangeQuery,
+    out: &mut Vec<RowId>,
+) -> ScanStats {
+    span.phase(QueryPhase::PendingScan);
+    let mut stats = crate::exec::execute_query(index, query, out, &mut span).flatten();
+    stats.scanned_pending += scanned;
+    stats.matches += matched;
+    span.finish(&stats);
+    stats
 }
 
 impl ReadSnapshot {
@@ -587,13 +604,9 @@ impl MultidimIndex for ReadSnapshot {
     /// then the frozen epoch's four-step exec sequence — all lock-free:
     /// the session owns both `Arc`s.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        let timer = self.index.obs.timer();
+        let span = self.index.obs.query_span();
         let matched = scan_overlay(&self.overlay, query, out);
-        let mut stats = self.index.range_query_stats(query, out);
-        stats.scanned_pending += self.overlay.len();
-        stats.matches += matched;
-        self.index.obs.record_handle_query(timer);
-        stats
+        query_epoch(&self.index, span, self.overlay.len(), matched, query, out)
     }
 
     /// Streaming override: the overlay chunk flows first, then the

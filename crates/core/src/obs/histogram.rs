@@ -9,11 +9,17 @@
 //! bucket (≲ 2% relative error), which is the contract the test suite
 //! pins against a sorted reference.
 //!
-//! Recording is a single `fetch_add` on an `AtomicU64` bucket plus
-//! count/sum/min/max updates, all `Relaxed`: histograms are monotone
-//! accumulators, so no ordering between cells is required and a reader
-//! taking a [`HistogramSnapshot`] mid-write sees some valid prefix of
-//! the recorded values (never a torn bucket).
+//! Recording is at most two `Relaxed` `fetch_add`s, one on the value's
+//! bucket and one on the running sum (skipped for a zero value); the
+//! count is not a cell of its own but the bucket total, summed at
+//! snapshot time. Min and max are updated
+//! with `fetch_min`/`fetch_max` only when a relaxed load shows the value
+//! would move them — both cells move one way only, so a value the load
+//! rules out can never be the extreme, and count, sum, min and max all
+//! stay exact. Histograms are monotone accumulators, so no ordering
+//! between cells is required and a reader taking a [`HistogramSnapshot`]
+//! mid-write sees some valid prefix of the recorded values (never a torn
+//! bucket).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,7 +68,6 @@ fn bucket_floor(idx: usize) -> u64 {
 /// extraction.
 pub struct LatencyHistogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -71,7 +76,7 @@ pub struct LatencyHistogram {
 impl std::fmt::Debug for LatencyHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LatencyHistogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
+            .field("count", &self.count())
             .field("sum_us", &self.sum.load(Ordering::Relaxed))
             .finish()
     }
@@ -89,7 +94,6 @@ impl LatencyHistogram {
         let buckets: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
         Self {
             buckets: buckets.into_boxed_slice(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -99,10 +103,15 @@ impl LatencyHistogram {
     /// Records one observation of `us` microseconds.
     pub fn record(&self, us: u64) {
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(us, Ordering::Relaxed);
-        self.min.fetch_min(us, Ordering::Relaxed);
-        self.max.fetch_max(us, Ordering::Relaxed);
+        if us > 0 {
+            self.sum.fetch_add(us, Ordering::Relaxed);
+        }
+        if us < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(us, Ordering::Relaxed);
+        }
+        if us > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(us, Ordering::Relaxed);
+        }
     }
 
     /// Records a [`std::time::Duration`] (saturating to µs).
@@ -110,16 +119,19 @@ impl LatencyHistogram {
         self.record(d.as_micros().min(u128::from(u64::MAX)) as u64);
     }
 
-    /// Total observations recorded so far.
+    /// Total observations recorded so far (the bucket total).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Copies the current state into a plain-value snapshot.
+    /// Copies the current state into a plain-value snapshot; its count
+    /// is the sum of the copied buckets, so the two always agree.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> =
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),

@@ -5,11 +5,13 @@
 //!
 //! * [`MetricsRegistry`] — process-wide named counters / gauges /
 //!   log-bucketed latency histograms ([`LatencyHistogram`]), registered
-//!   once, recorded into through cheap cloned handles (a relaxed atomic
-//!   op per record).
-//! * [`QuerySpan`] — per-phase timing of the exec pipeline (translate →
-//!   primary probe → outlier probe → pending/overlay scan → merge),
-//!   each phase feeding its own histogram.
+//!   once, recorded into through cheap cloned handles (at most one
+//!   atomic add per counter record, two per histogram record).
+//! * [`QuerySpan`] — per-phase timing of one shard query (overlay scan →
+//!   translate → primary probe → outlier probe → pending-buffer scan),
+//!   opened where the query enters and recorded once when it finishes:
+//!   six clock reads and at most fifteen atomic adds per query through
+//!   a handle.
 //! * [`EventJournal`] — a bounded ring of structural events: epoch
 //!   publishes, fold-vs-refit decisions with their
 //!   [`crate::maint::DriftReport`] scores, overlay copy-on-write
@@ -45,9 +47,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Observability switch carried in [`crate::CoaxConfig`]. Default is
-/// **on** (recording is a relaxed atomic per event); construct with
-/// [`ObsConfig::disabled`] to compile every record call down to a
-/// single `None` check.
+/// **on** (a query through a handle costs six clock reads and at most
+/// fifteen atomic adds); construct with [`ObsConfig::disabled`] to
+/// compile every record call down to a single `None` check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
     /// `true` to record metrics, spans and journal events.
@@ -112,8 +114,6 @@ pub(crate) struct ObsHandles {
     primary_probe_us: Arc<LatencyHistogram>,
     outlier_probe_us: Arc<LatencyHistogram>,
     pending_scan_us: Arc<LatencyHistogram>,
-    merge_us: Arc<LatencyHistogram>,
-    handle_query_us: Arc<LatencyHistogram>,
     batch_chunk_us: Arc<LatencyHistogram>,
     batch_ttfr_us: Arc<LatencyHistogram>,
     insert_latency_us: Arc<LatencyHistogram>,
@@ -146,8 +146,6 @@ impl ObsHandles {
             primary_probe_us: reg.histogram_shard("coax.query.primary_probe_us", shard),
             outlier_probe_us: reg.histogram_shard("coax.query.outlier_probe_us", shard),
             pending_scan_us: reg.histogram_shard("coax.query.pending_scan_us", shard),
-            merge_us: reg.histogram_shard("coax.query.merge_us", shard),
-            handle_query_us: reg.histogram_shard("coax.handle.query_us", shard),
             batch_chunk_us: reg.histogram_shard("coax.batch.chunk_us", shard),
             batch_ttfr_us: reg.histogram_shard("coax.batch.ttfr_us", shard),
             insert_latency_us: reg.histogram_shard("coax.insert.latency_us", shard),
@@ -162,7 +160,6 @@ impl ObsHandles {
             QueryPhase::PrimaryProbe => &self.primary_probe_us,
             QueryPhase::OutlierProbe => &self.outlier_probe_us,
             QueryPhase::PendingScan => &self.pending_scan_us,
-            QueryPhase::Merge => &self.merge_us,
         }
     }
 }
@@ -219,26 +216,20 @@ impl Obs {
     }
 
     /// Starts a query-lifecycle span tagged with the current epoch and
-    /// this recorder's shard label.
-    pub fn query_span(&self) -> QuerySpan {
+    /// this recorder's shard label, borrowing the recorder's handles.
+    pub fn query_span(&self) -> QuerySpan<'_> {
         match &self.inner {
-            Some(h) => QuerySpan::started(Arc::clone(h), h.epoch_current.get(), self.shard),
+            Some(h) => QuerySpan::started(h, h.epoch_current.get(), self.shard),
             None => QuerySpan::disabled(),
         }
     }
 
-    /// Records a phase slice outside a span (the `Translate` phase
-    /// lives at plan construction, before any span exists).
+    /// Records a phase slice outside a span: the `Translate` phase of a
+    /// plan built on its own ([`crate::CoaxIndex::plan`], used by the
+    /// batch and cursor paths).
     pub fn record_phase(&self, phase: QueryPhase, started: Option<Instant>) {
         if let (Some(h), Some(t)) = (&self.inner, started) {
             h.phase_histogram(phase).record_duration(t.elapsed());
-        }
-    }
-
-    /// Records one handle-level query (epoch probe + overlay scan).
-    pub fn record_handle_query(&self, started: Option<Instant>) {
-        if let (Some(h), Some(t)) = (&self.inner, started) {
-            h.handle_query_us.record_duration(t.elapsed());
         }
     }
 

@@ -4,11 +4,11 @@
 //! Registration happens once per name (re-registering returns a handle
 //! to the existing cell, so every `IndexHandle` / `CoaxIndex` built in
 //! the process shares one set of cells); the returned handles are
-//! cheap `Arc` clones carried into hot paths, where recording is a
-//! single relaxed atomic op. Metric names follow the grammar enforced
-//! by the `obs-naming` static-analysis rule: lowercase `snake_case`
-//! segments joined by dots, at least two segments
-//! (`coax.query.latency_us`).
+//! cheap `Arc` clones carried into hot paths, where a counter record is
+//! at most one atomic add and a histogram record two. Metric names
+//! follow the grammar enforced by the `obs-naming` static-analysis
+//! rule: lowercase `snake_case` segments joined by dots, at least two
+//! segments (`coax.query.latency_us`).
 //!
 //! Every metric may additionally carry one optional `shard` label
 //! ([`MetricsRegistry::counter_shard`] and friends): a sharded index
@@ -48,9 +48,15 @@ pub fn is_valid_metric_name(name: &str) -> bool {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds `n` to the counter.
+    /// Adds `n` to the counter (adding zero touches nothing).
+    ///
+    /// `Release` pairs with the `Acquire` loads of
+    /// [`MetricsRegistry::snapshot`]: a snapshot that sees this add also
+    /// sees every add the same thread made earlier, to any counter.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if n > 0 {
+            self.0.fetch_add(n, Ordering::Release);
+        }
     }
 
     /// Adds one.
@@ -245,22 +251,29 @@ impl MetricsRegistry {
         cell
     }
 
-    /// Reads every registered metric into a point-in-time snapshot.
+    /// Reads every registered metric into a snapshot, returned in
+    /// registration order.
     ///
-    /// Counters and gauges are single relaxed loads; histograms copy
-    /// their buckets. Counter values are monotone across successive
-    /// snapshots (handles only ever `fetch_add`), which the concurrency
-    /// suite pins.
+    /// Each metric is read atomically on its own (counters and gauges
+    /// are single loads; histograms copy their buckets), not the whole
+    /// set at one instant. What is promised across counters: the cells
+    /// are read in **reverse registration order** with `Acquire` loads
+    /// pairing with [`Counter::add`]'s `Release`, so if writers always
+    /// bump counter A before counter B and A was registered before B, no
+    /// snapshot shows B ahead of A. Counter values are also monotone
+    /// across successive snapshots (handles only ever `fetch_add`). The
+    /// concurrency suite pins both.
     pub fn snapshot(&self) -> Vec<MetricSample> {
         let entries = self.lock();
-        entries
+        let mut samples: Vec<MetricSample> = entries
             .iter()
+            .rev()
             .map(|e| match &e.cell {
                 MetricCell::Counter(c) => MetricSample {
                     name: e.name.clone(),
                     shard: e.shard,
                     kind: MetricKind::Counter,
-                    value: c.load(Ordering::Relaxed),
+                    value: c.load(Ordering::Acquire),
                     histogram: None,
                 },
                 MetricCell::Gauge(c) => MetricSample {
@@ -281,7 +294,9 @@ impl MetricsRegistry {
                     }
                 }
             })
-            .collect()
+            .collect();
+        samples.reverse();
+        samples
     }
 }
 

@@ -1,24 +1,29 @@
-//! Query-lifecycle spans: per-phase timing for the translate → probe →
-//! scan → merge pipeline.
+//! Query-lifecycle spans: per-phase timing of one shard query (overlay
+//! scan → translate → primary probe → outlier probe → pending-buffer
+//! scan).
 //!
 //! A [`QuerySpan`] is handed out by [`crate::obs::Obs::query_span`] at
-//! the top of `exec::execute` and marks each phase boundary as the
-//! four-step sequence runs; every mark records the elapsed slice into
-//! that phase's latency histogram, and [`QuerySpan::finish`] records
-//! the end-to-end latency plus the query's [`ScanStats`] into the
-//! per-query counters. When observability is off the span is a unit
-//! struct holding `None` — no clock reads, no atomics, nothing.
+//! the entry point that first sees the query (the handle, a snapshot, or
+//! a bare `CoaxIndex`) and passed `&mut` down through translation and
+//! `exec::execute`. Each [`QuerySpan::phase`] mark reads the clock once
+//! and adds the slice since the previous mark to that phase's running
+//! total; nothing is recorded until [`QuerySpan::finish`], which records
+//! each marked phase's histogram once, the end-to-end latency (start to
+//! the last mark, so finishing reads no clock) and the query's
+//! [`ScanStats`] into the per-query counters. A query through a handle
+//! therefore reads the clock six times. When observability is off the
+//! span holds `None` — no clock reads, no atomics, nothing.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use coax_index::ScanStats;
 
 use super::ObsHandles;
-use std::sync::Arc;
 
-/// The phases of one query through the exec pipeline, in order.
-/// `Translate` is timed at plan construction (the plan may be reused
-/// across an epoch), the remaining four inside `exec::execute`.
+/// The phases of one query. Through a handle or snapshot the clock
+/// marks them in the order pending scan (the overlay), translate,
+/// primary probe, outlier probe, pending scan (the epoch's own pending
+/// buffer); both pending slices add up into one phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryPhase {
     /// Soft-FD query translation (Eq. 2): building the `QueryPlan`.
@@ -27,13 +32,20 @@ pub enum QueryPhase {
     PrimaryProbe,
     /// Probing the outlier partition.
     OutlierProbe,
-    /// Linear scan of the pending buffer / snapshot overlay.
+    /// Linear scan of the handle or snapshot overlay and of the epoch's
+    /// pending buffer.
     PendingScan,
-    /// Result assembly: stats flattening and id merge.
-    Merge,
 }
 
 impl QueryPhase {
+    /// Every phase, indexed by its discriminant.
+    const ALL: [QueryPhase; 4] = [
+        QueryPhase::Translate,
+        QueryPhase::PrimaryProbe,
+        QueryPhase::OutlierProbe,
+        QueryPhase::PendingScan,
+    ];
+
     /// Stable lowercase tag, matching the metric name suffix.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -41,29 +53,32 @@ impl QueryPhase {
             QueryPhase::PrimaryProbe => "primary_probe",
             QueryPhase::OutlierProbe => "outlier_probe",
             QueryPhase::PendingScan => "pending_scan",
-            QueryPhase::Merge => "merge",
         }
     }
 }
 
 /// An in-flight query measurement. Obtained from
-/// [`crate::obs::Obs::query_span`]; a disabled recorder returns an
-/// inert span whose methods compile to a `None` check.
+/// [`crate::obs::Obs::query_span`], borrowing the recorder's handles; a
+/// disabled recorder returns an inert span whose methods compile to a
+/// `None` check.
 #[derive(Debug)]
-pub struct QuerySpan {
-    inner: Option<SpanInner>,
+pub struct QuerySpan<'a> {
+    inner: Option<SpanInner<'a>>,
 }
 
 #[derive(Debug)]
-struct SpanInner {
-    handles: Arc<ObsHandles>,
+struct SpanInner<'a> {
+    handles: &'a ObsHandles,
     epoch: u64,
     shard: Option<u32>,
     start: Instant,
     last: Instant,
+    /// Accumulated time per phase (indexed like [`QueryPhase::ALL`]);
+    /// `None` for a phase never marked, whose histogram is not recorded.
+    phases: [Option<Duration>; 4],
 }
 
-impl QuerySpan {
+impl<'a> QuerySpan<'a> {
     /// An inert span (observability off).
     pub(super) fn disabled() -> Self {
         QuerySpan { inner: None }
@@ -71,9 +86,18 @@ impl QuerySpan {
 
     /// A live span starting now, tagged with the publishing `epoch` and
     /// the recorder's `shard` label.
-    pub(super) fn started(handles: Arc<ObsHandles>, epoch: u64, shard: Option<u32>) -> Self {
+    pub(super) fn started(handles: &'a ObsHandles, epoch: u64, shard: Option<u32>) -> Self {
         let now = Instant::now();
-        QuerySpan { inner: Some(SpanInner { handles, epoch, shard, start: now, last: now }) }
+        QuerySpan {
+            inner: Some(SpanInner {
+                handles,
+                epoch,
+                shard,
+                start: now,
+                last: now,
+                phases: [None; 4],
+            }),
+        }
     }
 
     /// The epoch this query is tagged with (0 when the span is inert or
@@ -88,28 +112,35 @@ impl QuerySpan {
         self.inner.as_ref().and_then(|s| s.shard)
     }
 
-    /// Marks the end of `phase`: records the slice since the previous
-    /// mark (or span start) into the phase histogram.
+    /// Marks the end of `phase`: one clock read, adding the slice since
+    /// the previous mark (or span start) to the phase's total.
     pub fn phase(&mut self, phase: QueryPhase) {
         if let Some(s) = self.inner.as_mut() {
             let now = Instant::now();
-            s.handles.phase_histogram(phase).record_duration(now - s.last);
+            let slot = &mut s.phases[phase as usize];
+            *slot = Some(slot.unwrap_or_default() + (now - s.last));
             s.last = now;
         }
     }
 
-    /// Finishes the span: records the residual slice as the merge
-    /// phase, the end-to-end latency, and the query's flattened
-    /// [`ScanStats`] deltas into the per-query counters.
-    pub fn finish(mut self, stats: &ScanStats) {
-        self.phase(QueryPhase::Merge);
-        if let Some(s) = self.inner.take() {
-            s.handles.query_latency_us.record_duration(s.start.elapsed());
-            s.handles.query_count.inc();
-            s.handles.query_cells_visited.add(stats.cells_visited as u64);
-            s.handles.query_rows_examined.add(stats.rows_examined as u64);
-            s.handles.query_scanned_pending.add(stats.scanned_pending as u64);
-            s.handles.query_matches.add(stats.matches as u64);
+    /// Finishes the span: records every marked phase's total, the
+    /// end-to-end latency (span start to the last mark) and `stats` —
+    /// the [`ScanStats`] the entry point hands its caller — into the
+    /// per-query counters.
+    pub fn finish(self, stats: &ScanStats) {
+        if let Some(s) = self.inner {
+            let h = s.handles;
+            for (phase, total) in QueryPhase::ALL.into_iter().zip(s.phases) {
+                if let Some(d) = total {
+                    h.phase_histogram(phase).record_duration(d);
+                }
+            }
+            h.query_latency_us.record_duration(s.last - s.start);
+            h.query_count.inc();
+            h.query_cells_visited.add(stats.cells_visited as u64);
+            h.query_rows_examined.add(stats.rows_examined as u64);
+            h.query_scanned_pending.add(stats.scanned_pending as u64);
+            h.query_matches.add(stats.matches as u64);
         }
     }
 }

@@ -40,6 +40,12 @@
 //!   row becomes visible in the shard and are immutable afterwards, so
 //!   queries remap through the live table under a brief read lock — no
 //!   copy-on-write, no global lock.
+//! * **Live reads are a consistent cut**: inserts advance a global
+//!   publish watermark in id order once their row is visible, and a
+//!   live read loads it before fanning out and drops every id at or
+//!   above it. Shards are read at different instants, but the result
+//!   holds exactly the matching rows inserted before the watermark — for
+//!   the whole id space, a dense prefix.
 //!
 //! # Merge policy and stats contract
 //!
@@ -236,8 +242,36 @@ struct ShardState {
     tables: Vec<RwLock<Vec<RowId>>>,
     /// Next global row id; also the logical row count.
     next_global: AtomicU64,
+    /// Publish watermark: every global id below it belongs to an insert
+    /// that has returned. Inserts advance it in id order (see
+    /// [`PublishTicket`]); a live read loads it once before fanning out
+    /// and drops every id at or above it.
+    published: AtomicU64,
     /// Fan-out policy: how many shard queries run concurrently.
     exec: ExecConfig,
+}
+
+/// Advances the publish watermark past `gid` when dropped, once every
+/// lower id has been admitted. It drops on every exit from an insert —
+/// return, error or unwind — so a failed insert never stalls the
+/// writers behind it (its id stays a hole in the id space).
+struct PublishTicket<'a> {
+    watermark: &'a AtomicU64,
+    gid: u64,
+}
+
+impl Drop for PublishTicket<'_> {
+    fn drop(&mut self) {
+        // Every lower id is already allocated to an insert that needs no
+        // lock this writer holds, so the wait lasts at most as long as
+        // the concurrent inserts in flight. `Acquire`/`Release` chain
+        // the admissions, so a reader that loads the watermark sees
+        // every admitted insert's row.
+        while self.watermark.load(Ordering::Acquire) != self.gid {
+            std::thread::yield_now();
+        }
+        self.watermark.store(self.gid + 1, Ordering::Release);
+    }
 }
 
 /// Worker threads for an `n`-shard fan-out under `exec`: the shard
@@ -371,6 +405,7 @@ impl ShardedHandle {
                 handles,
                 tables,
                 next_global: AtomicU64::new(dataset.len() as u64),
+                published: AtomicU64::new(dataset.len() as u64),
                 exec: config.exec,
             }),
         }
@@ -427,7 +462,8 @@ impl ShardedHandle {
     /// next global id, and handed to the owning shard. The id-table
     /// entry is pushed (under the table write lock) *before* the shard
     /// insert publishes the row, so a concurrent reader can never see a
-    /// local id without its global mapping.
+    /// local id without its global mapping. Before returning, the insert
+    /// advances the publish watermark past its id, after every lower id.
     pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
         // Validate before allocating a global id, mirroring the shard
         // handle's own checks — the shard insert below cannot fail.
@@ -439,9 +475,11 @@ impl ShardedHandle {
         }
         let s = self.core.router.route(row);
         let mut table = table_write(&self.core.tables[s]);
-        let gid = self.core.next_global.fetch_add(1, Ordering::Relaxed) as RowId;
+        let next = self.core.next_global.fetch_add(1, Ordering::Relaxed);
+        let ticket = PublishTicket { watermark: &self.core.published, gid: next };
+        let gid = next as RowId;
         table.push(gid);
-        match self.core.handles[s].insert(row) {
+        let result = match self.core.handles[s].insert(row) {
             Ok(local) => {
                 debug_assert_eq!(
                     local as usize,
@@ -456,7 +494,12 @@ impl ShardedHandle {
                 table.pop();
                 Err(e)
             }
-        }
+        };
+        // Release the table first: readers remapping through it must not
+        // wait on another shard's insert.
+        drop(table);
+        drop(ticket);
+        result
     }
 
     /// Opens a cross-shard read session: one [`ReadSnapshot`] per shard,
@@ -495,12 +538,24 @@ impl MultidimIndex for ShardedHandle {
     /// Fans the query out across shards (each shard answering through
     /// its handle's inline one-query session), remaps each shard's local
     /// ids to global ids, and merges per the module-level policy.
+    ///
+    /// The shards are read one after another, so inserts can land
+    /// between two shard reads. The read therefore loads the publish
+    /// watermark first and drops every id at or above it (and its
+    /// `matches`): every id below it was published before any shard was
+    /// read, so the result holds exactly the matching rows inserted
+    /// before the watermark — a consistent cut, which for the whole id
+    /// space is a dense prefix.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let core = &self.core;
+        let cut = core.published.load(Ordering::Acquire);
         let per_shard = fan_out(&core.exec, core.handles.len(), |s| {
             let mut ids = Vec::new();
-            let stats = core.handles[s].range_query_stats(query, &mut ids);
+            let mut stats = core.handles[s].range_query_stats(query, &mut ids);
             remap_global(&mut ids, &table_read(&core.tables[s]));
+            let found = ids.len();
+            ids.retain(|&gid| u64::from(gid) < cut);
+            stats.matches -= found - ids.len();
             (ids, stats)
         });
         let mut stats = ScanStats::default();
@@ -920,5 +975,40 @@ mod tests {
         // Queries still see every row, bit-identically.
         let all = sorted(sharded.range_query(&RangeQuery::unbounded(2)));
         assert_eq!(all, (0..ds.len() as RowId).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn live_reads_are_dense_prefixes_under_concurrent_writers() {
+        const WRITERS: usize = 3;
+        const ROWS: usize = 300;
+        let ds = planted(1000, 15);
+        let sharded = ShardedHandle::build(
+            &ds,
+            &CoaxConfig { shard: ShardSpec::hash(3, 0), ..Default::default() },
+        );
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (sharded, done) = (&sharded, &done);
+                scope.spawn(move || {
+                    for i in 0..ROWS {
+                        let x = ((w * ROWS + i) * 7 % 1000) as f64;
+                        sharded.insert(&[x, 2.0 * x + 10.0]).expect("valid row");
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            // Writers on different shards finish out of id order; every
+            // live read must still be a dense prefix of the id space.
+            loop {
+                let finished = done.load(Ordering::Acquire) == WRITERS;
+                let all = sorted(sharded.range_query(&RangeQuery::unbounded(2)));
+                assert_eq!(all, (0..all.len() as RowId).collect::<Vec<_>>(), "torn live read");
+                if finished {
+                    assert_eq!(all.len(), ds.len() + WRITERS * ROWS);
+                    break;
+                }
+            }
+        });
     }
 }

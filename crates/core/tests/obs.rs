@@ -1,5 +1,6 @@
 //! Observability-layer contracts: histogram quantile accuracy against a
-//! sorted reference, and registry consistency under concurrent hammering.
+//! sorted reference, registry consistency under concurrent hammering,
+//! and what one query records through each serving surface.
 //!
 //! The histogram promises quantiles "within one bucket of exact": the
 //! value [`LatencyHistogram`]'s `quantile(q)` returns must land in the
@@ -9,7 +10,11 @@
 //! stress the layout: degenerate single-value, bimodal two-point,
 //! heavy-tail, and uniform.
 
-use coax_core::obs::{bucket_of, LatencyHistogram, MetricsRegistry};
+use coax_core::obs::{bucket_of, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
+use coax_core::{CoaxConfig, IndexHandle, ObsConfig};
+use coax_data::synth::{Generator, LinearPairConfig};
+use coax_data::RangeQuery;
+use coax_index::MultidimIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,8 +110,9 @@ fn merge_equals_bulk_record() {
 
 /// Hammers one registry from writer threads while a reader snapshots:
 /// counters must be monotone across snapshots and never tear against
-/// each other (each writer bumps `first` before `second`, so any
-/// snapshot must observe `first >= second`).
+/// each other (each writer bumps `first` before `second`, and `first`
+/// is registered first, so any snapshot must observe `first >= second`),
+/// and the histogram's count, sum, min and max must come out exact.
 #[test]
 fn registry_hammering_yields_monotone_untorn_snapshots() {
     let reg = Arc::new(MetricsRegistry::new());
@@ -135,7 +141,10 @@ fn registry_hammering_yields_monotone_untorn_snapshots() {
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
                 let (mut last_first, mut last_second, mut reads) = (0u64, 0u64, 0u64);
-                while !stop.load(Ordering::Relaxed) {
+                loop {
+                    // Read the flag before snapshotting, so the pass that
+                    // sees it set still takes one last snapshot.
+                    let stopping = stop.load(Ordering::Acquire);
                     let samples = reg.snapshot();
                     let get = |name: &str| {
                         samples.iter().find(|s| s.name == name).map_or(0, |s| s.value)
@@ -150,19 +159,23 @@ fn registry_hammering_yields_monotone_untorn_snapshots() {
                     last_first = first;
                     last_second = second;
                     reads += 1;
+                    if stopping {
+                        break;
+                    }
                 }
-                reads
+                (reads, last_first)
             })
         };
         // The reader races the writers for their whole run; only after
-        // every writer drained is it released, guaranteeing at least one
-        // snapshot observed the final totals.
+        // every writer drained is it released, and its last snapshot is
+        // taken after that, so it observes the final totals.
         for h in writers {
             h.join().expect("writer");
         }
-        stop.store(true, Ordering::Relaxed);
-        let reads = reader.join().expect("reader");
+        stop.store(true, Ordering::Release);
+        let (reads, final_first) = reader.join().expect("reader");
         assert!(reads > 0, "reader never snapshotted");
+        assert_eq!(final_first, WRITERS as u64 * OPS, "last snapshot missed the final total");
     });
 
     let samples = reg.snapshot();
@@ -172,4 +185,114 @@ fn registry_hammering_yields_monotone_untorn_snapshots() {
     assert_eq!(get("test.hammer.second").value, total);
     let hist = get("test.hammer.latency_us").histogram.expect("histogram summary");
     assert_eq!(hist.count, total, "histogram lost records under contention");
+    let recorded = (0..WRITERS as u64).flat_map(|w| (0..OPS).map(move |i| (w + 1) * (i % 97)));
+    let (sum, min, max) =
+        recorded.fold((0, u64::MAX, 0), |(s, lo, hi), v| (s + v, lo.min(v), hi.max(v)));
+    assert_eq!(hist.sum_us, sum, "histogram sum lost records under contention");
+    assert_eq!(hist.min_us, min, "histogram lost its minimum under contention");
+    assert_eq!(hist.max_us, max, "histogram lost its maximum under contention");
+}
+
+/// Shard label of the handle below: no other test in this binary
+/// records into the global registry, so these cells are its own.
+const SURFACE_SHARD: u32 = 7_001;
+
+/// Snapshots every per-query histogram of `shard`: the four phases,
+/// then `coax.query.latency_us` last.
+fn query_histograms(shard: u32) -> Vec<HistogramSnapshot> {
+    [
+        "coax.query.translate_us",
+        "coax.query.primary_probe_us",
+        "coax.query.outlier_probe_us",
+        "coax.query.pending_scan_us",
+        "coax.query.latency_us",
+    ]
+    .iter()
+    .map(|name| MetricsRegistry::global().histogram_shard(name, Some(shard)).snapshot())
+    .collect()
+}
+
+/// One query through the handle, a `ReadSnapshot` or the frozen
+/// `CoaxIndex` is one span: every phase histogram, the latency
+/// histogram and `coax.query.count` grow by exactly one, the latency
+/// covers the phases, and the counters carry the stats the caller got
+/// (overlay included). A disabled build records nothing at all.
+#[test]
+fn each_surface_records_one_span_per_query() {
+    const N: u64 = 40;
+    let ds = LinearPairConfig { rows: 4_000, seed: 11, ..Default::default() }.generate();
+    let queries: Vec<RangeQuery> = (0..N)
+        .map(|i| {
+            let mut q = RangeQuery::unbounded(2);
+            let x0 = (i * 23 % 900) as f64;
+            q.constrain(0, x0, x0 + 60.0);
+            q
+        })
+        .collect();
+    let build = |obs: ObsConfig| {
+        let handle = IndexHandle::build(&ds, &CoaxConfig { obs, ..Default::default() });
+        for i in 0..25 {
+            let x = i as f64 * 37.0;
+            handle.insert(&[x, 2.0 * x + 50.0]).expect("finite row of the right arity");
+        }
+        handle
+    };
+
+    let handle = build(ObsConfig::default().for_shard(SURFACE_SHARD));
+    let snapshot = handle.snapshot();
+    let surfaces: [(&str, &dyn MultidimIndex); 3] =
+        [("handle", &handle), ("snapshot", &snapshot), ("frozen", snapshot.frozen())];
+    let registry = MetricsRegistry::global();
+    let count = registry.counter_shard("coax.query.count", Some(SURFACE_SHARD));
+    let matches = registry.counter_shard("coax.query.matches", Some(SURFACE_SHARD));
+    let pending = registry.counter_shard("coax.query.scanned_pending", Some(SURFACE_SHARD));
+    for (label, index) in surfaces {
+        let before = query_histograms(SURFACE_SHARD);
+        let counted = (count.get(), matches.get(), pending.get());
+        let (mut matched, mut scanned) = (0u64, 0u64);
+        for q in &queries {
+            let stats = index.range_query_stats(q, &mut Vec::new());
+            matched += stats.matches as u64;
+            scanned += stats.scanned_pending as u64;
+        }
+        let grown: Vec<HistogramSnapshot> = query_histograms(SURFACE_SHARD)
+            .iter()
+            .zip(&before)
+            .map(|(after, before)| after.since(before))
+            .collect();
+        for h in &grown {
+            assert_eq!(h.count(), N, "{label}: a histogram did not grow once per query");
+        }
+        assert_eq!(count.get() - counted.0, N, "{label}: coax.query.count");
+        assert_eq!(matches.get() - counted.1, matched, "{label}: coax.query.matches");
+        assert_eq!(pending.get() - counted.2, scanned, "{label}: coax.query.scanned_pending");
+        let (phases, latency) = grown.split_at(4);
+        let phase_sum: u64 = phases.iter().map(HistogramSnapshot::sum_us).sum();
+        assert!(
+            latency[0].sum_us() >= phase_sum,
+            "{label}: latency sum {} below the phase sum {phase_sum}",
+            latency[0].sum_us()
+        );
+    }
+    for gone in ["coax.query.merge_us", "coax.handle.query_us"] {
+        assert!(
+            registry.snapshot().iter().all(|s| s.name != gone),
+            "{gone} is still registered"
+        );
+    }
+
+    let before = registry.snapshot();
+    let handle = build(ObsConfig::disabled());
+    let snapshot = handle.snapshot();
+    for q in &queries {
+        handle.range_query_stats(q, &mut Vec::new());
+        snapshot.range_query_stats(q, &mut Vec::new());
+        snapshot.frozen().range_query_stats(q, &mut Vec::new());
+    }
+    let after = registry.snapshot();
+    assert_eq!(after.len(), before.len(), "a disabled build registered metrics");
+    for (a, b) in after.iter().zip(&before) {
+        assert_eq!((&a.name, a.shard, a.value), (&b.name, b.shard, b.value));
+        assert_eq!(a.histogram, b.histogram, "a disabled build recorded into {}", a.name);
+    }
 }

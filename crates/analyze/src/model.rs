@@ -1131,7 +1131,6 @@ fn guard_scope(files: &[SourceFile], model: &WorkspaceModel, out: &mut Vec<Findi
 /// must be pinned bit-identical by an equivalence suite.
 const SURFACE: &[&str] = &[
     "batch_query",
-    "batch_range_query_filtered",
     "range_query_cursor",
     "range_query_filtered_cursor",
     "batch_query_streaming",

@@ -215,9 +215,8 @@ const KERNEL_FILES: &[&str] = &["crates/index/src/kernel.rs", "crates/index/src/
 /// `kernel-encapsulation`: the vectorized scan kernel's bit-identity
 /// contract (vectorized == scalar reference, ids/order/counters) is only
 /// auditable while every cell scan flows through `kernel.rs`/`pages.rs`.
-/// Outside those files, code must call `PageStore::scan_cell*` /
-/// `PageStore::scan_run_cached` rather than pulling the raw column slabs
-/// or composing tile primitives itself.
+/// Outside those files, code must call `PageStore::scan_cell*` rather
+/// than pulling the raw column slabs or composing tile primitives itself.
 fn kernel_encapsulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     if KERNEL_FILES.contains(&ctx.path) {
         return;
@@ -244,7 +243,7 @@ fn kernel_encapsulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 "kernel-encapsulation",
                 format!(
                     "`.{}()` exposes PageStore column slabs outside kernel.rs/pages.rs: \
-                     scan through `PageStore::scan_cell*`/`scan_run_cached` instead",
+                     scan through `PageStore::scan_cell*` instead",
                     t.text
                 ),
             ));

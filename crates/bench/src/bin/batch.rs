@@ -6,10 +6,9 @@
 //!
 //! * **sequential loop** — one `range_query_stats` call per query, the
 //!   pre-batch-engine baseline;
-//! * **batch t=1 (unshared)** — translate-once batching with probe
-//!   sharing disabled: isolates what planning amortisation alone buys;
-//! * **batch t=N** — the full engine: shared navigation probes, chunks
-//!   fanned out over `N` scoped workers;
+//! * **batch t=N** — the full engine: duplicate queries answered once,
+//!   each distinct query translated once and run through the
+//!   single-query executor, chunks fanned out over `N` scoped workers;
 //! * **stream t=N** — `batch_query_streaming` over the same pool:
 //!   results flow to the sink as chunks complete.
 //!
@@ -118,7 +117,6 @@ struct Row {
     ttfr_ms: f64,
     speedup: f64,
     threads: usize,
-    shared: bool,
 }
 
 fn main() {
@@ -139,12 +137,11 @@ fn main() {
     }
 
     let dataset = datasets::airline(rows);
-    // KNN rectangles at two selectivities: neighbouring queries overlap
-    // in the grid directory, so their merged probes share cells. Half of
-    // each batch re-asks a 16-query hot set — high-throughput serving
-    // batches repeat hot queries (the Coconut/Hermit motivation), and
-    // the engine's probe dedup answers each distinct query once per
-    // chunk where the sequential loop executes every copy.
+    // KNN rectangles at two selectivities. Half of each batch re-asks a
+    // 16-query hot set — high-throughput serving batches repeat hot
+    // queries (the Coconut/Hermit motivation), and the engine's query
+    // dedup answers each distinct query once per batch where the
+    // sequential loop executes every copy.
     let mut pool = datasets::range_workload(&dataset, max_batch.div_ceil(4), 50);
     pool.extend(datasets::range_workload(&dataset, max_batch.div_ceil(4), 400));
     let hot: Vec<RangeQuery> = pool.iter().rev().take(16).cloned().collect();
@@ -195,31 +192,12 @@ fn main() {
                 ttfr_ms: seq_ttfr_ms,
                 speedup: 1.0,
                 threads: 1,
-                shared: false,
             }];
 
-            let mut configs: Vec<(String, ExecConfig)> = vec![(
-                "batch t=1 (unshared)".into(),
-                ExecConfig {
-                    batch_threads: 1,
-                    min_parallel_batch: 2,
-                    shared_probes: false,
-                    chunk_size: 0,
-                },
-            )];
             for &t in &threads_ladder {
-                configs.push((
-                    format!("batch t={t}"),
-                    ExecConfig {
-                        batch_threads: t,
-                        min_parallel_batch: 2,
-                        shared_probes: true,
-                        chunk_size: 0,
-                    },
-                ));
-            }
-
-            for (label, config) in configs {
+                let label = format!("batch t={t}");
+                let config =
+                    ExecConfig { batch_threads: t, min_parallel_batch: 2, chunk_size: 0 };
                 // The contract check: identical answers, then the clock.
                 let results = index.batch_query_with(queries, &config);
                 assert_eq!(
@@ -237,7 +215,6 @@ fn main() {
                     ttfr_ms: batch_ms,
                     speedup: seq_ms / batch_ms,
                     threads: config.batch_threads,
-                    shared: config.shared_probes,
                 });
 
                 // The same pool, streaming: results flow to the sink as
@@ -269,7 +246,6 @@ fn main() {
                     ttfr_ms: stream_ttfr,
                     speedup: seq_ms / stream_ms,
                     threads: config.batch_threads,
-                    shared: config.shared_probes,
                 });
             }
 
@@ -280,7 +256,6 @@ fn main() {
                     &row.label,
                     vec![
                         ("threads", JsonValue::Int(row.threads as u64)),
-                        ("shared_probes", JsonValue::Str(row.shared.to_string())),
                         ("batch_ms", JsonValue::Num(row.batch_ms)),
                         ("ttfr_ms", JsonValue::Num(row.ttfr_ms)),
                         ("per_query_us", JsonValue::Num(per_query_us)),
@@ -429,9 +404,9 @@ fn main() {
         report.print();
     } else {
         println!(
-            "\nReading: 'sequential loop' is the pre-engine baseline; 'batch t=1 (unshared)' \
-             adds translate-once batching only; 'batch t=N' adds shared probes and N workers; \
-             'stream t=N' is the same pool delivering results as chunks complete. 'ttfr' is \
+            "\nReading: 'sequential loop' is the pre-engine baseline; 'batch t=N' answers \
+             each distinct query once, translated once, on N workers; 'stream t=N' is the \
+             same pool delivering results as chunks complete. 'ttfr' is \
              time-to-first-result: a materialized batch's equals its batch time, a stream's \
              is its first sink callback. Every row's answers were verified bit-identical to \
              the loop before timing."

@@ -170,12 +170,8 @@ fn batch_stream_matches_materialized_batch() {
     let expected = snapshot.batch_query(&queries);
 
     for threads in [1usize, 2, 4] {
-        let config = ExecConfig {
-            batch_threads: threads,
-            min_parallel_batch: 2,
-            shared_probes: true,
-            chunk_size: 0,
-        };
+        let config =
+            ExecConfig { batch_threads: threads, min_parallel_batch: 2, chunk_size: 0 };
         let mut received: Vec<Option<QueryResult>> = vec![None; queries.len()];
         let stream = snapshot.batch_query_streaming_with(&queries, config);
         assert_eq!(stream.remaining(), queries.len());

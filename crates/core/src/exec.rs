@@ -23,43 +23,39 @@
 //!
 //! # The batch engine
 //!
-//! Batches go further than a per-query loop ever can, because the
-//! expensive per-query state — the translation and the navigation
-//! probes — is visible for the *whole* batch at once:
+//! A batch runs the same executor as a single query; it saves only the
+//! work a per-query loop would repeat:
 //!
-//! 1. [`BatchPlan::new`] translates every query exactly once (one pass,
-//!    no re-planning at execution time);
-//! 2. execution groups the queries into contiguous **chunks**; inside a
-//!    chunk, all primary navigation probes are flattened into one
-//!    [`FilteredProbe`] list and handed to the backend's fused
-//!    multi-probe ([`MultidimIndex::batch_range_query_filtered`] — the
-//!    grid file sweeps the union of the probes' directory cells once,
-//!    ascending), and the outlier filters run through the backend's
-//!    batched plain path; queries that land in the same cells stop
-//!    re-reading them;
-//! 3. chunks execute on a [`std::thread::scope`] worker pool sized by
-//!    [`ExecConfig`] — no extra dependency, and probing itself is
-//!    lock-free (every [`MultidimIndex`] is `Send + Sync`, workers
-//!    claim chunks off an atomic counter, and a mutex is taken only
-//!    to hand a finished chunk's results back).
+//! 1. [`BatchPlan::new`] **deduplicates** the batch — value-equal
+//!    queries (bounds compared bitwise) collapse onto their first copy —
+//!    and translates each distinct query exactly once;
+//! 2. each distinct plan runs the single-query sequence above (primary
+//!    → outlier → pending, the code [`CoaxIndex::execute_plan`] runs,
+//!    without a per-query span), and its result is handed to every copy
+//!    of the query;
+//! 3. distinct plans are grouped into contiguous **chunks** that execute
+//!    on a [`std::thread::scope`] worker pool sized by [`ExecConfig`] —
+//!    no extra dependency, and probing itself is lock-free (every
+//!    [`MultidimIndex`] is `Send + Sync`, workers claim chunks off an
+//!    atomic counter, and a mutex is taken only to hand a finished
+//!    chunk's results back).
 //!
-//! None of this changes a single answer: per-query results and
-//! [`ScanStats`] are **identical** to the sequential loop — probe
-//! sharing recomputes every per-query counter from the same binary
-//! searches and filter checks the sequential scan performs, and
-//! chunking/threading only reorders *which* query executes when
-//! (`crates/core/tests/exec_batch.rs` sweeps thread counts and sharing
-//! on/off against the sequential loop).
+//! None of this changes a single answer: per-query ids (in order) and
+//! [`ScanStats`] are **identical** to the sequential loop by
+//! construction — each distinct query runs the loop's own executor, a
+//! duplicate receives a copy of a deterministic result, and chunking or
+//! threading only reorders *which* query executes when
+//! (`crates/core/tests/exec_batch.rs` sweeps thread counts, chunk sizes
+//! and duplicate-heavy batches against the sequential loop).
 //!
 //! [`MultidimIndex`]: coax_index::MultidimIndex
-//! [`MultidimIndex::batch_range_query_filtered`]: coax_index::MultidimIndex::batch_range_query_filtered
 
 use crate::discovery::CorrelationGroup;
 use crate::index::{CoaxIndex, CoaxQueryStats};
 use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::translate::translate_all;
 use coax_data::{RangeQuery, RowId};
-use coax_index::{CursorSource, FilteredProbe, QueryResult, RowCursor, ScanStats};
+use coax_index::{CursorSource, DistinctQueries, QueryResult, RowCursor, ScanStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -341,7 +337,7 @@ impl CursorSource for PlanCursor<'_> {
 }
 
 /// Batch-execution knobs: how many workers a batch may fan out over and
-/// whether overlapping navigation probes are merged.
+/// how it is chunked.
 ///
 /// Carried in [`CoaxConfig::exec`](crate::CoaxConfig) — and therefore in
 /// every [`IndexSpec`](crate::IndexSpec) describing a COAX index — so the
@@ -350,38 +346,33 @@ impl CursorSource for PlanCursor<'_> {
 /// ladders sweep thread counts over one built index that way).
 ///
 /// Whatever the knobs, per-query results and [`ScanStats`] are identical
-/// to the sequential loop; the configuration only decides how much work
-/// is shared and how many cores it runs on.
+/// to the sequential loop; the configuration only decides how many cores
+/// the batch runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads for batch execution. `0` means one per available
     /// core ([`std::thread::available_parallelism`]); `1` (the default)
     /// keeps the batch on the calling thread.
     pub batch_threads: usize,
-    /// Batches smaller than this stay on the calling thread even when
-    /// `batch_threads` allows more — thread spawn costs more than a
-    /// handful of queries. Default 32.
+    /// Batches with fewer distinct queries than this stay on the calling
+    /// thread even when `batch_threads` allows more — thread spawn costs
+    /// more than a handful of queries. Default 32.
     pub min_parallel_batch: usize,
-    /// Merge and deduplicate the navigation probes of each chunk so
-    /// queries landing in the same grid cells share directory and cell
-    /// work (default `true`). `false` probes query-at-a-time — useful
-    /// only for measuring what sharing buys.
-    pub shared_probes: bool,
-    /// Queries per worker chunk; `0` (the default) sizes chunks
-    /// automatically (whole batch when single-threaded — maximal
-    /// sharing — else ~4 chunks per worker for load balance).
+    /// Distinct queries per worker chunk; `0` (the default) sizes chunks
+    /// automatically (whole batch when single-threaded, else ~4 chunks
+    /// per worker for load balance).
     pub chunk_size: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        Self { batch_threads: 1, min_parallel_batch: 32, shared_probes: true, chunk_size: 0 }
+        Self { batch_threads: 1, min_parallel_batch: 32, chunk_size: 0 }
     }
 }
 
 impl ExecConfig {
-    /// The parallel preset: one worker per available core, shared
-    /// probes, automatic chunking.
+    /// The parallel preset: one worker per available core, automatic
+    /// chunking.
     pub fn parallel() -> Self {
         Self { batch_threads: 0, ..Self::default() }
     }
@@ -392,7 +383,7 @@ impl ExecConfig {
         Self { batch_threads, ..self }
     }
 
-    /// Workers a batch of `batch_len` queries will actually use.
+    /// Workers a batch of `batch_len` distinct queries will actually use.
     pub fn resolve_threads(&self, batch_len: usize) -> usize {
         if batch_len < self.min_parallel_batch.max(2) {
             return 1;
@@ -404,62 +395,93 @@ impl ExecConfig {
         requested.clamp(1, batch_len)
     }
 
-    /// Queries per chunk for a batch of `batch_len` queries on
-    /// `threads` workers.
+    /// Distinct queries per chunk for a batch of `batch_len` distinct
+    /// queries on `threads` workers.
     fn resolve_chunk(&self, batch_len: usize, threads: usize) -> usize {
         if self.chunk_size > 0 {
             return self.chunk_size;
         }
         if threads <= 1 {
-            // One chunk: probes shared across the whole batch.
             return batch_len.max(1);
         }
-        // ~4 chunks per worker: enough slack for uneven queries without
-        // shrinking the probe-sharing window to nothing.
+        // ~4 chunks per worker: enough slack for uneven queries.
         (batch_len.div_ceil(threads * 4)).max(8)
     }
 }
 
-/// A whole query batch, translated once and ready to execute any number
-/// of times.
+/// Splits `0..len` into consecutive ranges of `chunk` (≥ 1) items.
+fn chunk_ranges(len: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
+    let chunk = chunk.max(1);
+    (0..len).step_by(chunk).map(|s| s..(s + chunk).min(len)).collect()
+}
+
+/// Runs each plan through [`execute`] — the single-query sequence, with
+/// no per-query span — and records the chunk (`answered` counts the
+/// batch queries the plans answer, duplicates included).
+fn execute_chunk(index: &CoaxIndex, plans: &[QueryPlan], answered: usize) -> Vec<QueryResult> {
+    let chunk_timer = index.obs.timer();
+    let results = plans
+        .iter()
+        .map(|plan| {
+            let mut ids = Vec::new();
+            let stats = execute(index, plan, &mut ids, &mut QuerySpan::disabled()).flatten();
+            QueryResult { ids, stats }
+        })
+        .collect();
+    index.obs.record_chunk(chunk_timer, answered);
+    results
+}
+
+/// A whole query batch, deduplicated and translated once, ready to
+/// execute any number of times.
 ///
-/// Construction performs **all** per-query planning (step 1 for every
-/// query — the translate-once trick amortised batch-wide); execution
-/// shares navigation probes within each chunk and fans chunks out over
-/// the configured worker pool. Results are in query order and identical
-/// to the sequential loop.
+/// Construction performs **all** per-query planning: value-equal queries
+/// (bounds compared bitwise) collapse onto their first copy, and each
+/// distinct query is translated once. Execution runs every distinct plan
+/// through the single-query executor ([`CoaxIndex::execute_plan`]'s
+/// primary → outlier → pending sequence) in chunks over the configured
+/// worker pool and hands each result to the query's copies. Results are
+/// in query order and identical to the sequential loop by construction.
 #[derive(Clone, Debug)]
 pub struct BatchPlan {
+    /// One plan per distinct query, in order of first appearance.
     plans: Vec<QueryPlan>,
-    /// Each query's original filter, contiguous — the outlier batch
-    /// probe consumes per-chunk slices of this, so repeated executions
-    /// of one plan never re-clone a query.
-    filters: Vec<RangeQuery>,
+    /// The batch positions each distinct plan answers.
+    distinct: DistinctQueries,
 }
 
 impl BatchPlan {
-    /// Translates every query of the batch against `index`'s discovered
-    /// correlation groups, in one pass.
+    /// Deduplicates the batch and translates each distinct query against
+    /// `index`'s discovered correlation groups, in one pass.
     pub fn new(index: &CoaxIndex, queries: &[RangeQuery]) -> Self {
-        Self {
-            plans: queries.iter().map(|q| index.plan(q)).collect(),
-            filters: queries.to_vec(),
-        }
+        let distinct = DistinctQueries::new(queries);
+        let plans =
+            (0..distinct.len()).map(|d| index.plan(&queries[distinct.first(d)])).collect();
+        Self { plans, distinct }
     }
 
-    /// Number of planned queries.
+    /// Number of queries in the batch, duplicates included.
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.distinct.batch_len()
     }
 
     /// `true` if the batch holds no queries.
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.len() == 0
     }
 
-    /// The per-query plans, in query order.
+    /// The distinct queries' plans, in order of first appearance.
     pub fn plans(&self) -> &[QueryPlan] {
         &self.plans
+    }
+
+    /// Executes the distinct plans in `range` (one chunk).
+    fn execute_range(
+        &self,
+        index: &CoaxIndex,
+        range: std::ops::Range<usize>,
+    ) -> Vec<QueryResult> {
+        execute_chunk(index, &self.plans[range.clone()], self.distinct.answered(range))
     }
 
     /// Executes the batch against `index` under `config`, returning one
@@ -471,17 +493,21 @@ impl BatchPlan {
     pub fn execute(&self, index: &CoaxIndex, config: &ExecConfig) -> Vec<QueryResult> {
         let n = self.plans.len();
         let threads = config.resolve_threads(n);
-        let chunk = config.resolve_chunk(n, threads).max(1);
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect();
+        let ranges = chunk_ranges(n, config.resolve_chunk(n, threads));
         let pool_timer = index.obs.timer();
-        let chunks = ranges.len();
-        if threads <= 1 {
-            let mut results = Vec::with_capacity(n);
-            for r in ranges {
-                self.execute_chunk(index, r, config.shared_probes, &mut results);
+        let mut results = vec![QueryResult::default(); self.len()];
+        let mut scatter = |start: usize, chunk: Vec<QueryResult>| {
+            for (offset, result) in chunk.into_iter().enumerate() {
+                for (qi, copy) in self.distinct.hand_out(start + offset, result) {
+                    results[qi] = copy;
+                }
             }
-            journal_batch_pool(&index.obs, pool_timer, chunks, n, 1);
+        };
+        if threads <= 1 {
+            for r in &ranges {
+                scatter(r.start, self.execute_range(index, r.clone()));
+            }
+            journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), 1);
             return results;
         }
 
@@ -494,26 +520,20 @@ impl BatchPlan {
                     if i >= ranges.len() {
                         break;
                     }
-                    let mut results = Vec::with_capacity(ranges[i].len());
-                    self.execute_chunk(
-                        index,
-                        ranges[i].clone(),
-                        config.shared_probes,
-                        &mut results,
-                    );
+                    let chunk = self.execute_range(index, ranges[i].clone());
                     // coax-analyze: allow(panic-free-library, poisoned chunk-result lock: a sibling worker panicked, so the batch result set is already lost — propagate rather than return a truncated batch)
-                    done.lock().expect("chunk result lock poisoned")[i] = Some(results);
+                    done.lock().expect("chunk result lock poisoned")[i] = Some(chunk);
                 });
             }
         });
-        journal_batch_pool(&index.obs, pool_timer, chunks, n, threads);
-        done.into_inner()
-            // coax-analyze: allow(panic-free-library, poisoned chunk-result lock: a worker panicked mid-batch, so returning would silently drop its chunk — propagate instead)
-            .expect("chunk result lock poisoned")
-            .into_iter()
+        // coax-analyze: allow(panic-free-library, poisoned chunk-result lock: a worker panicked mid-batch, so returning would silently drop its chunk — propagate instead)
+        let done = done.into_inner().expect("chunk result lock poisoned");
+        for (r, chunk) in ranges.iter().zip(done) {
             // coax-analyze: allow(panic-free-library, scope() joins every worker before this line, so each chunk slot is filled — a None means a worker died and its results are unrecoverable)
-            .flat_map(|r| r.expect("every chunk executed"))
-            .collect()
+            scatter(r.start, chunk.expect("every chunk executed"));
+        }
+        journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), threads);
+        results
     }
 
     /// Streaming execution: per-query results flow to `sink` as their
@@ -521,8 +541,10 @@ impl BatchPlan {
     /// chunk finishes — the ROADMAP's "results flow before the whole
     /// batch finishes" item.
     ///
-    /// `sink` receives `(query_index, QueryResult)` pairs: in query order
-    /// when the batch stays on the calling thread, in completion order
+    /// `sink` receives `(query_index, QueryResult)` pairs: in order of
+    /// first appearance when the batch stays on the calling thread (a
+    /// query's duplicates arrive right after its first copy, so a batch
+    /// without duplicates streams in query order), in completion order
     /// (each pair tagged with its index) when chunks fan out over the
     /// worker pool, where finished chunks cross back through a **bounded
     /// channel** so a slow consumer applies backpressure instead of
@@ -532,8 +554,7 @@ impl BatchPlan {
     ///
     /// Chunks are sized for latency here (≈4 per worker, never the whole
     /// batch — an explicit [`ExecConfig::chunk_size`] still wins):
-    /// time-to-first-result is one chunk's work, so maximal probe sharing
-    /// would defeat the point of streaming.
+    /// time-to-first-result is one chunk's work.
     pub fn execute_streaming(
         &self,
         index: &CoaxIndex,
@@ -546,21 +567,21 @@ impl BatchPlan {
         }
         let threads = config.resolve_threads(n);
         let chunk = streaming_chunk(config, n, threads);
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect();
+        let ranges = chunk_ranges(n, chunk);
         let pool_timer = index.obs.timer();
-        let chunks = ranges.len();
         let mut ttfr = index.obs.timer();
         if threads <= 1 {
-            for r in ranges {
-                let mut results = Vec::with_capacity(r.len());
-                self.execute_chunk(index, r.clone(), config.shared_probes, &mut results);
-                for (offset, result) in results.into_iter().enumerate() {
-                    index.obs.record_ttfr(ttfr.take());
-                    sink(r.start + offset, result);
+            for r in &ranges {
+                for (offset, result) in
+                    self.execute_range(index, r.clone()).into_iter().enumerate()
+                {
+                    for (qi, copy) in self.distinct.hand_out(r.start + offset, result) {
+                        index.obs.record_ttfr(ttfr.take());
+                        sink(qi, copy);
+                    }
                 }
             }
-            journal_batch_pool(&index.obs, pool_timer, chunks, n, 1);
+            journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), 1);
             return;
         }
 
@@ -575,22 +596,15 @@ impl BatchPlan {
                     if i >= ranges.len() {
                         break;
                     }
-                    let mut results = Vec::with_capacity(ranges[i].len());
-                    self.execute_chunk(
-                        index,
-                        ranges[i].clone(),
-                        config.shared_probes,
-                        &mut results,
-                    );
+                    let start = ranges[i].start;
+                    let results = self.execute_range(index, ranges[i].clone());
                     for (offset, result) in results.into_iter().enumerate() {
-                        // Count the slot before sending so the gauge
-                        // covers time spent blocked on a full channel.
-                        index.obs.stream_depth_add(1);
-                        // A dropped receiver (consumer gone) cancels the
-                        // remaining work.
-                        if tx.send((ranges[i].start + offset, result)).is_err() {
-                            index.obs.stream_depth_sub(1);
-                            return;
+                        for item in self.distinct.hand_out(start + offset, result) {
+                            // A dropped receiver (consumer gone) cancels
+                            // the remaining work.
+                            if !send_counted(&index.obs, &tx, item) {
+                                return;
+                            }
                         }
                     }
                 });
@@ -602,90 +616,24 @@ impl BatchPlan {
                 sink(qi, result);
             }
         });
-        journal_batch_pool(&index.obs, pool_timer, chunks, n, threads);
+        journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), threads);
     }
+}
 
-    /// Executes one contiguous chunk of the batch, appending one result
-    /// per query to `results` in query order.
-    ///
-    /// With `shared_probes`, the chunk's primary navigation probes run
-    /// as one fused [`MultidimIndex::batch_range_query_filtered`] call
-    /// (shared directory/cell work) and the outlier filters as one
-    /// [`MultidimIndex::batch_query`] call over the plan's pre-built
-    /// filter slice (no per-execution cloning); each query's counters
-    /// are then reassembled exactly as [`execute`] would have produced
-    /// them. Without it, the chunk is the plain per-plan loop.
-    fn execute_chunk(
-        &self,
-        index: &CoaxIndex,
-        range: std::ops::Range<usize>,
-        shared_probes: bool,
-        results: &mut Vec<QueryResult>,
-    ) {
-        let plans = &self.plans[range.clone()];
-        let chunk_timer = index.obs.timer();
-        if !shared_probes {
-            for plan in plans {
-                let mut ids = Vec::new();
-                let stats = index.execute_plan(plan, &mut ids).flatten();
-                results.push(QueryResult { ids, stats });
-            }
-            index.obs.record_chunk(chunk_timer, plans.len());
-            return;
-        }
-
-        // Flatten every query's non-empty navigation rectangles into one
-        // probe list; remember each query's slice of it.
-        let mut probes: Vec<FilteredProbe<'_>> = Vec::new();
-        let mut probe_ranges: Vec<(usize, usize)> = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let from = probes.len();
-            for nav in plan.navs() {
-                if !nav.is_empty() {
-                    probes.push(FilteredProbe { nav, filter: plan.filter() });
-                }
-            }
-            probe_ranges.push((from, probes.len()));
-        }
-        let primary = index.primary.batch_range_query_filtered(&probes);
-
-        // The outlier index sees each query's original filter, batched.
-        let outliers = index.outliers.batch_query(&self.filters[range]);
-
-        for (qi, plan) in plans.iter().enumerate() {
-            let mut ids = Vec::new();
-            // Primary: merge this query's probes in nav order, then
-            // remap — the same accumulation probe_primary performs.
-            let mut primary_stats = ScanStats::default();
-            let (from, to) = probe_ranges[qi];
-            for probe in &primary[from..to] {
-                primary_stats = primary_stats.merge(probe.stats);
-                ids.extend_from_slice(&probe.ids);
-            }
-            remap_local_ids(&mut ids, &index.primary_ids, index.primary.name());
-
-            let outlier = &outliers[qi];
-            let outlier_from = ids.len();
-            ids.extend_from_slice(&outlier.ids);
-            remap_local_ids(
-                &mut ids[outlier_from..],
-                &index.outlier_ids,
-                index.outliers.name(),
-            );
-
-            let (pending_examined, pending_matches) =
-                scan_pending(index, plan.filter(), &mut ids);
-            let stats = CoaxQueryStats {
-                primary: primary_stats,
-                outliers: outlier.stats,
-                pending_examined,
-                pending_matches,
-            }
-            .flatten();
-            results.push(QueryResult { ids, stats });
-        }
-        index.obs.record_chunk(chunk_timer, plans.len());
+/// Sends one streamed result, counting its channel slot first so the
+/// depth gauge covers time spent blocked on a full channel. `false` when
+/// the consumer is gone.
+fn send_counted(
+    obs: &Obs,
+    tx: &std::sync::mpsc::SyncSender<(usize, QueryResult)>,
+    item: (usize, QueryResult),
+) -> bool {
+    obs.stream_depth_add(1);
+    if tx.send(item).is_err() {
+        obs.stream_depth_sub(1);
+        return false;
     }
+    true
 }
 
 /// Journals one batch-pool completion (chunk/query/thread counts and
@@ -706,8 +654,8 @@ fn journal_batch_pool(
 
 /// Chunk size for streaming execution: an explicit
 /// [`ExecConfig::chunk_size`] wins, else ≈4 chunks per worker with a
-/// floor of 8 queries — and never the whole batch, because the first
-/// chunk's completion time is the stream's time-to-first-result.
+/// floor of 8 distinct queries — and never the whole batch, because the
+/// first chunk's completion time is the stream's time-to-first-result.
 fn streaming_chunk(config: &ExecConfig, batch_len: usize, threads: usize) -> usize {
     if config.chunk_size > 0 {
         return config.chunk_size;
@@ -806,34 +754,40 @@ impl Iterator for BatchStream {
 }
 
 /// Shared post-processing hook a [`BatchStream`]'s workers run on each
-/// finished [`QueryResult`] before sending it (the snapshot layer's
-/// per-query overlay merge).
+/// distinct query's [`QueryResult`] before handing it to the query's
+/// copies (the snapshot layer's overlay merge).
 pub(crate) type StreamFinishFn = Arc<dyn Fn(usize, &mut QueryResult) + Send + Sync>;
 
-/// Spawns the detached worker pool behind a [`BatchStream`]: workers
-/// claim contiguous chunks off an atomic counter, translate and execute
-/// them against the `Arc`-shared frozen index, run each result through
-/// `finish` (the snapshot layer's overlay merge), and push it through the
-/// bounded channel. Translation happens inside the workers, so the first
-/// results do not wait for the whole batch to be planned.
+/// Spawns the detached worker pool behind a [`BatchStream`]: the batch
+/// is deduplicated on the calling thread, then workers claim contiguous
+/// chunks of distinct queries off an atomic counter, translate and
+/// execute them against the `Arc`-shared frozen index, run each result
+/// through `finish` (the snapshot layer's overlay merge), and push it to
+/// every copy through the bounded channel. Translation happens inside
+/// the workers, so the first results do not wait for the whole batch to
+/// be planned.
 pub(crate) fn spawn_batch_stream(
     index: Arc<CoaxIndex>,
     queries: Arc<Vec<RangeQuery>>,
     config: ExecConfig,
     finish: Option<StreamFinishFn>,
 ) -> BatchStream {
-    let n = queries.len();
+    let distinct = Arc::new(DistinctQueries::new(&queries));
+    let n = distinct.len();
     // At least one worker always spawns (the caller thread is the
     // consumer, so "stay on the calling thread" cannot stream).
     let threads = config.resolve_threads(n).max(1);
     let chunk = streaming_chunk(&config, n.max(1), threads);
     let (tx, rx) = std::sync::mpsc::sync_channel(stream_capacity(chunk, threads));
-    let ranges: Arc<Vec<std::ops::Range<usize>>> =
-        Arc::new((0..n).step_by(chunk.max(1)).map(|s| s..(s + chunk).min(n)).collect());
+    let ranges = Arc::new(chunk_ranges(n, chunk));
     let next = Arc::new(AtomicUsize::new(0));
     for _ in 0..threads.min(ranges.len()) {
-        let (index, queries, ranges) =
-            (Arc::clone(&index), Arc::clone(&queries), Arc::clone(&ranges));
+        let (index, queries, distinct, ranges) = (
+            Arc::clone(&index),
+            Arc::clone(&queries),
+            Arc::clone(&distinct),
+            Arc::clone(&ranges),
+        );
         let (next, tx, finish) = (Arc::clone(&next), tx.clone(), finish.clone());
         std::thread::spawn(move || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -841,34 +795,31 @@ pub(crate) fn spawn_batch_stream(
                 break;
             }
             let range = ranges[i].clone();
-            let sub = BatchPlan::new(&index, &queries[range.clone()]);
-            let mut results = Vec::with_capacity(range.len());
-            sub.execute_chunk(&index, 0..sub.len(), config.shared_probes, &mut results);
-            for (offset, mut result) in results.into_iter().enumerate() {
-                let qi = range.start + offset;
+            let plans: Vec<QueryPlan> =
+                range.clone().map(|d| index.plan(&queries[distinct.first(d)])).collect();
+            let results = execute_chunk(&index, &plans, distinct.answered(range.clone()));
+            for (d, mut result) in range.zip(results) {
                 if let Some(finish) = &finish {
-                    finish(qi, &mut result);
+                    finish(distinct.first(d), &mut result);
                 }
-                // Count the slot before sending so the depth gauge
-                // covers time spent blocked on a full channel.
-                index.obs.stream_depth_add(1);
-                // A dropped BatchStream cancels the remaining work.
-                if tx.send((qi, result)).is_err() {
-                    index.obs.stream_depth_sub(1);
-                    return;
+                for item in distinct.hand_out(d, result) {
+                    // A dropped BatchStream cancels the remaining work.
+                    if !send_counted(&index.obs, &tx, item) {
+                        return;
+                    }
                 }
             }
         });
     }
     let (obs, started) = (index.obs.clone(), index.obs.timer());
-    BatchStream { rx, remaining: n, shard: obs.shard(), obs, started }
+    BatchStream { rx, remaining: queries.len(), shard: obs.shard(), obs, started }
 }
 
 /// Batch execution behind [`CoaxIndex::batch_query_with`] and the trait's
 /// `batch_query`: plan the whole batch once ([`BatchPlan`]), then execute
 /// under `config`. Per-query results and counters are identical to
 /// one-at-a-time [`CoaxIndex::range_query_stats`] calls because every
-/// path reduces to the same probes, binary searches, and filter checks.
+/// distinct query runs the same single-query executor.
 pub(crate) fn execute_batch(
     index: &CoaxIndex,
     queries: &[RangeQuery],

@@ -198,10 +198,10 @@ pub struct CoaxConfig {
     /// second configuration channel; ignored by callers that only ever
     /// rebuild manually.
     pub maintenance: MaintenancePolicy,
-    /// Batch-execution policy: worker count and probe sharing for
+    /// Batch-execution policy: worker count and chunking for
     /// `batch_query` (see [`ExecConfig`]). Defaults to the calling
-    /// thread with probe sharing on; [`ExecConfig::parallel`] fans
-    /// batches out over every core. Like `maintenance`, carried in the
+    /// thread; [`ExecConfig::parallel`] fans batches out over every
+    /// core. Like `maintenance`, carried in the
     /// build config so the factory and the [`crate::maint::IndexHandle`]
     /// pick it up with no second channel; override per call with
     /// [`CoaxIndex::batch_query_with`].
@@ -572,10 +572,10 @@ impl CoaxIndex {
         stats
     }
 
-    /// Translates a whole batch in one pass into a reusable
-    /// [`BatchPlan`] — the batch engine's step 1, exposed for callers
-    /// that execute the same batch repeatedly (the `batch` bench times
-    /// plan-once-execute-many this way).
+    /// Deduplicates and translates a whole batch in one pass into a
+    /// reusable [`BatchPlan`] — the batch engine's step 1, exposed for
+    /// callers that execute the same batch repeatedly (the `batch` bench
+    /// times plan-once-execute-many this way).
     pub fn batch_plan(&self, queries: &[RangeQuery]) -> BatchPlan {
         BatchPlan::new(self, queries)
     }
@@ -839,13 +839,13 @@ impl MultidimIndex for CoaxIndex {
         self.execute_plan_cursor(self.plan(query))
     }
 
-    /// Batch override — the [`crate::exec`] batch engine: every query is
-    /// translated into a [`QueryPlan`] exactly once up front
-    /// ([`BatchPlan`]), overlapping navigation probes are merged so
-    /// queries landing in the same cells share directory and cell work,
-    /// and chunks of the batch fan out over the worker pool configured
-    /// in [`CoaxConfig::exec`]. Per-query results and stats are
-    /// identical to sequential `range_query_stats` calls.
+    /// Batch override — the [`crate::exec`] batch engine: value-equal
+    /// queries are deduplicated and each distinct query is translated
+    /// into a [`QueryPlan`] exactly once up front ([`BatchPlan`]); every
+    /// plan then runs the single-query executor, and chunks of the batch
+    /// fan out over the worker pool configured in [`CoaxConfig::exec`].
+    /// Per-query results and stats are identical to sequential
+    /// `range_query_stats` calls.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
         exec::execute_batch(self, queries, &self.config.exec)
     }

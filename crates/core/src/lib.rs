@@ -21,11 +21,11 @@
 //!    [`exec::QueryPlan`] (translate once), executed uniformly for
 //!    single and batched queries: probe primary → probe outliers →
 //!    scan pending → merge. Batches go through the batch engine — an
-//!    [`exec::BatchPlan`] translates every query in one pass, merges
-//!    overlapping navigation probes so queries in the same cells share
-//!    the scan, and fans chunks out over a scoped worker pool sized by
-//!    [`exec::ExecConfig`] — with per-query results and stats identical
-//!    to the sequential loop. Both surfaces also stream: the plan
+//!    [`exec::BatchPlan`] deduplicates value-equal queries, translates
+//!    each distinct query once, runs every plan through the same
+//!    single-query executor, and fans chunks out over a scoped worker
+//!    pool sized by [`exec::ExecConfig`] — with per-query results and
+//!    stats identical to the sequential loop. Both surfaces also stream: the plan
 //!    cursor yields results chunk by chunk, and
 //!    `batch_query_streaming` / [`exec::BatchStream`] deliver per-query
 //!    results off the pool through a bounded channel before the whole

@@ -474,6 +474,18 @@ fn scan_overlay(overlay: &[OverlayRow], query: &RangeQuery, out: &mut Vec<RowId>
     matched
 }
 
+/// Puts the overlay rows matching `query` in front of an epoch result
+/// and charges the overlay scan to its stats — the order every snapshot
+/// query path returns.
+fn prepend_overlay(overlay: &[OverlayRow], query: &RangeQuery, result: &mut QueryResult) {
+    let mut ids = Vec::with_capacity(result.ids.len());
+    let matched = scan_overlay(overlay, query, &mut ids);
+    ids.append(&mut result.ids);
+    result.ids = ids;
+    result.stats.scanned_pending += overlay.len();
+    result.stats.matches += matched;
+}
+
 /// The epoch half of a one-query session whose overlay (`scanned` rows,
 /// `matched` of them into `out`) was just scanned under `span`: marks
 /// the overlay scan, translates and executes against `index`, charges
@@ -541,18 +553,13 @@ impl ReadSnapshot {
         config: crate::ExecConfig,
     ) -> crate::exec::BatchStream {
         let queries = Arc::new(queries.to_vec());
-        let overlay = Arc::clone(&self.overlay);
-        let filter_queries = Arc::clone(&queries);
-        let finish: crate::exec::StreamFinishFn = Arc::new(move |qi, result| {
-            // Overlay rows come first, as in every snapshot path.
-            let mut ids = Vec::with_capacity(result.ids.len());
-            let matched = scan_overlay(&overlay, &filter_queries[qi], &mut ids);
-            ids.append(&mut result.ids);
-            result.ids = ids;
-            result.stats.scanned_pending += overlay.len();
-            result.stats.matches += matched;
+        let finish = (!self.overlay.is_empty()).then(|| {
+            let (overlay, filters) = (Arc::clone(&self.overlay), Arc::clone(&queries));
+            Arc::new(move |qi: usize, result: &mut QueryResult| {
+                prepend_overlay(&overlay, &filters[qi], result)
+            }) as crate::exec::StreamFinishFn
         });
-        crate::exec::spawn_batch_stream(Arc::clone(&self.index), queries, config, Some(finish))
+        crate::exec::spawn_batch_stream(Arc::clone(&self.index), queries, config, finish)
     }
 }
 
@@ -624,20 +631,17 @@ impl MultidimIndex for ReadSnapshot {
 
     /// One session, whole batch: the epoch probes run through the frozen
     /// index's batch engine ([`CoaxIndex::batch_query`] →
-    /// `coax_core::exec` — translated once, shared probes, worker pool
-    /// per the epoch's [`crate::index::CoaxConfig::exec`]), then each
-    /// query's overlay matches are prepended. Per-query results and
-    /// stats are identical to one-at-a-time snapshot queries.
+    /// `coax_core::exec` — deduplicated, translated once, worker pool
+    /// per the epoch's [`crate::index::CoaxConfig::exec`]), then, when
+    /// the overlay holds rows, each query's overlay matches are
+    /// prepended. Per-query results and stats are identical to
+    /// one-at-a-time snapshot queries.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
         let mut results = self.index.batch_query(queries);
-        for (q, r) in queries.iter().zip(&mut results) {
-            // Overlay rows come first, as in `range_query_stats`.
-            let mut ids: Vec<RowId> = Vec::with_capacity(r.ids.len());
-            let matched = scan_overlay(&self.overlay, q, &mut ids);
-            ids.append(&mut r.ids);
-            r.ids = ids;
-            r.stats.scanned_pending += self.overlay.len();
-            r.stats.matches += matched;
+        if !self.overlay.is_empty() {
+            for (q, r) in queries.iter().zip(&mut results) {
+                prepend_overlay(&self.overlay, q, r);
+            }
         }
         results
     }

@@ -182,7 +182,6 @@ impl Obs {
         if !config.enabled {
             return Obs { inner: None, shard: None };
         }
-        coax_index::telemetry::set_enabled(true);
         Obs {
             inner: Some(Arc::new(ObsHandles::new(MetricsRegistry::global(), config.shard))),
             shard: config.shard,
@@ -299,7 +298,7 @@ impl Obs {
         }
     }
 
-    /// Records one executed batch chunk (shared-probe or per-query).
+    /// Records one executed batch chunk answering `queries` queries.
     pub fn record_chunk(&self, started: Option<Instant>, queries: usize) {
         if let Some(h) = &self.inner {
             if let Some(t) = started {
@@ -340,25 +339,10 @@ impl Obs {
     }
 }
 
-/// Gathers every registered metric, the grid file's shared-probe
-/// telemetry and the event journal into one export unit.
+/// Gathers every registered metric and the event journal into one
+/// export unit.
 pub fn snapshot() -> MetricsSnapshot {
     let mut samples = MetricsRegistry::global().snapshot();
-    let (cells_scanned, cell_visits) = coax_index::telemetry::shared_probe_totals();
-    samples.push(MetricSample {
-        name: "coax.grid.shared_cells_scanned".to_string(),
-        shard: None,
-        kind: MetricKind::Counter,
-        value: cells_scanned,
-        histogram: None,
-    });
-    samples.push(MetricSample {
-        name: "coax.grid.shared_cell_visits".to_string(),
-        shard: None,
-        kind: MetricKind::Counter,
-        value: cell_visits,
-        histogram: None,
-    });
     samples.sort_by(|a, b| (&a.name, a.shard).cmp(&(&b.name, b.shard)));
     MetricsSnapshot { samples, events: EventJournal::global().events() }
 }

@@ -80,7 +80,7 @@ struct SpanInner<'a> {
 
 impl<'a> QuerySpan<'a> {
     /// An inert span (observability off).
-    pub(super) fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         QuerySpan { inner: None }
     }
 

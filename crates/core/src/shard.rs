@@ -708,9 +708,10 @@ impl MultidimIndex for ShardedSnapshot {
     }
 
     /// Whole batch against this session: per-shard batch engines run on
-    /// the fan-out pool, then each query's per-shard results merge in
-    /// shard order. Per-query results and stats are identical to
-    /// one-at-a-time [`ShardedSnapshot::range_query_stats`] calls.
+    /// the fan-out pool, then each query's later-shard results are
+    /// appended to shard 0's, in shard order. Per-query results and
+    /// stats are identical to one-at-a-time
+    /// [`ShardedSnapshot::range_query_stats`] calls.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
         let core = &self.core;
         let shards = &self.shards;
@@ -722,9 +723,10 @@ impl MultidimIndex for ShardedSnapshot {
             }
             results
         });
-        let mut merged: Vec<QueryResult> = (0..queries.len())
-            .map(|_| QueryResult { ids: Vec::new(), stats: ScanStats::default() })
-            .collect();
+        let mut per_shard = per_shard.into_iter();
+        let Some(mut merged) = per_shard.next() else {
+            return vec![QueryResult::default(); queries.len()];
+        };
         for shard_results in per_shard {
             for (m, r) in merged.iter_mut().zip(shard_results) {
                 m.ids.extend_from_slice(&r.ids);

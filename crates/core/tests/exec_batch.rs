@@ -1,12 +1,16 @@
-//! The batch-execution contract: `CoaxIndex::batch_query` translates
-//! each query exactly once into a `BatchPlan`, shares overlapping
-//! navigation probes, and may fan chunks out over a worker pool — and
-//! whatever the `ExecConfig`, returns per-query results and `ScanStats`
-//! identical to sequential `range_query_stats` calls. That equivalence,
-//! swept over thread counts, probe sharing, and backend combinations,
-//! is the acceptance bar for the batch engine.
+//! The batch-execution contract: `CoaxIndex::batch_query` answers each
+//! distinct query of a batch once, translating it exactly once into a
+//! `BatchPlan` and running the single-query executor, and may fan chunks
+//! out over a worker pool — and whatever the `ExecConfig`, returns
+//! per-query results and `ScanStats` identical to sequential
+//! `range_query_stats` calls. That equivalence, swept over thread
+//! counts, chunk sizes, duplicate-heavy batches, and backend
+//! combinations, is the acceptance bar for the batch engine.
 
-use coax_core::{CoaxConfig, CoaxIndex, ExecConfig, OutlierBackend, PrimaryBackend};
+use coax_core::obs::MetricsRegistry;
+use coax_core::{
+    CoaxConfig, CoaxIndex, ExecConfig, IndexHandle, ObsConfig, OutlierBackend, PrimaryBackend,
+};
 use coax_data::synth::{Generator, PlantedConfig, PlantedDependent, PlantedGroup};
 use coax_data::workload::{knn_rectangle_queries, point_queries};
 use coax_data::{Dataset, RangeQuery};
@@ -49,6 +53,48 @@ fn mixed_workload(ds: &Dataset) -> Vec<RangeQuery> {
     empty.constrain(2, 9.0, 1.0);
     queries.push(empty);
     queries
+}
+
+/// A duplicate-heavy batch: four copies of every mixed-workload query,
+/// laid out so consecutive copies of one query sit a whole workload
+/// apart — with `chunk_size` 3, a query's copies never share a chunk
+/// with its first.
+fn duplicate_heavy(ds: &Dataset) -> Vec<RangeQuery> {
+    let base = mixed_workload(ds);
+    (0..4 * base.len()).map(|i| base[(i * 7) % base.len()].clone()).collect()
+}
+
+/// The one-at-a-time loop every batch surface must reproduce.
+fn loop_results(
+    index: &dyn MultidimIndex,
+    queries: &[RangeQuery],
+) -> Vec<coax_index::QueryResult> {
+    queries
+        .iter()
+        .map(|q| {
+            let mut ids = Vec::new();
+            let stats = index.range_query_stats(q, &mut ids);
+            coax_index::QueryResult { ids, stats }
+        })
+        .collect()
+}
+
+/// Collects `(query_index, result)` deliveries, asserting each query
+/// arrives exactly once and equals `expected` (ids in order, stats).
+fn assert_delivered_once(
+    label: &str,
+    expected: &[coax_index::QueryResult],
+    deliveries: impl IntoIterator<Item = (usize, coax_index::QueryResult)>,
+) {
+    let mut received: Vec<Option<coax_index::QueryResult>> = vec![None; expected.len()];
+    for (qi, result) in deliveries {
+        assert!(received[qi].replace(result).is_none(), "{label}: query {qi} delivered twice");
+    }
+    for (qi, slot) in received.iter().enumerate() {
+        let got =
+            slot.as_ref().unwrap_or_else(|| panic!("{label}: query {qi} never delivered"));
+        assert_eq!(got, &expected[qi], "{label}: query {qi} diverged from the loop");
+    }
 }
 
 fn sorted(mut v: Vec<u32>) -> Vec<u32> {
@@ -114,9 +160,9 @@ fn batch_covers_pending_inserts_and_custom_outliers() {
 
 /// The batch == sequential contract must hold for every primary ×
 /// outlier backend combination: the exec layer drives both partitions
-/// purely through the trait, so swapping substrates (fused GridFile
-/// probe vs trait-default filtered probe included) must not perturb
-/// results or stats.
+/// purely through the trait, so swapping substrates (GridFile's fused
+/// navigate-and-filter probe vs the trait-default filtered probe
+/// included) must not perturb results or stats.
 #[test]
 fn batch_contract_holds_across_primary_and_outlier_backends() {
     let ds = planted(6_000, 95);
@@ -156,54 +202,142 @@ fn batch_contract_holds_across_primary_and_outlier_backends() {
 
 /// The tentpole guarantee: per-query results and `ScanStats` are
 /// **bit-identical** across every execution strategy — the sequential
-/// loop, single-threaded shared probes, unshared probes, and every
-/// thread count — because parallelism and probe sharing reorder work
-/// without changing any per-query computation.
+/// loop and every thread count, on batches with and without duplicates
+/// — because each distinct query runs the single-query executor and
+/// threading only reorders which query executes when.
 #[test]
-fn batch_results_identical_across_thread_counts_and_sharing() {
+fn batch_results_identical_across_thread_counts_and_duplicates() {
     let ds = planted(12_000, 96);
     let index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    // A workload big enough to clear `min_parallel_batch` and produce
-    // real cell overlap, plus the adversarial queries.
+    // A workload big enough to clear `min_parallel_batch`, plus the
+    // adversarial queries, then the same with every query repeated.
     let mut queries = mixed_workload(&ds);
     queries.extend(knn_rectangle_queries(&ds, 80, 60, 903));
+    let mut repeated = duplicate_heavy(&ds);
+    repeated.extend(queries.iter().rev().cloned());
 
-    // Ground truth: the one-at-a-time sequential loop.
-    let sequential: Vec<(Vec<u32>, coax_index::ScanStats)> = queries
-        .iter()
-        .map(|q| {
-            let mut ids = Vec::new();
-            let stats = index.range_query_stats(q, &mut ids);
-            (ids, stats)
-        })
-        .collect();
-
-    for shared_probes in [true, false] {
+    for batch in [&queries, &repeated] {
+        // Ground truth: the one-at-a-time sequential loop.
+        let sequential = loop_results(&index, batch);
         for threads in [1usize, 2, 4, 8] {
-            let config = ExecConfig {
-                batch_threads: threads,
-                min_parallel_batch: 2,
-                shared_probes,
-                chunk_size: 0,
-            };
-            let batched = index.batch_query_with(&queries, &config);
-            assert_eq!(batched.len(), queries.len());
-            for (i, (result, (ids, stats))) in batched.iter().zip(&sequential).enumerate() {
+            let config =
+                ExecConfig { batch_threads: threads, min_parallel_batch: 2, chunk_size: 0 };
+            let batched = index.batch_query_with(batch, &config);
+            assert_eq!(batched.len(), batch.len());
+            for (i, (result, expected)) in batched.iter().zip(&sequential).enumerate() {
                 assert_eq!(
-                    &result.stats, stats,
-                    "stats diverged (threads={threads}, shared={shared_probes}, query {i})"
+                    result.stats, expected.stats,
+                    "stats diverged (threads={threads}, query {i})"
                 );
                 assert_eq!(
-                    &result.ids, ids,
-                    "ids diverged (threads={threads}, shared={shared_probes}, query {i})"
+                    result.ids, expected.ids,
+                    "ids diverged (threads={threads}, query {i})"
                 );
             }
         }
     }
 }
 
-/// Odd chunk sizes (including chunks bigger than the batch and size 1,
-/// which kills all sharing) must not perturb anything either.
+/// Duplicate-heavy batches whose copies straddle chunk boundaries
+/// (`chunk_size` 3) on 1, 2 and 4 workers: the materialized batch, the
+/// streaming `BatchPlan` and a snapshot's detached stream each deliver
+/// every query exactly once, with ids (in order) and stats equal to the
+/// one-at-a-time loop — overlay rows included, and with an empty
+/// overlay too.
+#[test]
+fn duplicate_copies_across_chunks_match_the_loop_on_every_surface() {
+    let ds = planted(8_000, 194);
+    let queries = duplicate_heavy(&ds);
+    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+    let empty_overlay = handle.snapshot();
+    for i in 0..30 {
+        let x = (i as f64 * 31.9) % 1000.0;
+        let y = if i % 5 == 0 { 2.0 * x + 700.0 } else { 2.0 * x + 25.0 };
+        handle.insert(&[x, y, 40.0]).expect("finite row of the right arity");
+    }
+    let with_overlay = handle.snapshot();
+    assert!(with_overlay.pending_len() > empty_overlay.pending_len());
+    let index = with_overlay.frozen();
+    let index_loop = loop_results(index, &queries);
+
+    for threads in [1usize, 2, 4] {
+        let config =
+            ExecConfig { batch_threads: threads, min_parallel_batch: 2, chunk_size: 3 };
+        let label = format!("threads={threads}");
+        assert_delivered_once(
+            &format!("batch_query {label}"),
+            &index_loop,
+            index.batch_query_with(&queries, &config).into_iter().enumerate(),
+        );
+        let mut streamed = Vec::new();
+        index.batch_plan(&queries).execute_streaming(index, &config, &mut |qi, r| {
+            streamed.push((qi, r));
+        });
+        assert_delivered_once(&format!("execute_streaming {label}"), &index_loop, streamed);
+        for snapshot in [&empty_overlay, &with_overlay] {
+            let snapshot_loop = loop_results(snapshot, &queries);
+            let label = format!("{label}, overlay={}", snapshot.pending_len());
+            assert_delivered_once(
+                &format!("snapshot stream {label}"),
+                &snapshot_loop,
+                snapshot.batch_query_streaming_with(&queries, config),
+            );
+            assert_delivered_once(
+                &format!("snapshot batch {label}"),
+                &snapshot_loop,
+                snapshot.batch_query(&queries).into_iter().enumerate(),
+            );
+        }
+    }
+}
+
+/// Shard label of the index below: no other test in this binary records
+/// into it, so its cells count this test's batches only.
+const COPIES_SHARD: u32 = 7_013;
+
+/// A batch of 8 copies of one query is one distinct query: each batch
+/// surface translates it once (one `coax.query.translate_us` sample),
+/// opens no per-query span (`coax.query.count` stays put), and still
+/// answers all 8 queries (`coax.batch.queries`).
+#[test]
+fn a_batch_of_copies_translates_once() {
+    let ds = planted(5_000, 195);
+    let config =
+        CoaxConfig { obs: ObsConfig::default().for_shard(COPIES_SHARD), ..Default::default() };
+    let handle = IndexHandle::build(&ds, &config);
+    let snapshot = handle.snapshot();
+    let mut q = RangeQuery::unbounded(3);
+    q.constrain(1, 400.0, 520.0);
+    let copies = vec![q.clone(); 8];
+    let expected = loop_results(&snapshot, &copies);
+
+    let registry = MetricsRegistry::global();
+    let translate = registry.histogram_shard("coax.query.translate_us", Some(COPIES_SHARD));
+    let count = registry.counter_shard("coax.query.count", Some(COPIES_SHARD));
+    let answered = registry.counter_shard("coax.batch.queries", Some(COPIES_SHARD));
+    let surfaces: [(&str, &dyn Fn() -> Vec<coax_index::QueryResult>); 3] = [
+        ("frozen batch_query", &|| snapshot.frozen().batch_query(&copies)),
+        ("snapshot batch_query", &|| snapshot.batch_query(&copies)),
+        ("snapshot stream", &|| {
+            let mut results = vec![coax_index::QueryResult::default(); copies.len()];
+            for (qi, r) in snapshot.batch_query_streaming(&copies) {
+                results[qi] = r;
+            }
+            results
+        }),
+    ];
+    for (label, run) in surfaces {
+        let (translated, counted, batched) =
+            (translate.snapshot(), count.get(), answered.get());
+        assert_eq!(run(), expected, "{label}");
+        assert_eq!(translate.snapshot().since(&translated).count(), 1, "{label}: translations");
+        assert_eq!(count.get(), counted, "{label}: a batch opened a per-query span");
+        assert_eq!(answered.get() - batched, 8, "{label}: coax.batch.queries");
+    }
+}
+
+/// Odd chunk sizes (including chunks bigger than the batch and size 1)
+/// must not perturb anything either.
 #[test]
 fn batch_results_survive_adversarial_chunking() {
     let ds = planted(6_000, 97);
@@ -212,12 +346,8 @@ fn batch_results_survive_adversarial_chunking() {
     let baseline = index.batch_query(&queries);
     for chunk_size in [1usize, 3, 7, 1000] {
         for threads in [1usize, 3] {
-            let config = ExecConfig {
-                batch_threads: threads,
-                min_parallel_batch: 2,
-                shared_probes: true,
-                chunk_size,
-            };
+            let config =
+                ExecConfig { batch_threads: threads, min_parallel_batch: 2, chunk_size };
             let batched = index.batch_query_with(&queries, &config);
             assert_eq!(batched, baseline, "chunk={chunk_size} threads={threads}");
         }
@@ -273,7 +403,7 @@ fn batch_plan_is_reusable_across_configs() {
     let first = plan.execute(&index, &ExecConfig::default());
     for config in [
         ExecConfig::default(),
-        ExecConfig { shared_probes: false, ..ExecConfig::default() },
+        ExecConfig { chunk_size: 1, ..ExecConfig::default() },
         ExecConfig { batch_threads: 4, min_parallel_batch: 2, ..ExecConfig::default() },
     ] {
         assert_eq!(plan.execute(&index, &config), first, "{config:?}");
@@ -331,8 +461,8 @@ fn plans_are_reusable_and_report_pruning() {
 
 /// The streaming sink must deliver every query exactly once, each result
 /// identical to the materialized batch at that index — whatever thread
-/// count, sharing, or chunking drives the pool, and with pending inserts
-/// in the picture.
+/// count or chunking drives the pool, and with pending inserts in the
+/// picture.
 #[test]
 fn streaming_batch_delivers_every_query_identically() {
     let ds = planted(8_000, 191);
@@ -346,12 +476,7 @@ fn streaming_batch_delivers_every_query_identically() {
     let expected = index.batch_query(&queries);
 
     for (threads, chunk_size) in [(1usize, 0usize), (1, 3), (2, 0), (4, 7), (8, 0)] {
-        let config = ExecConfig {
-            batch_threads: threads,
-            min_parallel_batch: 2,
-            shared_probes: true,
-            chunk_size,
-        };
+        let config = ExecConfig { batch_threads: threads, min_parallel_batch: 2, chunk_size };
         let mut received: Vec<Option<coax_index::QueryResult>> = vec![None; queries.len()];
         index.batch_query_streaming_with(&queries, &config, |qi, result| {
             assert!(

@@ -12,7 +12,7 @@
 //! wrapper that also knows how to pick a good sort dimension.
 
 use crate::grid_file::{GridFile, GridFileConfig};
-use crate::traits::{FilteredProbe, MultidimIndex, QueryResult, RowCursor, ScanStats};
+use crate::traits::{MultidimIndex, RowCursor, ScanStats};
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 
 /// CDF-aligned grid over `d − 1` attributes with the last attribute sorted
@@ -89,9 +89,7 @@ impl MultidimIndex for ColumnFiles {
         self.inner.range_query_stats(query, out)
     }
 
-    /// Forwarded to [`GridFile`]'s fused navigate-and-filter pass (and
-    /// kept in lockstep with the batched sibling below, so batch ==
-    /// sequential holds for column files too).
+    /// Forwarded to [`GridFile`]'s fused navigate-and-filter pass.
     fn range_query_filtered(
         &self,
         nav: &RangeQuery,
@@ -99,11 +97,6 @@ impl MultidimIndex for ColumnFiles {
         out: &mut Vec<RowId>,
     ) -> ScanStats {
         self.inner.range_query_filtered(nav, filter, out)
-    }
-
-    /// Forwarded to [`GridFile`]'s shared-cell multi-probe.
-    fn batch_range_query_filtered(&self, probes: &[FilteredProbe<'_>]) -> Vec<QueryResult> {
-        MultidimIndex::batch_range_query_filtered(&self.inner, probes)
     }
 
     /// Forwarded to [`GridFile`]'s cell-by-cell streaming cursor.
@@ -118,11 +111,6 @@ impl MultidimIndex for ColumnFiles {
         filter: &RangeQuery,
     ) -> RowCursor<'_> {
         self.inner.filtered_cursor(nav, filter)
-    }
-
-    /// Forwarded to [`GridFile`]'s shared-cell batch.
-    fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        MultidimIndex::batch_query(&self.inner, queries)
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {

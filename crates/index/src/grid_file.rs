@@ -18,31 +18,10 @@
 //! indexed attributes), the COAX outlier index (gridding everything), and
 //! — through [`crate::ColumnFiles`] — the strongest baseline.
 
-use crate::kernel;
 use crate::pages::{PageStore, MAX_CELLS};
-use crate::traits::{
-    CursorSource, FilteredProbe, MultidimIndex, QueryResult, RowCursor, ScanStats,
-};
+use crate::traits::{CursorSource, MultidimIndex, RowCursor, ScanStats};
 use coax_data::stats::equi_depth_boundaries;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
-
-/// Work-sharing counters of one [`GridFile::batch_range_query_filtered_shared`]
-/// call — the observable difference between batched and probe-at-a-time
-/// execution (the per-probe [`ScanStats`] are identical by contract, so
-/// they cannot show the sharing).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SharedProbeStats {
-    /// Distinct directory cells swept: each is located once per batch,
-    /// and every probe run through it is scanned back-to-back while the
-    /// page is hot, however many (deduplicated) probes land in it.
-    pub cells_scanned: usize,
-    /// Total per-probe cell visits — exactly what an unshared,
-    /// probe-at-a-time execution would scan (and what the per-probe
-    /// `cells_visited` counters sum to, duplicates included).
-    /// `cell_visits − cells_scanned` is the directory work the batch
-    /// deduplicated.
-    pub cell_visits: usize,
-}
 
 /// Build-time configuration of a [`GridFile`].
 #[derive(Clone, Debug)]
@@ -208,8 +187,8 @@ impl GridFile {
     /// Per gridded attribute, the inclusive directory-cell range
     /// intersecting `nav` — `None` when no cell is visited at all (empty
     /// store, empty rectangle, or a probe that provably misses the data
-    /// range on some attribute). Shared by the single and the batched
-    /// probe so their directory traversal cannot diverge.
+    /// range on some attribute). Shared by the materialized scan and the
+    /// streaming cursor so their directory traversal cannot diverge.
     fn cell_ranges(&self, nav: &RangeQuery) -> Option<Vec<(usize, usize)>> {
         assert_eq!(nav.dims(), self.dims, "nav query dimensionality mismatch");
         if self.pages.is_empty() || nav.is_empty() {
@@ -250,118 +229,6 @@ impl GridFile {
             filter: filter.clone(),
             odometer,
         }))
-    }
-
-    /// The multi-query fused probe: executes every `(nav, filter)` probe
-    /// of a batch in **one ascending pass over the union of their
-    /// directory cells**, returning per-probe results plus the
-    /// batch-level sharing counters.
-    ///
-    /// Work sharing, and what stays exact:
-    ///
-    /// * **duplicate probes are answered once**: probes whose `nav` and
-    ///   `filter` are value-equal collapse onto one representative, and
-    ///   its result is copied — a batch of hot repeated queries pays for
-    ///   each distinct query once, per-copy counters intact;
-    /// * **shared cells are scanned once per batch**: the distinct
-    ///   probes' directory odometers are merged into one ascending
-    ///   address pass, so each distinct cell is located once and every
-    ///   probe's narrowed run through it is scanned back-to-back while
-    ///   the page is hot (instead of re-visited once per probe, spread
-    ///   across the whole batch);
-    /// * per-probe [`QueryResult`]s are **identical** — ids in the same
-    ///   order, [`ScanStats`] bit for bit — to calling
-    ///   [`GridFile::range_query_filtered`] once per probe: runs come
-    ///   from the same two binary searches, rows from the same filter
-    ///   checks, and cells emerge in the same ascending address order
-    ///   the per-probe odometer produces.
-    pub fn batch_range_query_filtered_shared(
-        &self,
-        probes: &[FilteredProbe<'_>],
-    ) -> (Vec<QueryResult>, SharedProbeStats) {
-        let mut results = vec![QueryResult::default(); probes.len()];
-        let mut shared = SharedProbeStats::default();
-        for probe in probes {
-            assert_eq!(probe.filter.dims(), self.dims, "filter query dimensionality mismatch");
-        }
-        let representative = crate::traits::probe_representatives(probes);
-
-        // Enumerate every (cell address, probe) visit the probe-at-a-time
-        // path would make — representatives only.
-        let mut visits: Vec<(usize, u32)> = Vec::new();
-        for (pi, probe) in probes.iter().enumerate() {
-            if representative[pi] != pi as u32 {
-                continue;
-            }
-            let Some(ranges) = self.cell_ranges(probe.nav) else {
-                continue;
-            };
-            for_each_address(&ranges, &self.strides, |addr| visits.push((addr, pi as u32)));
-        }
-        // Ascending address order groups shared cells; each probe still
-        // sees its own cells in ascending order — the order its own
-        // odometer would have produced.
-        visits.sort_unstable();
-
-        let mut i = 0;
-        // Tile-mask caches of the cell currently being swept, one per
-        // distinct filter rectangle, keyed by a representative probe
-        // index; rebuilt for each cell.
-        let mut caches: Vec<(u32, kernel::CellMaskCache)> = Vec::new();
-        while i < visits.len() {
-            let addr = visits[i].0;
-            shared.cells_scanned += 1;
-            caches.clear();
-            let (cs, ce) = self.pages.cell_run(addr);
-            // All probes landing in this cell scan their narrowed runs
-            // back-to-back: the page is resolved once, stays hot, and —
-            // beyond `probe_representatives`' whole-probe dedup — probes
-            // whose *filters* are value-equal (e.g. the disjoint
-            // navigation rectangles one COAX query fans out into) share
-            // each 64-row tile's per-dimension selection masks: the
-            // first such probe computes them, the rest only trim and
-            // gather.
-            while i < visits.len() && visits[i].0 == addr {
-                let pi = visits[i].1 as usize;
-                let (s, e) = self.pages.narrowed_run(addr, probes[pi].nav);
-                let r = &mut results[pi];
-                r.stats.cells_visited += 1;
-                r.stats.rows_examined += e - s;
-                r.stats.matches += if kernel::scalar_forced() {
-                    self.pages.scan_run_scalar(s, e, probes[pi].filter, &mut r.ids)
-                } else {
-                    let slot = caches.iter().position(|(rep, _)| {
-                        crate::traits::cmp_query_bounds(
-                            probes[*rep as usize].filter,
-                            probes[pi].filter,
-                        ) == std::cmp::Ordering::Equal
-                    });
-                    let at = match slot {
-                        Some(idx) => idx,
-                        None => {
-                            caches.push((pi as u32, kernel::CellMaskCache::new(cs, ce)));
-                            caches.len() - 1
-                        }
-                    };
-                    self.pages.scan_run_cached(
-                        &mut caches[at].1,
-                        s,
-                        e,
-                        probes[pi].filter,
-                        &mut r.ids,
-                    )
-                };
-                i += 1;
-            }
-        }
-
-        // Copy representatives' answers to their duplicates, then count
-        // what an unshared execution would have visited (duplicates
-        // included, so `cell_visits − cells_scanned` is the full win).
-        crate::traits::copy_to_duplicates(&mut results, &representative);
-        shared.cell_visits = results.iter().map(|r| r.stats.cells_visited).sum();
-        crate::telemetry::record_shared_probe(shared.cells_scanned, shared.cell_visits);
-        (results, shared)
     }
 }
 
@@ -437,26 +304,6 @@ impl MultidimIndex for GridFile {
         self.filtered_cursor(nav, filter)
     }
 
-    /// Fused multi-probe override: duplicate probes are answered once,
-    /// and the distinct probes run as one ascending pass over the union
-    /// of their directory cells (see
-    /// [`GridFile::batch_range_query_filtered_shared`] for the sharing
-    /// counters). Per-probe results and stats are identical to the
-    /// per-probe loop the trait default would run.
-    fn batch_range_query_filtered(&self, probes: &[FilteredProbe<'_>]) -> Vec<QueryResult> {
-        self.batch_range_query_filtered_shared(probes).0
-    }
-
-    /// Batched plain queries share cells the same way: each query is a
-    /// probe with `nav == filter`, which makes every per-query result
-    /// identical to [`GridFile::range_query_stats`] (itself the fused
-    /// probe with `nav == filter`).
-    fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        let probes: Vec<FilteredProbe<'_>> =
-            queries.iter().map(|q| FilteredProbe { nav: q, filter: q }).collect();
-        self.batch_range_query_filtered_shared(&probes).0
-    }
-
     /// Cell order, packed order within each cell — rows gathered back
     /// from the column slabs (used by COAX's rebuild path to reconstruct
     /// its dataset).
@@ -488,9 +335,9 @@ fn cell_index(b: &[Value], v: Value) -> usize {
 /// Ascending odometer over the Cartesian product of inclusive `ranges`,
 /// yielding each cell's linear directory address. With no gridded
 /// dimensions there is exactly one cell: address 0. This is the **only**
-/// directory-traversal order in the crate — the materialized scan, the
-/// batched multi-probe, and the streaming cursor all draw addresses from
-/// it, so their cell order cannot diverge.
+/// directory-traversal order in the crate — the materialized scan and
+/// the streaming cursor both draw addresses from it, so their cell order
+/// cannot diverge.
 ///
 /// Ranges and strides are `Cow` so the materialized hot path borrows
 /// them allocation-free while the streaming cursor (which outlives the
@@ -702,53 +549,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_probes_share_cells_but_keep_stats_exact() {
-        let ds = UniformConfig::cube(2, 3000, 23).generate();
-        let grid = GridFile::build(&ds, &GridFileConfig::with_sort(2, 1, 8));
-        // Three probes over overlapping x bands: their directory ranges
-        // intersect, so the batch must visit the shared cells once.
-        let mut queries = Vec::new();
-        for (lo, hi) in [(0.0, 0.5), (0.25, 0.75), (0.4, 0.6)] {
-            let mut q = RangeQuery::unbounded(2);
-            q.constrain(0, lo, hi);
-            q.constrain(1, 0.1, 0.9);
-            queries.push(q);
-        }
-        let probes: Vec<FilteredProbe<'_>> =
-            queries.iter().map(|q| FilteredProbe { nav: q, filter: q }).collect();
-        let (results, shared) = grid.batch_range_query_filtered_shared(&probes);
-
-        // The sharing claim: every distinct cell is scanned once per
-        // batch, strictly fewer scans than the per-probe visit count.
-        assert!(shared.cells_scanned < shared.cell_visits, "overlapping probes must share");
-        let visits: usize = results.iter().map(|r| r.stats.cells_visited).sum();
-        assert_eq!(visits, shared.cell_visits, "per-probe counters stay unshared");
-
-        // The exactness claim: per-probe ids (same order) and ScanStats
-        // (bit for bit) equal the probe-at-a-time fused scan.
-        for (p, r) in probes.iter().zip(&results) {
-            let mut ids = Vec::new();
-            let stats = grid.range_query_filtered(p.nav, p.filter, &mut ids);
-            assert_eq!(r.stats, stats);
-            assert_eq!(r.ids, ids);
-        }
-    }
-
-    #[test]
     fn identical_probes_are_fully_deduplicated() {
         let ds = UniformConfig::cube(2, 1000, 24).generate();
         let grid = GridFile::build(&ds, &GridFileConfig::all_dims(2, 4));
         let mut q = RangeQuery::unbounded(2);
         q.constrain(0, 0.2, 0.8);
-        let probes = vec![FilteredProbe { nav: &q, filter: &q }; 5];
-        let (results, shared) = grid.batch_range_query_filtered_shared(&probes);
-        // Five identical probes collapse onto one set of cells...
-        assert_eq!(shared.cell_visits, 5 * shared.cells_scanned);
-        assert_eq!(shared.cells_scanned, results[0].stats.cells_visited);
-        // ...and every copy still reports the full sequential counters.
+        let results = grid.batch_query(&vec![q.clone(); 5]);
+        // Five identical queries share one distinct answer, and every
+        // copy reports the full sequential counters.
+        assert_eq!(crate::DistinctQueries::new(&vec![q.clone(); 5]).len(), 1);
+        let mut ids = Vec::new();
+        let stats = grid.range_query_stats(&q, &mut ids);
         for r in &results {
-            assert_eq!(r, &results[0]);
-            assert_eq!(r.stats.matches, r.ids.len());
+            assert_eq!(r.stats, stats);
+            assert_eq!(r.ids, ids);
         }
     }
 
@@ -758,38 +572,19 @@ mod tests {
         for seed in 0..4u64 {
             let ds = UniformConfig::cube(3, 2000, 60 + seed).generate();
             let grid = GridFile::build(&ds, &GridFileConfig::with_sort(3, 2, 5));
-            let queries = knn_rectangle_queries(&ds, 20, 30, seed);
-            // Mixed navs and filters (nav ⊇ filter on the narrowed dims),
-            // including an empty rectangle and a miss.
-            let mut navs = Vec::new();
-            let mut filters = Vec::new();
-            for (i, q) in queries.iter().enumerate() {
-                let mut nav = q.clone();
-                if i % 2 == 0 {
-                    // Loosen one dim: nav strictly covers filter there.
-                    nav.constrain(0, f64::NEG_INFINITY, f64::INFINITY);
-                }
-                navs.push(nav);
-                filters.push(q.clone());
-            }
+            let mut queries = knn_rectangle_queries(&ds, 20, 30, seed);
+            // An empty rectangle, a miss, and repeats of earlier queries.
             let mut empty = RangeQuery::unbounded(3);
             empty.constrain(1, 2.0, 1.0);
-            navs.push(empty.clone());
-            filters.push(empty);
+            queries.push(empty);
             let mut miss = RangeQuery::unbounded(3);
             miss.constrain(0, 50.0, 60.0); // data lives in [0, 1]
-            navs.push(miss.clone());
-            filters.push(miss);
-
-            let probes: Vec<FilteredProbe<'_>> = navs
-                .iter()
-                .zip(&filters)
-                .map(|(nav, filter)| FilteredProbe { nav, filter })
-                .collect();
-            let batched = grid.batch_range_query_filtered_shared(&probes).0;
-            for (p, r) in probes.iter().zip(&batched) {
+            queries.push(miss);
+            queries.extend(queries.clone().into_iter().step_by(3));
+            let batched = grid.batch_query(&queries);
+            for (q, r) in queries.iter().zip(&batched) {
                 let mut ids = Vec::new();
-                let stats = grid.range_query_filtered(p.nav, p.filter, &mut ids);
+                let stats = grid.range_query_stats(q, &mut ids);
                 assert_eq!(r.stats, stats, "stats diverged (seed {seed})");
                 assert_eq!(r.ids, ids, "ids diverged (seed {seed})");
             }

@@ -225,79 +225,6 @@ pub fn scan_columnar_identity(
     matched
 }
 
-/// Per-cell tile-mask cache: the cross-probe sharing layer of
-/// [`crate::GridFile::batch_range_query_filtered_shared`].
-///
-/// Probes of one batch that land in the same cell with **value-equal
-/// filters** (for instance the disjoint navigation rectangles one COAX
-/// query fans out into, or loosened-nav probes of one plan) evaluate the
-/// same per-dimension predicate over overlapping runs. The cache aligns
-/// tiles to the cell start and computes each tile's combined selection
-/// mask at most once per `(cell, filter)`; later probes trim the cached
-/// mask to their own narrowed run and gather. Results are bit-identical
-/// to a fresh [`scan_columnar`] call per probe — same match set, same
-/// ascending order — because trimming only clears lanes outside `[s, e)`.
-pub struct CellMaskCache {
-    /// Packed-row bounds of the cell, `[start, end)`.
-    start: usize,
-    end: usize,
-    /// One combined mask per 64-row tile, aligned to `start`.
-    masks: Vec<u64>,
-    computed: Vec<bool>,
-}
-
-impl CellMaskCache {
-    /// An empty cache for the cell spanning packed rows `[start, end)`.
-    pub fn new(start: usize, end: usize) -> Self {
-        debug_assert!(start <= end);
-        let tiles = (end - start).div_ceil(TILE);
-        Self { start, end, masks: vec![0; tiles], computed: vec![false; tiles] }
-    }
-
-    /// Scans the narrowed run `[s, e)` (within this cache's cell) against
-    /// `filter`, appending matching `ids` to `out` in ascending packed
-    /// order and returning the match count. Tile masks are computed
-    /// lazily and reused across calls — the caller keys caches by filter
-    /// equality, so every call on one cache carries a value-equal filter.
-    pub fn scan(
-        &mut self,
-        cols: &[Vec<Value>],
-        ids: &[RowId],
-        filter: &RangeQuery,
-        s: usize,
-        e: usize,
-        out: &mut Vec<RowId>,
-    ) -> usize {
-        debug_assert!(self.start <= s && e <= self.end);
-        if s >= e {
-            return 0;
-        }
-        let mut matched = 0;
-        let k0 = (s - self.start) / TILE;
-        let k1 = (e - 1 - self.start) / TILE;
-        for k in k0..=k1 {
-            let t0 = self.start + k * TILE;
-            let len = TILE.min(self.end - t0);
-            if !self.computed[k] {
-                self.masks[k] = select_tile(cols, filter, t0, len);
-                self.computed[k] = true;
-            }
-            let mut mask = self.masks[k];
-            // Trim lanes outside the probe's own narrowed run.
-            if s > t0 {
-                mask &= !lanes(s - t0);
-            }
-            if e < t0 + len {
-                mask &= lanes(e - t0);
-            }
-            if mask != 0 {
-                matched += gather_ids(mask, t0, ids, out);
-            }
-        }
-        matched
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,25 +290,6 @@ mod tests {
         let matched = scan_columnar_identity(&cols, 0, n, &q, &mut out);
         assert_eq!(out, (60..70).collect::<Vec<RowId>>());
         assert_eq!(matched, 10);
-    }
-
-    #[test]
-    fn cache_trims_runs_identically_to_fresh_scans() {
-        let n = 200;
-        let cols = cols_of(vec![(0..n).map(|i| (i % 10) as f64).collect()]);
-        let ids: Vec<RowId> = (0..n as RowId).collect();
-        let mut q = RangeQuery::unbounded(1);
-        q.constrain(0, 4.0, 6.0);
-        let mut cache = CellMaskCache::new(0, n);
-        // Overlapping runs, tile-unaligned on both ends.
-        for (s, e) in [(0, n), (13, 187), (63, 65), (64, 64), (100, 101)] {
-            let mut cached = Vec::new();
-            let mut fresh = Vec::new();
-            let a = cache.scan(&cols, &ids, &q, s, e, &mut cached);
-            let b = scan_columnar(&cols, &ids, s, e, &q, &mut fresh);
-            assert_eq!(cached, fresh, "run [{s}, {e})");
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

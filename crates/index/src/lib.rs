@@ -48,9 +48,9 @@ pub mod uniform_grid;
 pub use backend::BackendSpec;
 pub use column_files::ColumnFiles;
 pub use full_scan::FullScan;
-pub use grid_file::{GridFile, GridFileConfig, SharedProbeStats};
+pub use grid_file::{GridFile, GridFileConfig};
 pub use rtree::{RTree, RTreeConfig};
 pub use traits::{
-    CursorSource, FilteredProbe, MultidimIndex, QueryResult, RowCursor, ScanStats,
+    CursorSource, DistinctQueries, MultidimIndex, QueryResult, RowCursor, ScanStats,
 };
 pub use uniform_grid::UniformGrid;

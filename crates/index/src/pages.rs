@@ -229,7 +229,7 @@ impl PageStore {
 
     /// Row-at-a-time scan of packed rows `[s, e)`: the reference the
     /// kernel must stay bit-identical to.
-    pub(crate) fn scan_run_scalar(
+    fn scan_run_scalar(
         &self,
         s: usize,
         e: usize,
@@ -252,38 +252,12 @@ impl PageStore {
         matched
     }
 
-    /// Scans the packed-row run `[s, e)` through a caller-held
-    /// [`kernel::CellMaskCache`], pushing matching row ids and returning
-    /// the match count.
-    ///
-    /// This is the batched counterpart of the scalar per-run scan:
-    /// probes whose filters are value-equal share one cache, so the
-    /// first of them computes each 64-row tile's per-dimension selection
-    /// masks and the rest only trim and gather. Keeping this entry point
-    /// on `PageStore` means callers never touch the column slabs — the
-    /// scalar/vector bit-identity contract stays auditable inside
-    /// kernel.rs/pages.rs.
-    pub fn scan_run_cached(
-        &self,
-        cache: &mut kernel::CellMaskCache,
-        s: usize,
-        e: usize,
-        filter: &RangeQuery,
-        out: &mut Vec<RowId>,
-    ) -> usize {
-        cache.scan(&self.cols, &self.ids, filter, s, e, out)
-    }
-
     /// The packed-row range `[s, e)` a [`PageStore::scan_cell_narrowed`]
     /// call with this `nav` would examine in cell `c`, without scanning
     /// it: the cell's bounds, tightened by the two bounding binary
     /// searches when the store has a sort dimension `nav` constrains.
     ///
-    /// Batched probes use this to compute every probe's exact run up
-    /// front and then sweep each shared cell once
-    /// ([`crate::GridFile::batch_range_query_filtered_shared`]); the per-probe
-    /// `rows_examined` counter is `e − s` by construction, identical to
-    /// the sequential scan.
+    /// A probe's `rows_examined` counter is `e − s` by construction.
     pub fn narrowed_run(&self, c: usize, nav: &RangeQuery) -> (usize, usize) {
         let (mut s, mut e) = (self.offsets[c] as usize, self.offsets[c + 1] as usize);
         if s == e {

@@ -1,58 +1,13 @@
-//! Upward-facing observability hooks for the index substrates.
+//! Observability hooks for the index substrates.
 //!
 //! `coax-index` sits *below* `coax-core` in the dependency graph, so it
-//! cannot record into `coax_core::obs` directly. Instead the hot paths
-//! feed a pair of process-global relaxed atomics here, gated behind an
-//! enable flag that the core observability layer flips on when a
-//! recorder is built; the core layer folds the totals into its metric
-//! snapshots (`coax.grid.shared_cells_scanned` /
-//! `coax.grid.shared_cell_visits`). When no recorder has ever been
-//! enabled the cost on the shared-probe path is one relaxed load and a
-//! branch per *batch* — far below measurement noise — and the counters
-//! never influence results.
+//! cannot record into `coax_core::obs` directly; the work a probe does
+//! travels up in its [`crate::ScanStats`] instead.
 //!
-//! The [`kernel_span!`](crate::kernel_span) macro is the same idea for the scan kernel: an
-//! instrumentation point that compiles to nothing, so the tile loops
+//! The [`kernel_span!`](crate::kernel_span) macro marks the scan kernel:
+//! an instrumentation point that compiles to nothing, so the tile loops
 //! carry zero observability overhead while still marking where a future
 //! recorder (or an `--features kernel-trace` build) would attach.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SHARED_CELLS_SCANNED: AtomicU64 = AtomicU64::new(0);
-static SHARED_CELL_VISITS: AtomicU64 = AtomicU64::new(0);
-
-/// Turns the telemetry counters on (called by the core observability
-/// layer when an enabled recorder is constructed). Never turned back
-/// off: a process that observed once keeps counting, which keeps the
-/// totals monotone as counters require.
-pub fn set_enabled(on: bool) {
-    if on {
-        ENABLED.store(true, Ordering::Relaxed);
-    }
-}
-
-/// `true` when some recorder has enabled telemetry.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Feeds one shared-probe batch's [`crate::SharedProbeStats`]: how many
-/// distinct cells were swept vs. how many per-probe visits they stood
-/// in for. No-op until [`set_enabled`].
-pub fn record_shared_probe(cells_scanned: usize, cell_visits: usize) {
-    if enabled() {
-        SHARED_CELLS_SCANNED.fetch_add(cells_scanned as u64, Ordering::Relaxed);
-        SHARED_CELL_VISITS.fetch_add(cell_visits as u64, Ordering::Relaxed);
-    }
-}
-
-/// Cumulative `(cells_scanned, cell_visits)` totals since process
-/// start. `cell_visits − cells_scanned` is the directory work the
-/// batch engine deduplicated away.
-pub fn shared_probe_totals() -> (u64, u64) {
-    (SHARED_CELLS_SCANNED.load(Ordering::Relaxed), SHARED_CELL_VISITS.load(Ordering::Relaxed))
-}
 
 /// A compile-to-nothing span marker for the scan kernel's hot loops.
 ///
@@ -69,24 +24,6 @@ macro_rules! kernel_span {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_by_default_then_sticky() {
-        // Note: other tests in the process may have enabled telemetry
-        // already; only assert the monotone/sticky behaviour.
-        set_enabled(true);
-        assert!(enabled());
-        let (scanned0, visits0) = shared_probe_totals();
-        record_shared_probe(3, 7);
-        let (scanned1, visits1) = shared_probe_totals();
-        assert!(scanned1 >= scanned0 + 3);
-        assert!(visits1 >= visits0 + 7);
-        // Turning "off" is a no-op; totals stay monotone.
-        set_enabled(false);
-        assert!(enabled());
-    }
-
     #[test]
     fn kernel_span_expands_to_nothing() {
         kernel_span!(unit_test_label);

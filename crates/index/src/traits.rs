@@ -125,8 +125,7 @@ impl ScanStats {
 }
 
 /// One query's result ids plus its scan counters, as returned by
-/// [`MultidimIndex::batch_query`] and
-/// [`MultidimIndex::batch_range_query_filtered`].
+/// [`MultidimIndex::batch_query`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryResult {
     /// Ids of the matching rows (order unspecified).
@@ -297,32 +296,14 @@ impl Iterator for RowCursor<'_> {
     }
 }
 
-/// One navigation + filter probe of a batched filtered range query — a
-/// borrowed `(nav, filter)` pair for
-/// [`MultidimIndex::batch_range_query_filtered`].
-///
-/// The same precondition as [`MultidimIndex::range_query_filtered`]
-/// applies to each probe independently: `nav` must not exclude any
-/// `filter`-matching row stored in the index. Probes in one batch are
-/// otherwise unrelated — they may come from different queries, or be the
-/// disjoint navigation rectangles of a single multi-interval query.
-#[derive(Clone, Copy, Debug)]
-pub struct FilteredProbe<'a> {
-    /// Navigation rectangle: directory pruning and in-cell narrowing may
-    /// use it.
-    pub nav: &'a RangeQuery,
-    /// Acceptance rectangle: every returned row satisfies it.
-    pub filter: &'a RangeQuery,
-}
-
 /// Bitwise total order over a query's bound vectors (bounds are never
 /// NaN, and `total_cmp` makes value-identical queries adjacent when
-/// sorted — the property the dedup maps below rely on). Dimensionality
+/// sorted — the property [`DistinctQueries`] relies on). Dimensionality
 /// is compared first: queries of different arity are never equal, so a
 /// wrong-dims query can't be "deduplicated" onto another query's result
 /// — it reaches the backend and trips its dims assert exactly as the
 /// sequential path would.
-pub(crate) fn cmp_query_bounds(a: &RangeQuery, b: &RangeQuery) -> std::cmp::Ordering {
+fn cmp_query_bounds(a: &RangeQuery, b: &RangeQuery) -> std::cmp::Ordering {
     a.dims().cmp(&b.dims()).then_with(|| {
         a.lows()
             .iter()
@@ -334,45 +315,103 @@ pub(crate) fn cmp_query_bounds(a: &RangeQuery, b: &RangeQuery) -> std::cmp::Orde
     })
 }
 
-/// `representative[i]` is the index of the **first** item comparing
-/// equal to item `i` (itself when unique): the dedup map batched
-/// execution uses to answer each distinct query once and copy the rest.
-/// Sort-based, so duplicate-heavy batches cost `O(n log n)` comparisons.
-pub(crate) fn representatives<T>(
-    items: &[T],
-    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
-) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..items.len() as u32).collect();
-    order.sort_unstable_by(|&ai, &bi| {
-        cmp(&items[ai as usize], &items[bi as usize]).then(ai.cmp(&bi))
-    });
-    let mut representative: Vec<u32> = (0..items.len() as u32).collect();
-    for pair in order.windows(2) {
-        let (prev, cur) = (pair[0] as usize, pair[1] as usize);
-        if cmp(&items[cur], &items[prev]) == std::cmp::Ordering::Equal {
-            // Ties sort by index, so `prev`'s chain head is already the
-            // first equal item in batch order.
-            representative[cur] = representative[prev];
+/// The dedup map of a query batch: its distinct queries (bounds compared
+/// bitwise) in order of first appearance, and the batch positions each
+/// one answers.
+///
+/// Every batch path answers each distinct query once and hands the
+/// result to its copies ([`DistinctQueries::hand_out`]) — execution is
+/// deterministic, so a copy is indistinguishable from a re-run. Sorting
+/// finds the duplicates, so duplicate-heavy batches cost `O(n log n)`
+/// comparisons.
+#[derive(Clone, Debug, Default)]
+pub struct DistinctQueries {
+    /// Batch positions grouped by distinct query: groups in order of
+    /// first appearance, positions ascending within a group.
+    positions: Vec<u32>,
+    /// Distinct query `d` answers `positions[starts[d]..starts[d + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl DistinctQueries {
+    /// Groups `queries` by bitwise-equal bounds.
+    pub fn new(queries: &[RangeQuery]) -> Self {
+        let mut order: Vec<u32> = (0..queries.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            cmp_query_bounds(&queries[a as usize], &queries[b as usize]).then(a.cmp(&b))
+        });
+        // Equal queries now form runs, each ascending by position, so a
+        // run's head is its query's first copy.
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut start = 0;
+        for i in 1..=order.len() {
+            let ends = i == order.len()
+                || !cmp_query_bounds(
+                    &queries[order[i - 1] as usize],
+                    &queries[order[i] as usize],
+                )
+                .is_eq();
+            if ends {
+                runs.push(start..i);
+                start = i;
+            }
         }
+        runs.sort_unstable_by_key(|r| order[r.start]);
+        let mut positions = Vec::with_capacity(order.len());
+        let mut starts = vec![0u32];
+        for run in runs {
+            positions.extend_from_slice(&order[run]);
+            starts.push(positions.len() as u32);
+        }
+        Self { positions, starts }
     }
-    representative
-}
 
-/// The dedup map for a probe batch: probes are equal when both their
-/// `nav` and their `filter` bounds are bitwise equal.
-pub(crate) fn probe_representatives(probes: &[FilteredProbe<'_>]) -> Vec<u32> {
-    representatives(probes, |a, b| {
-        cmp_query_bounds(a.nav, b.nav).then_with(|| cmp_query_bounds(a.filter, b.filter))
-    })
-}
+    /// Number of distinct queries.
+    pub fn len(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
 
-/// Copies each representative's finished result onto its duplicates.
-pub(crate) fn copy_to_duplicates(results: &mut [QueryResult], representative: &[u32]) {
-    for i in 0..results.len() {
-        let rep = representative[i] as usize;
-        if rep != i {
-            results[i] = results[rep].clone();
-        }
+    /// `true` if the batch holds no queries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of queries in the batch, copies included.
+    pub fn batch_len(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// Batch positions answered by distinct query `d`, ascending; the
+    /// first is the query's first copy.
+    pub fn positions(&self, d: usize) -> &[u32] {
+        &self.positions[self.starts[d] as usize..self.starts[d + 1] as usize]
+    }
+
+    /// Batch position of distinct query `d`'s first copy.
+    pub fn first(&self, d: usize) -> usize {
+        self.positions[self.starts[d] as usize] as usize
+    }
+
+    /// Queries answered by the distinct queries in `range`, copies
+    /// included.
+    pub fn answered(&self, range: std::ops::Range<usize>) -> usize {
+        (self.starts[range.end] - self.starts[range.start]) as usize
+    }
+
+    /// Hands distinct query `d`'s `result` to each of its copies as
+    /// `(batch_position, result)`, in position order: a clone for every
+    /// copy but the last, which receives `result` itself.
+    pub fn hand_out(
+        &self,
+        d: usize,
+        result: QueryResult,
+    ) -> impl Iterator<Item = (usize, QueryResult)> + '_ {
+        let positions = self.positions(d);
+        let mut result = Some(result);
+        positions.iter().enumerate().map(move |(k, &qi)| {
+            let copy = if k + 1 == positions.len() { result.take() } else { result.clone() };
+            (qi as usize, copy.unwrap_or_default())
+        })
     }
 }
 
@@ -457,43 +496,6 @@ pub trait MultidimIndex: std::fmt::Debug + Send + Sync {
         self.range_query_stats(&probe, out)
     }
 
-    /// Executes many navigation/filter probes in one call, returning one
-    /// [`QueryResult`] per probe, in probe order.
-    ///
-    /// # Contract
-    ///
-    /// Per-probe results and [`ScanStats`] must be **identical** to
-    /// calling [`MultidimIndex::range_query_filtered`] once per probe —
-    /// batching is a work-sharing opportunity, never a semantic change.
-    /// The default implementation is that loop, minus duplicates:
-    /// value-equal probes (hot queries re-asked within one batch) are
-    /// answered once and their result copied, which is indistinguishable
-    /// from re-executing them because execution is deterministic.
-    ///
-    /// # Why override
-    ///
-    /// Backends whose probes share physical structure can fuse more than
-    /// duplicates: [`crate::GridFile`] merges the distinct probes'
-    /// directory odometers into one ascending address pass — each shared
-    /// cell located once, all runs through it scanned while the page is
-    /// hot — while keeping every probe's counters exact (COAX's batch
-    /// engine routes all primary probes of a query batch through this
-    /// method, so overlapping queries stop re-walking the same
-    /// directory).
-    fn batch_range_query_filtered(&self, probes: &[FilteredProbe<'_>]) -> Vec<QueryResult> {
-        let representative = probe_representatives(probes);
-        let mut results: Vec<QueryResult> = vec![QueryResult::default(); probes.len()];
-        for (pi, p) in probes.iter().enumerate() {
-            if representative[pi] == pi as u32 {
-                let mut ids = Vec::new();
-                let stats = self.range_query_filtered(p.nav, p.filter, &mut ids);
-                results[pi] = QueryResult { ids, stats };
-            }
-        }
-        copy_to_duplicates(&mut results, &representative);
-        results
-    }
-
     /// Convenience wrapper returning a fresh result vector.
     fn range_query(&self, query: &RangeQuery) -> Vec<RowId> {
         let mut out = Vec::new();
@@ -566,32 +568,27 @@ pub trait MultidimIndex: std::fmt::Debug + Send + Sync {
     /// [`MultidimIndex::range_query_stats`] calls, whatever the backend
     /// does internally — batching changes *how fast* answers arrive,
     /// never *what* they are (`crates/core/tests/exec_batch.rs` asserts
-    /// this across backends, probe sharing, and thread counts).
+    /// this across backends, duplicate-heavy batches, and thread counts).
     ///
     /// # Why override
     ///
     /// The default answers each **distinct** query through
     /// [`MultidimIndex::range_query_stats`] and copies the result to its
-    /// value-equal duplicates (execution is deterministic, so the copy
-    /// is indistinguishable from a re-run). Backends with per-query
-    /// setup cost or shareable physical work override it: COAX
-    /// translates every query exactly once into a `QueryPlan`, merges
-    /// the resulting navigation probes so queries landing in the same
-    /// grid cells share the scan, and can fan the batch out over a
-    /// scoped worker pool (`coax_core::exec`, knobs in `ExecConfig`);
-    /// [`crate::GridFile`] fuses the whole batch into one ascending
-    /// directory pass.
+    /// value-equal duplicates ([`DistinctQueries`]). Backends with
+    /// per-query setup cost override it: COAX translates each distinct
+    /// query exactly once into a `QueryPlan`, runs every plan through
+    /// its single-query executor, and can fan the batch out over a
+    /// scoped worker pool (`coax_core::exec`, knobs in `ExecConfig`).
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        let representative = representatives(queries, cmp_query_bounds);
+        let distinct = DistinctQueries::new(queries);
         let mut results: Vec<QueryResult> = vec![QueryResult::default(); queries.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            if representative[qi] == qi as u32 {
-                let mut ids = Vec::new();
-                let stats = self.range_query_stats(q, &mut ids);
-                results[qi] = QueryResult { ids, stats };
+        for d in 0..distinct.len() {
+            let mut ids = Vec::new();
+            let stats = self.range_query_stats(&queries[distinct.first(d)], &mut ids);
+            for (qi, copy) in distinct.hand_out(d, QueryResult { ids, stats }) {
+                results[qi] = copy;
             }
         }
-        copy_to_duplicates(&mut results, &representative);
         results
     }
 
@@ -704,26 +701,80 @@ mod tests {
     fn default_batched_probe_matches_per_probe_calls() {
         use crate::FullScan;
         use coax_data::Dataset;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Counts the probes the trait-default batch runs.
+        #[derive(Debug)]
+        struct Counting(FullScan, AtomicUsize);
+        impl MultidimIndex for Counting {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn dims(&self) -> usize {
+                self.0.dims()
+            }
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.range_query_stats(query, out)
+            }
+            fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
+                self.0.for_each_entry(f)
+            }
+            fn memory_overhead(&self) -> usize {
+                0
+            }
+        }
+
         let ds = Dataset::new(vec![(0..50).map(f64::from).collect()]);
-        let fs = FullScan::build(&ds);
-        let mut nav1 = RangeQuery::unbounded(1);
-        nav1.constrain(0, 5.0, 30.0);
-        let mut filter1 = RangeQuery::unbounded(1);
-        filter1.constrain(0, 10.0, 20.0);
-        let nav2 = RangeQuery::unbounded(1);
-        let filter2 = RangeQuery::unbounded(1);
-        let probes = [
-            FilteredProbe { nav: &nav1, filter: &filter1 },
-            FilteredProbe { nav: &nav2, filter: &filter2 },
-        ];
-        let batched = fs.batch_range_query_filtered(&probes);
-        assert_eq!(batched.len(), probes.len());
-        for (p, r) in probes.iter().zip(&batched) {
+        let index = Counting(FullScan::build(&ds), AtomicUsize::new(0));
+        let mut narrow = RangeQuery::unbounded(1);
+        narrow.constrain(0, 10.0, 20.0);
+        let wide = RangeQuery::unbounded(1);
+        // `-0.0` and `0.0` differ bitwise, so they stay distinct queries.
+        let (mut neg_zero, mut pos_zero) = (RangeQuery::unbounded(1), RangeQuery::unbounded(1));
+        neg_zero.constrain(0, -0.0, 5.0);
+        pos_zero.constrain(0, 0.0, 5.0);
+        let queries =
+            [narrow.clone(), wide.clone(), narrow.clone(), neg_zero, narrow, pos_zero, wide];
+        let batched = index.batch_query(&queries);
+        assert_eq!(index.1.load(Ordering::Relaxed), 4, "each distinct query runs once");
+        assert_eq!(batched.len(), queries.len());
+        for (q, r) in queries.iter().zip(&batched) {
             let mut ids = Vec::new();
-            let stats = fs.range_query_filtered(p.nav, p.filter, &mut ids);
+            let stats = index.0.range_query_stats(q, &mut ids);
             assert_eq!(r.stats, stats);
             assert_eq!(r.ids, ids);
         }
+    }
+
+    #[test]
+    fn distinct_queries_group_copies_by_first_appearance() {
+        let (mut a, mut b) = (RangeQuery::unbounded(2), RangeQuery::unbounded(2));
+        a.constrain(0, 1.0, 2.0);
+        b.constrain(1, 1.0, 2.0);
+        // Same bounds, different arity: never the same query.
+        let c = RangeQuery::unbounded(3);
+        let queries = [b.clone(), a.clone(), b.clone(), c, a.clone(), b];
+        let distinct = DistinctQueries::new(&queries);
+        assert_eq!((distinct.len(), distinct.batch_len()), (3, 6));
+        assert_eq!(distinct.positions(0), &[0, 2, 5]);
+        assert_eq!(distinct.positions(1), &[1, 4]);
+        assert_eq!(distinct.positions(2), &[3]);
+        assert_eq!((distinct.first(1), distinct.first(2)), (1, 3));
+        assert_eq!(distinct.answered(0..2), 5);
+        assert_eq!(distinct.answered(2..3), 1);
+
+        // The last copy receives the result itself, earlier ones clones.
+        let result = QueryResult { ids: vec![7, 3], stats: stats(1, 2, 0, 2) };
+        let handed: Vec<(usize, QueryResult)> = distinct.hand_out(0, result.clone()).collect();
+        assert_eq!(handed.iter().map(|h| h.0).collect::<Vec<_>>(), vec![0, 2, 5]);
+        assert!(handed.iter().all(|h| h.1 == result));
+
+        assert!(DistinctQueries::new(&[]).is_empty());
+        assert_eq!(DistinctQueries::new(&[]).batch_len(), 0);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! A final **sharded** section runs the same workload through the
 //! sharded index service (`ShardedHandle`), laddered over
 //! `COAX_BENCH_SHARDS` (comma list, default `1,4`): every shard count's
-//! answers are verified against the unsharded handle *and* against each
-//! other before timing, so fan-out throughput is never bought with a
-//! changed answer.
+//! batch answers are verified against the unsharded handle *and* against
+//! each other, and its merged stream against its batch (each query
+//! exactly once), before timing, so fan-out throughput is never bought
+//! with a changed answer.
 //!
 //! Scaled by `COAX_BENCH_ROWS` / `COAX_BENCH_REPEATS`; ladders by
 //! `COAX_BENCH_BATCH_SIZES` / `COAX_BENCH_BATCH_THREADS` (comma lists).
@@ -362,6 +363,17 @@ fn main() {
             assert_eq!(&sorted_ids, prev, "{label}: answers changed across shard counts");
         }
         previous = Some(sorted_ids);
+        // The merged stream delivers every query exactly once, each
+        // result equal to the materialized batch's.
+        let mut streamed: Vec<Option<QueryResult>> = vec![None; shard_queries.len()];
+        for (qi, r) in sharded.batch_query_streaming(shard_queries) {
+            assert!(streamed[qi].replace(r).is_none(), "{label}: query {qi} streamed twice");
+        }
+        for (qi, (slot, expect)) in streamed.iter().zip(&results).enumerate() {
+            let got =
+                slot.as_ref().unwrap_or_else(|| panic!("{label}: query {qi} not streamed"));
+            assert_eq!(got, expect, "{label}: stream diverged from the batch on query {qi}");
+        }
 
         let batch_ms = time_batch_ms(repeats, || {
             std::hint::black_box(sharded.batch_query(shard_queries));

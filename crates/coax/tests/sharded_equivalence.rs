@@ -313,3 +313,95 @@ fn factory_built_sharded_service_is_equivalent() {
         assert_eq!(boxed_stats, direct_stats, "factory stats diverged on {q:?}");
     }
 }
+
+/// Collects `(query_index, result)` deliveries, asserting each query
+/// arrives exactly once and equals `expected` (ids in order, stats).
+fn assert_delivered_once(
+    label: &str,
+    expected: &[QueryResult],
+    deliveries: impl IntoIterator<Item = (usize, QueryResult)>,
+) {
+    let mut received: Vec<Option<QueryResult>> = vec![None; expected.len()];
+    for (qi, result) in deliveries {
+        assert!(received[qi].replace(result).is_none(), "{label}: query {qi} delivered twice");
+    }
+    for (qi, slot) in received.iter().enumerate() {
+        let got =
+            slot.as_ref().unwrap_or_else(|| panic!("{label}: query {qi} never delivered"));
+        assert_eq!(got, &expected[qi], "{label}: query {qi} diverged from the loop");
+    }
+}
+
+/// Service-level dedup: a duplicate-heavy batch whose copies straddle
+/// chunk boundaries (`chunk_size` 3) on 1, 2 and 4 workers, at 1 and 3
+/// shards, with an empty and a non-empty overlay. The sharded batch and
+/// stream deduplicate once for the whole service, yet every query is
+/// delivered exactly once with ids (in order) and stats equal to the
+/// sharded one-at-a-time loop.
+#[test]
+fn sharded_dedup_across_chunks_matches_the_loop() {
+    let ds = planted(3_000, 101);
+    let base = workload(&ds, 102);
+    let queries: Vec<RangeQuery> =
+        (0..4 * base.len()).map(|i| base[(i * 7) % base.len()].clone()).collect();
+    for shards in [1usize, 3] {
+        for threads in [1usize, 2, 4] {
+            let exec =
+                ExecConfig { batch_threads: threads, min_parallel_batch: 2, chunk_size: 3 };
+            let config =
+                CoaxConfig { shard: ShardSpec::hash(shards, 0), exec, ..Default::default() };
+            let sharded = ShardedHandle::build(&ds, &config);
+            let empty_overlay = sharded.snapshot();
+            for i in 0..30u32 {
+                let x = (f64::from(i) * 31.9) % 1000.0;
+                let y = if i % 5 == 0 { 2.0 * x + 700.0 } else { 2.0 * x + 10.0 };
+                sharded.insert(&[x, y]).unwrap();
+            }
+            let with_overlay = sharded.snapshot();
+            for (overlay, session) in [("empty", &empty_overlay), ("30 rows", &with_overlay)] {
+                let label = format!("shards={shards} threads={threads} overlay={overlay}");
+                let expected: Vec<QueryResult> = queries
+                    .iter()
+                    .map(|q| {
+                        let mut ids = Vec::new();
+                        let stats = session.range_query_stats(q, &mut ids);
+                        QueryResult { ids, stats }
+                    })
+                    .collect();
+                assert_delivered_once(
+                    &format!("batch {label}"),
+                    &expected,
+                    session.batch_query(&queries).into_iter().enumerate(),
+                );
+                assert_delivered_once(
+                    &format!("stream {label}"),
+                    &expected,
+                    session.batch_query_streaming(&queries),
+                );
+            }
+        }
+    }
+}
+
+/// Dropping a sharded stream after its first result cancels cleanly: no
+/// hang, no panic, and the snapshot keeps answering.
+#[test]
+fn sharded_stream_early_drop_cancels() {
+    let ds = planted(3_000, 103);
+    let queries = knn_rectangle_queries(&ds, 64, 40, 104);
+    let config = CoaxConfig {
+        shard: ShardSpec::hash(3, 0),
+        exec: ExecConfig { batch_threads: 2, min_parallel_batch: 2, chunk_size: 4 },
+        ..Default::default()
+    };
+    let sharded = ShardedHandle::build(&ds, &config);
+    let session = sharded.snapshot();
+    let mut stream = session.batch_query_streaming(&queries);
+    let (first, _) = stream.next().expect("at least one result");
+    assert!(first < queries.len());
+    drop(stream);
+    let again = session.batch_query(&queries[..4]);
+    let mut ids = Vec::new();
+    session.range_query_stats(&queries[0], &mut ids);
+    assert_eq!(again[0].ids, ids, "the session still answers after a cancelled stream");
+}

@@ -33,12 +33,33 @@
 //!    → outlier → pending, the code [`CoaxIndex::execute_plan`] runs,
 //!    without a per-query span), and its result is handed to every copy
 //!    of the query;
-//! 3. distinct plans are grouped into contiguous **chunks** that execute
-//!    on a [`std::thread::scope`] worker pool sized by [`ExecConfig`] —
-//!    no extra dependency, and probing itself is lock-free (every
-//!    [`MultidimIndex`] is `Send + Sync`, workers claim chunks off an
-//!    atomic counter, and a mutex is taken only to hand a finished
-//!    chunk's results back).
+//! 3. distinct plans are grouped into contiguous **chunks** that run on
+//!    the exec pool sized by [`ExecConfig`].
+//!
+//! # The pool
+//!
+//! One worker pool (`run_pool`) carries every parallel query path in the
+//! crate: [`BatchPlan::execute`] (the streaming run with a collecting
+//! sink), [`BatchPlan::execute_streaming`], the snapshot batches, the
+//! detached [`BatchStream`] (one spawned thread driving the pool), and
+//! the single-query shard fan-out of [`crate::shard`]:
+//!
+//! ```text
+//!   calling thread                          workers (std::thread::scope)
+//!   ──────────────                          ────────────────────────────
+//!   run_pool(threads, tasks, task, sink)    loop {
+//!     threads ≤ 1: for i { sink(i, task(i)) }   i = next.fetch_add(1)
+//!     else: spawn workers ───────────────▶      tx.send((i, task(i)))
+//!           for (i, r) in rx ◀── bounded ──   }   // stops when rx drops
+//!               sink(i, r)  // false = cancel
+//! ```
+//!
+//! No extra dependency, and probing itself is lock-free (every
+//! [`MultidimIndex`] is `Send + Sync`): workers claim tasks off an atomic
+//! counter and each finished task crosses back through a bounded channel,
+//! so a slow consumer applies backpressure and a dropped consumer cancels
+//! the rest. At one thread — the default [`ExecConfig`] — the pool is a
+//! plain loop with no channel and no allocation.
 //!
 //! None of this changes a single answer: per-query ids (in order) and
 //! [`ScanStats`] are **identical** to the sequential loop by
@@ -58,7 +79,6 @@ use coax_data::{RangeQuery, RowId};
 use coax_index::{CursorSource, DistinctQueries, QueryResult, RowCursor, ScanStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
 
 /// Upper bound on how many disjoint navigation rectangles one query may
 /// fan out into (non-monotone spline inversions); beyond it, translation
@@ -336,23 +356,26 @@ impl CursorSource for PlanCursor<'_> {
     }
 }
 
-/// Batch-execution knobs: how many workers a batch may fan out over and
-/// how it is chunked.
+/// Batch-execution knobs: how many workers the pool may run and how a
+/// batch is chunked.
 ///
 /// Carried in [`CoaxConfig::exec`](crate::CoaxConfig) — and therefore in
 /// every [`IndexSpec`](crate::IndexSpec) describing a COAX index — so the
 /// trait-level `batch_query` picks the policy up with no extra plumbing;
 /// [`CoaxIndex::batch_query_with`] overrides it per call (the bench
-/// ladders sweep thread counts over one built index that way).
+/// ladders sweep thread counts over one built index that way). A
+/// [`ShardedHandle`](crate::ShardedHandle) sizes its single-query shard
+/// fan-out by the same `batch_threads`.
 ///
 /// Whatever the knobs, per-query results and [`ScanStats`] are identical
 /// to the sequential loop; the configuration only decides how many cores
-/// the batch runs on.
+/// a query or batch runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads for batch execution. `0` means one per available
-    /// core ([`std::thread::available_parallelism`]); `1` (the default)
-    /// keeps the batch on the calling thread.
+    /// Worker threads of the exec pool, for batches and the shard
+    /// fan-out. `0` means one per available core
+    /// ([`std::thread::available_parallelism`]); `1` (the default) keeps
+    /// the work on the calling thread.
     pub batch_threads: usize,
     /// Batches with fewer distinct queries than this stay on the calling
     /// thread even when `batch_threads` allows more — thread spawn costs
@@ -388,48 +411,127 @@ impl ExecConfig {
         if batch_len < self.min_parallel_batch.max(2) {
             return 1;
         }
+        self.pool_threads(batch_len)
+    }
+
+    /// Workers for `tasks` tasks that are each worth a thread, with no
+    /// `min_parallel_batch` floor — the shard fan-out, where a single
+    /// query still spreads across shards: `batch_threads` (`0` = one per
+    /// core), at most one per task.
+    pub(crate) fn pool_threads(&self, tasks: usize) -> usize {
         let requested = match self.batch_threads {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
             n => n,
         };
-        requested.clamp(1, batch_len)
+        requested.clamp(1, tasks.max(1))
     }
 
     /// Distinct queries per chunk for a batch of `batch_len` distinct
-    /// queries on `threads` workers.
-    fn resolve_chunk(&self, batch_len: usize, threads: usize) -> usize {
+    /// queries on `threads` workers. An explicit [`ExecConfig::chunk_size`]
+    /// wins; otherwise ≈4 chunks per worker with a floor of 8 queries. A
+    /// materialized batch on one thread is one chunk; a stream never is,
+    /// because its first chunk's completion is its time-to-first-result.
+    fn resolve_chunk(&self, batch_len: usize, threads: usize, streaming: bool) -> usize {
         if self.chunk_size > 0 {
             return self.chunk_size;
         }
-        if threads <= 1 {
+        if threads <= 1 && !streaming {
             return batch_len.max(1);
         }
-        // ~4 chunks per worker: enough slack for uneven queries.
-        (batch_len.div_ceil(threads * 4)).max(8)
+        batch_len.div_ceil(threads.max(1) * 4).max(8)
     }
 }
 
-/// Splits `0..len` into consecutive ranges of `chunk` (≥ 1) items.
-fn chunk_ranges(len: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
-    let chunk = chunk.max(1);
-    (0..len).step_by(chunk).map(|s| s..(s + chunk).min(len)).collect()
+/// The worker pool every parallel query path runs on: task `i` in
+/// `0..tasks` runs as `task(i)`, and `sink` receives each `(i, result)`
+/// on the calling thread, returning `false` to cancel the rest. On one
+/// thread (or for one task) it is a plain loop in task order, with no
+/// channel and no allocation. Otherwise scoped workers claim tasks off
+/// an atomic counter and hand results back through a bounded channel as
+/// they complete; a cancelling sink drops the receiver, so each worker
+/// stops at its next send, and a worker panic reaches the caller when
+/// the scope joins.
+pub(crate) fn run_pool<R: Send>(
+    threads: usize,
+    tasks: usize,
+    task: impl Fn(usize) -> R + Sync,
+    mut sink: impl FnMut(usize, R) -> bool,
+) {
+    if threads <= 1 || tasks <= 1 {
+        for i in 0..tasks {
+            if !sink(i, task(i)) {
+                return;
+            }
+        }
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::sync_channel(threads);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(tasks) {
+            let (tx, next, task) = (tx.clone(), &next, &task);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= tasks || tx.send((i, task(i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        for (i, result) in rx {
+            if !sink(i, result) {
+                break;
+            }
+        }
+    });
 }
 
-/// Runs each plan through [`execute`] — the single-query sequence, with
-/// no per-query span — and records the chunk (`answered` counts the
-/// batch queries the plans answer, duplicates included).
-fn execute_chunk(index: &CoaxIndex, plans: &[QueryPlan], answered: usize) -> Vec<QueryResult> {
-    let chunk_timer = index.obs.timer();
-    let results = plans
-        .iter()
-        .map(|plan| {
-            let mut ids = Vec::new();
-            let stats = execute(index, plan, &mut ids, &mut QuerySpan::disabled()).flatten();
-            QueryResult { ids, stats }
-        })
-        .collect();
-    index.obs.record_chunk(chunk_timer, answered);
-    results
+/// Runs a deduplicated batch on the pool: each task answers one chunk
+/// of `chunk` consecutive distinct queries — `answer(d, ids)` appends
+/// distinct query `d`'s ids — and records it on `obs`; each result
+/// reaches every copy of its query through `sink` on the calling thread
+/// (in order of first appearance on one thread). `sink` returns `false`
+/// to cancel. Journals one `batch_pool` event.
+fn run_batch(
+    obs: &Obs,
+    distinct: &DistinctQueries,
+    threads: usize,
+    chunk: usize,
+    answer: impl Fn(usize, &mut Vec<RowId>) -> ScanStats + Sync,
+    mut sink: impl FnMut(usize, QueryResult) -> bool,
+) {
+    let started = obs.timer();
+    let (n, chunk) = (distinct.len(), chunk.max(1));
+    let chunks = n.div_ceil(chunk);
+    let range = |i: usize| i * chunk..((i + 1) * chunk).min(n);
+    let task = |i: usize| {
+        let timer = obs.timer();
+        let results: Vec<QueryResult> = range(i)
+            .map(|d| {
+                let mut ids = Vec::new();
+                let stats = answer(d, &mut ids);
+                QueryResult { ids, stats }
+            })
+            .collect();
+        obs.record_chunk(timer, distinct.answered(range(i)));
+        results
+    };
+    run_pool(threads, chunks, task, |i, results| {
+        for (d, result) in range(i).zip(results) {
+            for (qi, copy) in distinct.hand_out(d, result) {
+                if !sink(qi, copy) {
+                    return false;
+                }
+            }
+        }
+        true
+    });
+    obs.record_batch_pool(|| {
+        let us =
+            started.map_or(0, |t| t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        let queries = distinct.batch_len();
+        format!("chunks={chunks} queries={queries} threads={threads} wall_us={us}")
+    });
 }
 
 /// A whole query batch, deduplicated and translated once, ready to
@@ -439,9 +541,9 @@ fn execute_chunk(index: &CoaxIndex, plans: &[QueryPlan], answered: usize) -> Vec
 /// (bounds compared bitwise) collapse onto their first copy, and each
 /// distinct query is translated once. Execution runs every distinct plan
 /// through the single-query executor ([`CoaxIndex::execute_plan`]'s
-/// primary → outlier → pending sequence) in chunks over the configured
-/// worker pool and hands each result to the query's copies. Results are
-/// in query order and identical to the sequential loop by construction.
+/// primary → outlier → pending sequence) in chunks on the exec pool and
+/// hands each result to the query's copies. Results are identical to the
+/// sequential loop by construction.
 #[derive(Clone, Debug)]
 pub struct BatchPlan {
     /// One plan per distinct query, in order of first appearance.
@@ -475,230 +577,113 @@ impl BatchPlan {
         &self.plans
     }
 
-    /// Executes the distinct plans in `range` (one chunk).
-    fn execute_range(
-        &self,
-        index: &CoaxIndex,
-        range: std::ops::Range<usize>,
-    ) -> Vec<QueryResult> {
-        execute_chunk(index, &self.plans[range.clone()], self.distinct.answered(range))
-    }
-
     /// Executes the batch against `index` under `config`, returning one
-    /// [`QueryResult`] per query in query order.
+    /// [`QueryResult`] per query in query order: the streaming run with a
+    /// collecting sink.
     ///
     /// `index` must be the index the batch was planned against (plans
     /// embed its translation; executing them elsewhere answers the wrong
     /// question).
     pub fn execute(&self, index: &CoaxIndex, config: &ExecConfig) -> Vec<QueryResult> {
-        let n = self.plans.len();
-        let threads = config.resolve_threads(n);
-        let ranges = chunk_ranges(n, config.resolve_chunk(n, threads));
-        let pool_timer = index.obs.timer();
         let mut results = vec![QueryResult::default(); self.len()];
-        let mut scatter = |start: usize, chunk: Vec<QueryResult>| {
-            for (offset, result) in chunk.into_iter().enumerate() {
-                for (qi, copy) in self.distinct.hand_out(start + offset, result) {
-                    results[qi] = copy;
-                }
-            }
-        };
-        if threads <= 1 {
-            for r in &ranges {
-                scatter(r.start, self.execute_range(index, r.clone()));
-            }
-            journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), 1);
-            return results;
-        }
-
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<Option<Vec<QueryResult>>>> = Mutex::new(vec![None; ranges.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(ranges.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ranges.len() {
-                        break;
-                    }
-                    let chunk = self.execute_range(index, ranges[i].clone());
-                    // coax-analyze: allow(panic-free-library, poisoned chunk-result lock: a sibling worker panicked, so the batch result set is already lost — propagate rather than return a truncated batch)
-                    done.lock().expect("chunk result lock poisoned")[i] = Some(chunk);
-                });
-            }
-        });
-        // coax-analyze: allow(panic-free-library, poisoned chunk-result lock: a worker panicked mid-batch, so returning would silently drop its chunk — propagate instead)
-        let done = done.into_inner().expect("chunk result lock poisoned");
-        for (r, chunk) in ranges.iter().zip(done) {
-            // coax-analyze: allow(panic-free-library, scope() joins every worker before this line, so each chunk slot is filled — a None means a worker died and its results are unrecoverable)
-            scatter(r.start, chunk.expect("every chunk executed"));
-        }
-        journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), threads);
+        self.run(index, config, false, |qi, result| results[qi] = result);
         results
     }
 
     /// Streaming execution: per-query results flow to `sink` as their
     /// chunk completes, instead of arriving all at once when the slowest
-    /// chunk finishes — the ROADMAP's "results flow before the whole
-    /// batch finishes" item.
+    /// chunk finishes.
     ///
     /// `sink` receives `(query_index, QueryResult)` pairs: in order of
     /// first appearance when the batch stays on the calling thread (a
-    /// query's duplicates arrive right after its first copy, so a batch
-    /// without duplicates streams in query order), in completion order
-    /// (each pair tagged with its index) when chunks fan out over the
-    /// worker pool, where finished chunks cross back through a **bounded
-    /// channel** so a slow consumer applies backpressure instead of
-    /// buffering the whole batch. Every query is delivered exactly once,
-    /// and each [`QueryResult`] is identical to the one
-    /// [`BatchPlan::execute`] returns at that index.
-    ///
-    /// Chunks are sized for latency here (≈4 per worker, never the whole
-    /// batch — an explicit [`ExecConfig::chunk_size`] still wins):
-    /// time-to-first-result is one chunk's work.
+    /// query's duplicates arrive right after its first copy), chunk by
+    /// chunk in completion order when chunks fan out over the pool, whose
+    /// bounded channel lets a slow consumer apply backpressure. Every
+    /// query is delivered exactly once, each [`QueryResult`] identical to
+    /// the one [`BatchPlan::execute`] returns at that index. Chunks are
+    /// sized for latency (never the whole batch unless
+    /// [`ExecConfig::chunk_size`] says so): time-to-first-result is one
+    /// chunk's work.
     pub fn execute_streaming(
         &self,
         index: &CoaxIndex,
         config: &ExecConfig,
         sink: &mut dyn FnMut(usize, QueryResult),
     ) {
-        let n = self.plans.len();
-        if n == 0 {
-            return;
-        }
-        let threads = config.resolve_threads(n);
-        let chunk = streaming_chunk(config, n, threads);
-        let ranges = chunk_ranges(n, chunk);
-        let pool_timer = index.obs.timer();
         let mut ttfr = index.obs.timer();
-        if threads <= 1 {
-            for r in &ranges {
-                for (offset, result) in
-                    self.execute_range(index, r.clone()).into_iter().enumerate()
-                {
-                    for (qi, copy) in self.distinct.hand_out(r.start + offset, result) {
-                        index.obs.record_ttfr(ttfr.take());
-                        sink(qi, copy);
-                    }
-                }
-            }
-            journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), 1);
-            return;
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::sync_channel(stream_capacity(chunk, threads));
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(ranges.len()) {
-                let tx = tx.clone();
-                let (next, ranges) = (&next, &ranges);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ranges.len() {
-                        break;
-                    }
-                    let start = ranges[i].start;
-                    let results = self.execute_range(index, ranges[i].clone());
-                    for (offset, result) in results.into_iter().enumerate() {
-                        for item in self.distinct.hand_out(start + offset, result) {
-                            // A dropped receiver (consumer gone) cancels
-                            // the remaining work.
-                            if !send_counted(&index.obs, &tx, item) {
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (qi, result) in rx {
-                index.obs.stream_depth_sub(1);
-                index.obs.record_ttfr(ttfr.take());
-                sink(qi, result);
-            }
+        self.run(index, config, true, |qi, result| {
+            index.obs.record_ttfr(ttfr.take());
+            sink(qi, result);
         });
-        journal_batch_pool(&index.obs, pool_timer, ranges.len(), self.len(), threads);
+    }
+
+    /// Runs every distinct plan on the pool, chunked for a streaming or
+    /// a collecting `sink`.
+    fn run(
+        &self,
+        index: &CoaxIndex,
+        config: &ExecConfig,
+        streaming: bool,
+        mut sink: impl FnMut(usize, QueryResult),
+    ) {
+        let n = self.plans.len();
+        let threads = config.resolve_threads(n);
+        let chunk = config.resolve_chunk(n, threads, streaming);
+        let answer = |d: usize, ids: &mut Vec<RowId>| {
+            execute(index, &self.plans[d], ids, &mut QuerySpan::disabled()).flatten()
+        };
+        run_batch(&index.obs, &self.distinct, threads, chunk, answer, |qi, result| {
+            sink(qi, result);
+            true
+        });
     }
 }
 
-/// Sends one streamed result, counting its channel slot first so the
-/// depth gauge covers time spent blocked on a full channel. `false` when
-/// the consumer is gone.
-fn send_counted(
+/// A materialized batch over a snapshot surface: deduplicated once,
+/// each distinct query answered by `answer(query, ids)` in chunks on the
+/// pool sized by `config`, one result per query in query order.
+pub(crate) fn collect_batch(
+    queries: &[RangeQuery],
+    config: &ExecConfig,
     obs: &Obs,
-    tx: &std::sync::mpsc::SyncSender<(usize, QueryResult)>,
-    item: (usize, QueryResult),
-) -> bool {
-    obs.stream_depth_add(1);
-    if tx.send(item).is_err() {
-        obs.stream_depth_sub(1);
-        return false;
-    }
-    true
-}
-
-/// Journals one batch-pool completion (chunk/query/thread counts and
-/// wall time) — the `batch_pool` event both batch surfaces emit.
-fn journal_batch_pool(
-    obs: &Obs,
-    started: Option<std::time::Instant>,
-    chunks: usize,
-    queries: usize,
-    threads: usize,
-) {
-    obs.record_batch_pool(|| {
-        let us =
-            started.map_or(0, |t| t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        format!("chunks={chunks} queries={queries} threads={threads} wall_us={us}")
+    answer: impl Fn(&RangeQuery, &mut Vec<RowId>) -> ScanStats + Sync,
+) -> Vec<QueryResult> {
+    let distinct = DistinctQueries::new(queries);
+    let threads = config.resolve_threads(distinct.len());
+    let chunk = config.resolve_chunk(distinct.len(), threads, false);
+    let mut results = vec![QueryResult::default(); queries.len()];
+    let answer = |d: usize, ids: &mut Vec<RowId>| answer(&queries[distinct.first(d)], ids);
+    run_batch(obs, &distinct, threads, chunk, answer, |qi, result| {
+        results[qi] = result;
+        true
     });
-}
-
-/// Chunk size for streaming execution: an explicit
-/// [`ExecConfig::chunk_size`] wins, else ≈4 chunks per worker with a
-/// floor of 8 distinct queries — and never the whole batch, because the
-/// first chunk's completion time is the stream's time-to-first-result.
-fn streaming_chunk(config: &ExecConfig, batch_len: usize, threads: usize) -> usize {
-    if config.chunk_size > 0 {
-        return config.chunk_size;
-    }
-    batch_len.div_ceil(threads.max(1) * 4).max(8).min(batch_len.max(1))
-}
-
-/// Bounded capacity of a streaming result channel: a couple of chunks of
-/// per-query slots — enough that workers never stall on a keeping-up
-/// consumer, small enough that a stalled consumer stalls the pool instead
-/// of buffering the whole batch.
-fn stream_capacity(chunk: usize, threads: usize) -> usize {
-    (2 * chunk * threads.max(1)).clamp(16, 4096)
+    results
 }
 
 /// A live stream of batch results: an iterator over
-/// `(query_index, QueryResult)` pairs arriving in completion order as
-/// the worker pool finishes chunks, fed through a bounded channel.
+/// `(query_index, QueryResult)` pairs arriving in completion order,
+/// through a bounded channel, as the exec pool finishes chunks.
 ///
-/// Produced by the snapshot surface
-/// ([`crate::maint::ReadSnapshot::batch_query_streaming`] and
-/// [`crate::maint::IndexHandle::batch_query_streaming`]), whose
-/// `Arc`-owned state lets the pool run detached from the caller's stack.
-/// Every query of the batch is delivered exactly once, each result
-/// identical to the materialized `batch_query` at that index; dropping
-/// the stream early cancels the remaining work (workers observe the
-/// closed channel and stop).
+/// The one stream type of every snapshot surface
+/// ([`crate::maint::ReadSnapshot`], [`crate::maint::IndexHandle`],
+/// [`crate::ShardedSnapshot`], [`crate::ShardedHandle`]): one spawned
+/// thread drives the pool over the surface's `Arc`-owned state. Every
+/// query of the batch is delivered exactly once, each result identical
+/// to the materialized `batch_query` at that index; dropping the stream
+/// early cancels the remaining work.
 ///
 /// # Panics
 ///
-/// [`Iterator::next`] panics if a worker thread died before delivering
-/// its queries — results are missing, and truncating the stream quietly
-/// would break the exactly-once contract. This mirrors the scoped
+/// [`Iterator::next`] panics if the pool died before delivering every
+/// query — results are missing, and truncating the stream quietly would
+/// break the exactly-once contract. This mirrors the scoped
 /// [`BatchPlan::execute_streaming`] surface, where a worker panic
 /// propagates to the caller.
 #[derive(Debug)]
 pub struct BatchStream {
     rx: Receiver<(usize, QueryResult)>,
     remaining: usize,
-    /// Shard label of the spawning index, so a worker-death panic names
-    /// the shard that lost results (`None` for unsharded indexes).
-    shard: Option<u32>,
-    /// Recorder of the spawning index; times first delivery and tracks
+    /// Recorder of the spawning surface; times first delivery and tracks
     /// channel depth.
     obs: Obs,
     /// Set until the first result is yielded, then taken to record
@@ -707,15 +692,43 @@ pub struct BatchStream {
 }
 
 impl BatchStream {
+    /// [`collect_batch`] on a spawned thread: the batch is deduplicated
+    /// here, then the thread runs it on the pool — translation happens
+    /// inside the tasks, so first results do not wait for the whole batch
+    /// — and sends each copy's result through a channel bounded at a
+    /// couple of chunks per worker, counting it on `obs`'s depth gauge.
+    pub(crate) fn spawn(
+        queries: &[RangeQuery],
+        config: ExecConfig,
+        obs: Obs,
+        answer: impl Fn(&RangeQuery, &mut Vec<RowId>) -> ScanStats + Send + Sync + 'static,
+    ) -> BatchStream {
+        let distinct = DistinctQueries::new(queries);
+        let threads = config.resolve_threads(distinct.len());
+        let chunk = config.resolve_chunk(distinct.len(), threads, true);
+        let (tx, rx) = std::sync::mpsc::sync_channel((2 * chunk * threads).clamp(16, 4096));
+        if !distinct.is_empty() {
+            let (queries, obs) = (queries.to_vec(), obs.clone());
+            std::thread::spawn(move || {
+                let answer =
+                    |d: usize, ids: &mut Vec<RowId>| answer(&queries[distinct.first(d)], ids);
+                run_batch(&obs, &distinct, threads, chunk, answer, |qi, result| {
+                    obs.stream_depth_add(1);
+                    // A dropped BatchStream cancels the remaining work.
+                    let sent = tx.send((qi, result)).is_ok();
+                    if !sent {
+                        obs.stream_depth_sub(1);
+                    }
+                    sent
+                });
+            });
+        }
+        BatchStream { rx, remaining: queries.len(), started: obs.timer(), obs }
+    }
+
     /// Results not yet yielded.
     pub fn remaining(&self) -> usize {
         self.remaining
-    }
-
-    /// The shard label of the index this stream was spawned from
-    /// (`None` for unsharded indexes).
-    pub fn shard(&self) -> Option<u32> {
-        self.shard
     }
 }
 
@@ -733,17 +746,12 @@ impl Iterator for BatchStream {
                 self.obs.record_ttfr(self.started.take());
                 Some(item)
             }
-            // Every sender is gone with results still owed: a worker
-            // died mid-batch. Surface the loss instead of truncating,
-            // naming the shard when the spawning index had one.
-            // coax-analyze: allow(panic-free-library, a dead worker means owed results are gone for good — ending the iterator here would silently truncate the batch)
+            // The sender is gone with results still owed: the pool died
+            // mid-batch. Surface the loss instead of truncating.
+            // coax-analyze: allow(panic-free-library, a dead pool means owed results are gone for good — ending the iterator here would silently truncate the batch)
             Err(_) => panic!(
-                "batch stream lost {} result(s): a worker thread panicked mid-batch{}",
-                self.remaining,
-                match self.shard {
-                    Some(k) => format!(" (shard {k})"),
-                    None => String::new(),
-                }
+                "batch stream lost {} result(s): a worker thread panicked mid-batch",
+                self.remaining
             ),
         }
     }
@@ -751,92 +759,6 @@ impl Iterator for BatchStream {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, Some(self.remaining))
     }
-}
-
-/// Shared post-processing hook a [`BatchStream`]'s workers run on each
-/// distinct query's [`QueryResult`] before handing it to the query's
-/// copies (the snapshot layer's overlay merge).
-pub(crate) type StreamFinishFn = Arc<dyn Fn(usize, &mut QueryResult) + Send + Sync>;
-
-/// Spawns the detached worker pool behind a [`BatchStream`]: the batch
-/// is deduplicated on the calling thread, then workers claim contiguous
-/// chunks of distinct queries off an atomic counter, translate and
-/// execute them against the `Arc`-shared frozen index, run each result
-/// through `finish` (the snapshot layer's overlay merge), and push it to
-/// every copy through the bounded channel. Translation happens inside
-/// the workers, so the first results do not wait for the whole batch to
-/// be planned.
-pub(crate) fn spawn_batch_stream(
-    index: Arc<CoaxIndex>,
-    queries: Arc<Vec<RangeQuery>>,
-    config: ExecConfig,
-    finish: Option<StreamFinishFn>,
-) -> BatchStream {
-    let distinct = Arc::new(DistinctQueries::new(&queries));
-    let n = distinct.len();
-    // At least one worker always spawns (the caller thread is the
-    // consumer, so "stay on the calling thread" cannot stream).
-    let threads = config.resolve_threads(n).max(1);
-    let chunk = streaming_chunk(&config, n.max(1), threads);
-    let (tx, rx) = std::sync::mpsc::sync_channel(stream_capacity(chunk, threads));
-    let ranges = Arc::new(chunk_ranges(n, chunk));
-    let next = Arc::new(AtomicUsize::new(0));
-    for _ in 0..threads.min(ranges.len()) {
-        let (index, queries, distinct, ranges) = (
-            Arc::clone(&index),
-            Arc::clone(&queries),
-            Arc::clone(&distinct),
-            Arc::clone(&ranges),
-        );
-        let (next, tx, finish) = (Arc::clone(&next), tx.clone(), finish.clone());
-        std::thread::spawn(move || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= ranges.len() {
-                break;
-            }
-            let range = ranges[i].clone();
-            let plans: Vec<QueryPlan> =
-                range.clone().map(|d| index.plan(&queries[distinct.first(d)])).collect();
-            let results = execute_chunk(&index, &plans, distinct.answered(range.clone()));
-            for (d, mut result) in range.zip(results) {
-                if let Some(finish) = &finish {
-                    finish(distinct.first(d), &mut result);
-                }
-                for item in distinct.hand_out(d, result) {
-                    // A dropped BatchStream cancels the remaining work.
-                    if !send_counted(&index.obs, &tx, item) {
-                        return;
-                    }
-                }
-            }
-        });
-    }
-    let (obs, started) = (index.obs.clone(), index.obs.timer());
-    BatchStream { rx, remaining: queries.len(), shard: obs.shard(), obs, started }
-}
-
-/// Batch execution behind [`CoaxIndex::batch_query_with`] and the trait's
-/// `batch_query`: plan the whole batch once ([`BatchPlan`]), then execute
-/// under `config`. Per-query results and counters are identical to
-/// one-at-a-time [`CoaxIndex::range_query_stats`] calls because every
-/// distinct query runs the same single-query executor.
-pub(crate) fn execute_batch(
-    index: &CoaxIndex,
-    queries: &[RangeQuery],
-    config: &ExecConfig,
-) -> Vec<QueryResult> {
-    BatchPlan::new(index, queries).execute(index, config)
-}
-
-/// Streaming batch execution behind [`CoaxIndex::batch_query_streaming`]:
-/// plan once, then [`BatchPlan::execute_streaming`].
-pub(crate) fn execute_batch_streaming(
-    index: &CoaxIndex,
-    queries: &[RangeQuery],
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(usize, QueryResult),
-) {
-    BatchPlan::new(index, queries).execute_streaming(index, config, sink);
 }
 
 #[cfg(test)]

@@ -591,7 +591,7 @@ impl CoaxIndex {
         queries: &[RangeQuery],
         config: &ExecConfig,
     ) -> Vec<QueryResult> {
-        exec::execute_batch(self, queries, config)
+        BatchPlan::new(self, queries).execute(self, config)
     }
 
     /// Streaming execution of a prepared plan: the returned cursor chains
@@ -616,7 +616,7 @@ impl CoaxIndex {
         queries: &[RangeQuery],
         mut sink: impl FnMut(usize, QueryResult),
     ) {
-        exec::execute_batch_streaming(self, queries, &self.config.exec, &mut sink);
+        BatchPlan::new(self, queries).execute_streaming(self, &self.config.exec, &mut sink);
     }
 
     /// [`CoaxIndex::batch_query_streaming`] under an explicit
@@ -627,7 +627,7 @@ impl CoaxIndex {
         config: &ExecConfig,
         mut sink: impl FnMut(usize, QueryResult),
     ) {
-        exec::execute_batch_streaming(self, queries, config, &mut sink);
+        BatchPlan::new(self, queries).execute_streaming(self, config, &mut sink);
     }
 
     /// Queries only the primary (soft-FD) index. Results are exact w.r.t.
@@ -847,7 +847,7 @@ impl MultidimIndex for CoaxIndex {
     /// Per-query results and stats are identical to sequential
     /// `range_query_stats` calls.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        exec::execute_batch(self, queries, &self.config.exec)
+        BatchPlan::new(self, queries).execute(self, &self.config.exec)
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {

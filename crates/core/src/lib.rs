@@ -23,13 +23,14 @@
 //!    scan pending → merge. Batches go through the batch engine — an
 //!    [`exec::BatchPlan`] deduplicates value-equal queries, translates
 //!    each distinct query once, runs every plan through the same
-//!    single-query executor, and fans chunks out over a scoped worker
-//!    pool sized by [`exec::ExecConfig`] — with per-query results and
-//!    stats identical to the sequential loop. Both surfaces also stream: the plan
-//!    cursor yields results chunk by chunk, and
-//!    `batch_query_streaming` / [`exec::BatchStream`] deliver per-query
-//!    results off the pool through a bounded channel before the whole
-//!    batch finishes.
+//!    single-query executor, and runs chunks on the exec layer's one
+//!    worker pool sized by [`exec::ExecConfig`] — the pool every
+//!    parallel query path in the crate shares — with per-query results
+//!    and stats identical to the sequential loop. Both surfaces also
+//!    stream: the plan cursor yields results chunk by chunk, and
+//!    `batch_query_streaming` / [`exec::BatchStream`] (the one stream
+//!    type of every snapshot surface) deliver per-query results off the
+//!    pool through a bounded channel before the whole batch finishes.
 //! 7. [`index`] — [`CoaxIndex`]: a primary index (default: the paper's
 //!    reduced-dimensionality grid file) plus an outlier index, **both**
 //!    pluggable boxed backends ([`PrimaryBackend`]/[`OutlierBackend`]),
@@ -66,7 +67,8 @@
 //!     exactly as the unsharded path reports them. Each shard keeps its
 //!     own epoch and maintenance loop — a refit on one shard never
 //!     stalls the other N−1 — and [`shard::ShardedSnapshot`] gives
-//!     cross-shard read sessions without a global lock.
+//!     cross-shard read sessions without a global lock, cut at the
+//!     publish watermark so every read is a dense prefix of the ids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,6 +102,6 @@ pub use maint::{
 pub use model::{FdModel, SoftFdModel};
 pub use obs::{MetricsRegistry, MetricsSnapshot, ObsConfig};
 pub use regression::{ols, BayesianLinReg, LinParams};
-pub use shard::{ShardKey, ShardSpec, ShardedBatchStream, ShardedHandle, ShardedSnapshot};
+pub use shard::{ShardKey, ShardSpec, ShardedHandle, ShardedSnapshot};
 pub use spec::IndexSpec;
 pub use spline::SplineFdModel;

@@ -37,6 +37,7 @@
 use super::drift::{DriftMonitor, DriftReport};
 use super::policy::{MaintenanceAction, MaintenancePolicy};
 use crate::discovery::Discovery;
+use crate::exec::BatchStream;
 use crate::index::{refresh_group, CoaxConfig, CoaxIndex, InsertError};
 use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::regression::BayesianLinReg;
@@ -380,7 +381,7 @@ impl IndexHandle {
     /// Streaming batch execution against one snapshot taken now: sugar
     /// for `self.snapshot().batch_query_streaming(queries)`. See
     /// [`ReadSnapshot::batch_query_streaming`].
-    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> crate::exec::BatchStream {
+    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
         self.snapshot().batch_query_streaming(queries)
     }
 }
@@ -474,18 +475,6 @@ fn scan_overlay(overlay: &[OverlayRow], query: &RangeQuery, out: &mut Vec<RowId>
     matched
 }
 
-/// Puts the overlay rows matching `query` in front of an epoch result
-/// and charges the overlay scan to its stats — the order every snapshot
-/// query path returns.
-fn prepend_overlay(overlay: &[OverlayRow], query: &RangeQuery, result: &mut QueryResult) {
-    let mut ids = Vec::with_capacity(result.ids.len());
-    let matched = scan_overlay(overlay, query, &mut ids);
-    ids.append(&mut result.ids);
-    result.ids = ids;
-    result.stats.scanned_pending += overlay.len();
-    result.stats.matches += matched;
-}
-
 /// The epoch half of a one-query session whose overlay (`scanned` rows,
 /// `matched` of them into `out`) was just scanned under `span`: marks
 /// the overlay scan, translates and executes against `index`, charges
@@ -530,18 +519,18 @@ impl ReadSnapshot {
     }
 
     /// Streaming batch execution against this session: returns a
-    /// [`crate::exec::BatchStream`] yielding `(query_index,
-    /// QueryResult)` pairs in completion order, off a detached worker
-    /// pool through a bounded channel — results flow before the whole
-    /// batch finishes, and every result is identical to
-    /// [`ReadSnapshot::batch_query`]'s at that index. Dropping the
-    /// stream cancels the remaining work.
+    /// [`BatchStream`] yielding `(query_index, QueryResult)` pairs in
+    /// completion order, off the exec pool driven by one detached thread
+    /// through a bounded channel — results flow before the whole batch
+    /// finishes, and every result is identical to
+    /// [`ReadSnapshot::batch_query`]'s at that index. Dropping the stream
+    /// cancels the remaining work.
     ///
     /// The pool is sized by the epoch's
     /// [`crate::index::CoaxConfig::exec`] policy; use
     /// [`ReadSnapshot::batch_query_streaming_with`] to override it per
     /// call.
-    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> crate::exec::BatchStream {
+    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
         self.batch_query_streaming_with(queries, self.index.config().exec)
     }
 
@@ -551,15 +540,24 @@ impl ReadSnapshot {
         &self,
         queries: &[RangeQuery],
         config: crate::ExecConfig,
-    ) -> crate::exec::BatchStream {
-        let queries = Arc::new(queries.to_vec());
-        let finish = (!self.overlay.is_empty()).then(|| {
-            let (overlay, filters) = (Arc::clone(&self.overlay), Arc::clone(&queries));
-            Arc::new(move |qi: usize, result: &mut QueryResult| {
-                prepend_overlay(&overlay, &filters[qi], result)
-            }) as crate::exec::StreamFinishFn
-        });
-        crate::exec::spawn_batch_stream(Arc::clone(&self.index), queries, config, finish)
+    ) -> BatchStream {
+        let session = self.clone();
+        BatchStream::spawn(queries, config, self.index.obs.clone(), move |query, ids| {
+            session.answer_batched(query, ids)
+        })
+    }
+
+    /// Answers one query of a batch with no per-query span: the overlay
+    /// matches, then the epoch's plan — the ids, order and stats a single
+    /// snapshot query returns, appended to `out`.
+    pub(crate) fn answer_batched(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+        let matched = scan_overlay(&self.overlay, query, out);
+        let plan = self.index.plan(query);
+        let mut stats =
+            crate::exec::execute(&self.index, &plan, out, &mut QuerySpan::disabled()).flatten();
+        stats.scanned_pending += self.overlay.len();
+        stats.matches += matched;
+        stats
     }
 }
 
@@ -629,21 +627,17 @@ impl MultidimIndex for ReadSnapshot {
         }))
     }
 
-    /// One session, whole batch: the epoch probes run through the frozen
-    /// index's batch engine ([`CoaxIndex::batch_query`] →
-    /// `coax_core::exec` — deduplicated, translated once, worker pool
-    /// per the epoch's [`crate::index::CoaxConfig::exec`]), then, when
-    /// the overlay holds rows, each query's overlay matches are
-    /// prepended. Per-query results and stats are identical to
-    /// one-at-a-time snapshot queries.
+    /// One session, whole batch: deduplicated once, each distinct query
+    /// answered as a single snapshot query would be (overlay, then the
+    /// frozen epoch's single-query executor, translated once), in chunks
+    /// on the exec pool sized by the epoch's
+    /// [`crate::index::CoaxConfig::exec`]. Per-query results and stats
+    /// are identical to one-at-a-time snapshot queries.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        let mut results = self.index.batch_query(queries);
-        if !self.overlay.is_empty() {
-            for (q, r) in queries.iter().zip(&mut results) {
-                prepend_overlay(&self.overlay, q, r);
-            }
-        }
-        results
+        let config = self.index.config().exec;
+        crate::exec::collect_batch(queries, &config, &self.index.obs, |query, ids| {
+            self.answer_batched(query, ids)
+        })
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {

@@ -40,12 +40,15 @@
 //!   row becomes visible in the shard and are immutable afterwards, so
 //!   queries remap through the live table under a brief read lock — no
 //!   copy-on-write, no global lock.
-//! * **Live reads are a consistent cut**: inserts advance a global
-//!   publish watermark in id order once their row is visible, and a
-//!   live read loads it before fanning out and drops every id at or
-//!   above it. Shards are read at different instants, but the result
+//! * **Reads are a consistent cut**: inserts advance a global publish
+//!   watermark in id order once their row is visible. A live read loads
+//!   it before fanning out, and [`ShardedHandle::snapshot`] loads it
+//!   before capturing the shards; both drop every id at or above it.
+//!   Shards are read (or captured) at different instants, but the result
 //!   holds exactly the matching rows inserted before the watermark — for
-//!   the whole id space, a dense prefix.
+//!   the whole id space, a dense prefix. A snapshot skips the filter when
+//!   no id at or above the watermark had been allocated by the end of its
+//!   capture, so reads without concurrent inserts pay nothing.
 //!
 //! # Merge policy and stats contract
 //!
@@ -61,16 +64,25 @@
 //! streaming, cursor, handle or snapshot — reports **identical** ids and
 //! stats for the same version of the data, whatever the thread count
 //! (pinned by the cross-shard equivalence suite).
+//!
+//! # Execution
+//!
+//! Every parallel path runs on the exec layer's one worker pool
+//! ([`crate::exec`]), sized by the service's [`ExecConfig`]. A single
+//! query is one pool task per shard. A batch is deduplicated once for
+//! the whole service; each pool task answers one chunk of distinct
+//! queries on every shard and merges them in shard order, and a
+//! [`BatchStream`] is the same run driven from one detached thread.
 
 use crate::discovery::{discover, Discovery};
-use crate::exec::ExecConfig;
+use crate::exec::{self, BatchStream, ExecConfig};
 use crate::index::{CoaxConfig, CoaxIndex, InsertError};
 use crate::maint::{IndexHandle, Maintainer, MaintenanceAction, ReadSnapshot};
+use crate::obs::Obs;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 use coax_index::{CursorSource, MultidimIndex, QueryResult, RowCursor, ScanStats};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// How rows are routed to shards.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -211,6 +223,18 @@ fn remap_global(ids: &mut [RowId], table: &[RowId]) {
     }
 }
 
+/// The publish-watermark cut every cross-shard read applies: drops the
+/// ids at or above `cut` from `ids[from..]`, keeping the order of the
+/// rest, and takes them out of `stats.matches`.
+fn drop_unpublished(cut: u64, ids: &mut Vec<RowId>, from: usize, stats: &mut ScanStats) {
+    let (found, mut pos) = (ids.len(), 0);
+    ids.retain(|&gid| {
+        pos += 1;
+        pos <= from || u64::from(gid) < cut
+    });
+    stats.matches -= found - ids.len();
+}
+
 /// Acquires a read guard on an id table, propagating a poisoned-lock
 /// panic (same rationale as the handle's state lock: a writer panicked
 /// mid-push, remapping through torn state would alias rows).
@@ -226,7 +250,7 @@ fn table_write(lock: &RwLock<Vec<RowId>>) -> std::sync::RwLockWriteGuard<'_, Vec
 }
 
 /// Everything the shards share, behind one `Arc` so snapshots and
-/// streaming drainers can outlive the caller's borrow.
+/// detached streams can outlive the caller's borrow.
 #[derive(Debug)]
 struct ShardState {
     dims: usize,
@@ -238,17 +262,62 @@ struct ShardState {
     /// Per-shard local→global id tables. Append-only: an entry is
     /// pushed (under the write lock) *before* the row is inserted into
     /// the shard, and never changes afterwards — so readers remap
-    /// through the live table under a brief read lock.
+    /// through the live table under a brief read lock. Each table
+    /// ascends: a shard allocates its global ids under its write lock.
     tables: Vec<RwLock<Vec<RowId>>>,
     /// Next global row id; also the logical row count.
     next_global: AtomicU64,
     /// Publish watermark: every global id below it belongs to an insert
     /// that has returned. Inserts advance it in id order (see
-    /// [`PublishTicket`]); a live read loads it once before fanning out
-    /// and drops every id at or above it.
+    /// [`PublishTicket`]); a live read loads it once before fanning out,
+    /// a snapshot before capturing the shards, and both drop every id at
+    /// or above it.
     published: AtomicU64,
-    /// Fan-out policy: how many shard queries run concurrently.
+    /// Pool size of the shard fan-out and the sharded batch engine.
     exec: ExecConfig,
+    /// The service's recorder (the build config's, unlabelled by
+    /// default): sharded batches record their chunks, `batch_pool` event,
+    /// stream depth and time-to-first-result here.
+    obs: Obs,
+}
+
+impl ShardState {
+    /// Answers one query on every shard over the exec pool —
+    /// `query(s, ids)` appends shard `s`'s local ids — and concatenates
+    /// the results into `out` in shard order, remapped to global ids and
+    /// cut at `cut`. Stats merge componentwise in the same order.
+    fn query_shards(
+        &self,
+        cut: Option<u64>,
+        out: &mut Vec<RowId>,
+        query: impl Fn(usize, &mut Vec<RowId>) -> ScanStats + Sync,
+    ) -> ScanStats {
+        let shards = self.handles.len();
+        let mut parts = vec![(Vec::new(), ScanStats::default()); shards];
+        exec::run_pool(
+            self.exec.pool_threads(shards),
+            shards,
+            |s| {
+                let mut ids = Vec::new();
+                let mut stats = query(s, &mut ids);
+                remap_global(&mut ids, &table_read(&self.tables[s]));
+                if let Some(cut) = cut {
+                    drop_unpublished(cut, &mut ids, 0, &mut stats);
+                }
+                (ids, stats)
+            },
+            |s, part| {
+                parts[s] = part;
+                true
+            },
+        );
+        let mut stats = ScanStats::default();
+        for (ids, part) in parts {
+            out.extend_from_slice(&ids);
+            stats = stats.merge(part);
+        }
+        stats
+    }
 }
 
 /// Advances the publish watermark past `gid` when dropped, once every
@@ -272,50 +341,6 @@ impl Drop for PublishTicket<'_> {
         }
         self.watermark.store(self.gid + 1, Ordering::Release);
     }
-}
-
-/// Worker threads for an `n`-shard fan-out under `exec`: the shard
-/// fan-out *is* the worker pool, so `batch_threads` bounds it (0 = all
-/// cores) and `min_parallel_batch` is deliberately ignored — a single
-/// query still fans out across shards.
-fn shard_threads(exec: &ExecConfig, shards: usize) -> usize {
-    let t = if exec.batch_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        exec.batch_threads
-    };
-    t.clamp(1, shards)
-}
-
-/// Runs `f(0..n)` on the fan-out pool, returning results in index
-/// order. Sequential when the pool resolves to one thread.
-fn fan_out<R: Send>(exec: &ExecConfig, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let threads = shard_threads(exec, n);
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                // coax-analyze: allow(panic-free-library, poisoned fan-out lock: a sibling shard worker panicked, so the merged result is already lost — propagate rather than return a truncated merge)
-                done.lock().expect("fan-out result lock poisoned")[i] = Some(r);
-            });
-        }
-    });
-    done.into_inner()
-        // coax-analyze: allow(panic-free-library, poisoned fan-out lock: a shard worker panicked mid-query, returning would silently drop its shard's rows — propagate instead)
-        .expect("fan-out result lock poisoned")
-        .into_iter()
-        // coax-analyze: allow(panic-free-library, scope() joins every worker before this line, so each shard slot is filled — a None means a worker died and its shard's rows are unrecoverable)
-        .map(|r| r.expect("every shard queried"))
-        .collect()
 }
 
 /// A sharded, live-maintained COAX index service: rows partitioned
@@ -385,7 +410,7 @@ impl ShardedHandle {
                 let mut shard_config = config.clone();
                 // The shard is a leaf: no nested sharding, shard-labelled
                 // observability, and the inner batch engine stays on its
-                // calling thread — the shard fan-out is the worker pool.
+                // calling thread — the service's pool fans out instead.
                 shard_config.shard = ShardSpec::default();
                 shard_config.obs = config.obs.for_shard(s as u32);
                 shard_config.exec.batch_threads = 1;
@@ -407,6 +432,7 @@ impl ShardedHandle {
                 next_global: AtomicU64::new(dataset.len() as u64),
                 published: AtomicU64::new(dataset.len() as u64),
                 exec: config.exec,
+                obs: Obs::new(&config.obs),
             }),
         }
     }
@@ -508,16 +534,28 @@ impl ShardedHandle {
     /// shard's own read guard), and per-shard global-id remapping stays
     /// exact however many inserts or refits land concurrently, because
     /// id-table entries are immutable once written.
+    ///
+    /// The publish watermark is loaded before the capture, and every
+    /// surface of the session drops ids at or above it, so the session
+    /// holds a dense prefix of the id space even while inserts land on
+    /// several shards. When no id at or above the watermark had been
+    /// allocated by the end of the capture, no shard can hold one and the
+    /// session carries no cut at all.
     pub fn snapshot(&self) -> ShardedSnapshot {
-        ShardedSnapshot {
-            core: Arc::clone(&self.core),
-            shards: self.core.handles.iter().map(|h| h.snapshot()).collect(),
-        }
+        let core = &self.core;
+        let published = core.published.load(Ordering::Acquire);
+        let shards = core.handles.iter().map(|h| h.snapshot()).collect();
+        // An insert allocates its id before publishing the row under the
+        // shard's state lock, which the capture then acquired: every
+        // captured id's allocation happens before this load, so the load
+        // sees it.
+        let cut = (core.next_global.load(Ordering::Relaxed) > published).then_some(published);
+        ShardedSnapshot { core: Arc::clone(core), shards, cut }
     }
 
     /// Streaming batch execution against one cross-shard snapshot taken
     /// now: sugar for `self.snapshot().batch_query_streaming(queries)`.
-    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> ShardedBatchStream {
+    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
         self.snapshot().batch_query_streaming(queries)
     }
 }
@@ -549,21 +587,9 @@ impl MultidimIndex for ShardedHandle {
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let core = &self.core;
         let cut = core.published.load(Ordering::Acquire);
-        let per_shard = fan_out(&core.exec, core.handles.len(), |s| {
-            let mut ids = Vec::new();
-            let mut stats = core.handles[s].range_query_stats(query, &mut ids);
-            remap_global(&mut ids, &table_read(&core.tables[s]));
-            let found = ids.len();
-            ids.retain(|&gid| u64::from(gid) < cut);
-            stats.matches -= found - ids.len();
-            (ids, stats)
-        });
-        let mut stats = ScanStats::default();
-        for (ids, shard_stats) in per_shard {
-            out.extend_from_slice(&ids);
-            stats = stats.merge(shard_stats);
-        }
-        stats
+        core.query_shards(Some(cut), out, |s, ids| {
+            core.handles[s].range_query_stats(query, ids)
+        })
     }
 
     /// One cross-shard snapshot for the whole batch (see
@@ -572,16 +598,9 @@ impl MultidimIndex for ShardedHandle {
         self.snapshot().batch_query(queries)
     }
 
+    /// Every row of a snapshot taken now: a dense prefix of the id space.
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
-        for (s, h) in self.core.handles.iter().enumerate() {
-            // Clone the table prefix instead of holding the lock across
-            // the shard walk (cold path; keeps lock scopes disjoint).
-            let table: Vec<RowId> = table_read(&self.core.tables[s]).clone();
-            h.for_each_entry(&mut |local, values| {
-                debug_assert!((local as usize) < table.len());
-                f(table[local as usize], values);
-            });
-        }
+        self.snapshot().for_each_entry(f)
     }
 
     /// Per-shard structure overhead plus the id tables (the price of
@@ -598,16 +617,20 @@ impl MultidimIndex for ShardedHandle {
 }
 
 /// One consistent cross-shard read session: a vector of per-shard
-/// [`ReadSnapshot`]s taken in one pass. Every query through it — point,
-/// range, batch, cursor, streaming — sees exactly the captured per-shard
-/// versions, while inserts and per-shard refits keep landing on the live
-/// [`ShardedHandle`] (pinned by the sharded snapshot-isolation test).
-/// Cheap to clone; `Send + Sync`, so one session can fan out across
-/// reader threads.
+/// [`ReadSnapshot`]s taken in one pass, cut at the publish watermark
+/// loaded before the capture. Every query through it — point, range,
+/// batch, cursor, streaming — sees exactly the captured per-shard
+/// versions below the cut, a dense prefix of the id space, while inserts
+/// and per-shard refits keep landing on the live [`ShardedHandle`]
+/// (pinned by the sharded snapshot-isolation test). Cheap to clone;
+/// `Send + Sync`, so one session can fan out across reader threads.
 #[derive(Clone, Debug)]
 pub struct ShardedSnapshot {
     core: Arc<ShardState>,
     shards: Vec<ReadSnapshot>,
+    /// The publish watermark every surface cuts at; `None` when no
+    /// captured shard can hold an id at or above it.
+    cut: Option<u64>,
 }
 
 impl ShardedSnapshot {
@@ -621,43 +644,33 @@ impl ShardedSnapshot {
         &self.shards[s]
     }
 
-    /// Streaming batch execution against this session: per-shard
-    /// [`crate::exec::BatchStream`]s run concurrently (one detached
-    /// drainer per shard), and a query's merged result is yielded as
-    /// soon as its last shard delivers — `(query_index, QueryResult)`
-    /// pairs in completion order, each bit-identical to
+    /// Streaming batch execution against this session: the batch is
+    /// deduplicated once and each distinct query answered on every shard,
+    /// on the exec pool driven by one detached thread — `(query_index,
+    /// QueryResult)` pairs in completion order, each bit-identical to
     /// [`ShardedSnapshot::batch_query`] at that index. Dropping the
-    /// stream cancels the remaining work on every shard.
-    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> ShardedBatchStream {
-        let n = queries.len();
-        let shards = self.shards.len();
-        let queries = Arc::new(queries.to_vec());
-        let (tx, rx): (SyncSender<(usize, usize, QueryResult)>, _) =
-            std::sync::mpsc::sync_channel((shards * 16).clamp(16, 1024));
-        for (s, snap) in self.shards.iter().enumerate() {
-            let (snap, queries, core, tx) =
-                (snap.clone(), Arc::clone(&queries), Arc::clone(&self.core), tx.clone());
-            std::thread::spawn(move || {
-                // The shard stream panics if a worker died (exactly-once
-                // contract); that panic kills this drainer, the channel
-                // disconnects, and the merged stream re-raises with the
-                // outstanding count.
-                for (qi, mut result) in snap.batch_query_streaming(&queries) {
-                    remap_global(&mut result.ids, &table_read(&core.tables[s]));
-                    // A dropped ShardedBatchStream cancels the fan-out.
-                    if tx.send((s, qi, result)).is_err() {
-                        return;
-                    }
-                }
-            });
+    /// stream cancels the remaining work.
+    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
+        let session = self.clone();
+        BatchStream::spawn(queries, self.core.exec, self.core.obs.clone(), move |query, ids| {
+            session.answer_batched(query, ids)
+        })
+    }
+
+    /// Answers one query of a batch on every shard in shard order — each
+    /// shard's part in its single-query order (overlay, then epoch),
+    /// remapped to global ids — and cuts the result at the watermark.
+    fn answer_batched(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+        let (start, mut stats) = (out.len(), ScanStats::default());
+        for (s, shard) in self.shards.iter().enumerate() {
+            let from = out.len();
+            stats = stats.merge(shard.answer_batched(query, out));
+            remap_global(&mut out[from..], &table_read(&self.core.tables[s]));
         }
-        ShardedBatchStream {
-            rx,
-            parts: vec![Vec::new(); n],
-            filled: vec![0; n],
-            remaining: n,
-            shards,
+        if let Some(cut) = self.cut {
+            drop_unpublished(cut, out, start, &mut stats);
         }
+        stats
     }
 }
 
@@ -670,70 +683,51 @@ impl MultidimIndex for ShardedSnapshot {
         self.core.dims
     }
 
+    /// Rows below the cut: each shard's captured rows whose global ids
+    /// lie below it (a prefix of the shard, whose id table ascends).
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        let Some(cut) = self.cut else {
+            return self.shards.iter().map(|s| s.len()).sum();
+        };
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(s, snap)| {
+                table_read(&self.core.tables[s])[..snap.len()]
+                    .partition_point(|&gid| u64::from(gid) < cut)
+            })
+            .sum()
     }
 
-    /// Fan-out over the frozen per-shard snapshots, remap, merge — same
-    /// policy as the live handle, against this session's versions.
+    /// Fan-out over the frozen per-shard snapshots, remap, merge, cut —
+    /// same policy as the live handle, against this session's versions.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        let core = &self.core;
-        let shards = &self.shards;
-        let per_shard = fan_out(&core.exec, shards.len(), |s| {
-            let mut ids = Vec::new();
-            let stats = shards[s].range_query_stats(query, &mut ids);
-            remap_global(&mut ids, &table_read(&core.tables[s]));
-            (ids, stats)
-        });
-        let mut stats = ScanStats::default();
-        for (ids, shard_stats) in per_shard {
-            out.extend_from_slice(&ids);
-            stats = stats.merge(shard_stats);
-        }
-        stats
+        self.core
+            .query_shards(self.cut, out, |s, ids| self.shards[s].range_query_stats(query, ids))
     }
 
     /// Streaming override: one merged cursor chaining the shards'
     /// snapshot cursors in shard order, each chunk's local ids remapped
-    /// to global ids as it flows. Collected ids, order, and stats are
-    /// identical to [`ShardedSnapshot::range_query_stats`].
+    /// to global ids and cut as it flows. Collected ids, order, and stats
+    /// are identical to [`ShardedSnapshot::range_query_stats`].
     fn range_query_cursor(&self, query: &RangeQuery) -> RowCursor<'_> {
         RowCursor::new(Box::new(ShardedCursor {
-            core: &self.core,
-            shards: &self.shards,
+            session: self,
             query: query.clone(),
             shard: 0,
             current: None,
         }))
     }
 
-    /// Whole batch against this session: per-shard batch engines run on
-    /// the fan-out pool, then each query's later-shard results are
-    /// appended to shard 0's, in shard order. Per-query results and
-    /// stats are identical to one-at-a-time
+    /// Whole batch against this session, deduplicated once for the
+    /// service: chunks of distinct queries run on the exec pool, each
+    /// query answered on every shard and merged in shard order. Per-query
+    /// results and stats are identical to one-at-a-time
     /// [`ShardedSnapshot::range_query_stats`] calls.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        let core = &self.core;
-        let shards = &self.shards;
-        let per_shard = fan_out(&core.exec, shards.len(), |s| {
-            let mut results = shards[s].batch_query(queries);
-            let table = table_read(&core.tables[s]);
-            for r in &mut results {
-                remap_global(&mut r.ids, &table);
-            }
-            results
-        });
-        let mut per_shard = per_shard.into_iter();
-        let Some(mut merged) = per_shard.next() else {
-            return vec![QueryResult::default(); queries.len()];
-        };
-        for shard_results in per_shard {
-            for (m, r) in merged.iter_mut().zip(shard_results) {
-                m.ids.extend_from_slice(&r.ids);
-                m.stats = m.stats.merge(r.stats);
-            }
-        }
-        merged
+        exec::collect_batch(queries, &self.core.exec, &self.core.obs, |query, ids| {
+            self.answer_batched(query, ids)
+        })
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
@@ -741,7 +735,10 @@ impl MultidimIndex for ShardedSnapshot {
             let table: Vec<RowId> = table_read(&self.core.tables[s]).clone();
             snap.for_each_entry(&mut |local, values| {
                 debug_assert!((local as usize) < table.len());
-                f(table[local as usize], values);
+                let gid = table[local as usize];
+                if self.cut.is_none_or(|cut| u64::from(gid) < cut) {
+                    f(gid, values);
+                }
             });
         }
     }
@@ -753,10 +750,10 @@ impl MultidimIndex for ShardedSnapshot {
 
 /// The incremental scan behind [`ShardedSnapshot::range_query_cursor`]:
 /// shard 0's snapshot cursor chunk by chunk, then shard 1's, …, each
-/// chunk remapped to global ids under a brief id-table read guard.
+/// chunk remapped to global ids under a brief id-table read guard and cut
+/// at the session's watermark.
 struct ShardedCursor<'a> {
-    core: &'a ShardState,
-    shards: &'a [ReadSnapshot],
+    session: &'a ShardedSnapshot,
     query: RangeQuery,
     shard: usize,
     current: Option<RowCursor<'a>>,
@@ -764,15 +761,16 @@ struct ShardedCursor<'a> {
 
 impl CursorSource for ShardedCursor<'_> {
     fn next_chunk(&mut self, out: &mut Vec<RowId>, stats: &mut ScanStats) -> bool {
+        let session = self.session;
         loop {
-            if self.shard >= self.shards.len() {
+            if self.shard >= session.shards.len() {
                 return false;
             }
             let cur = match &mut self.current {
                 Some(cur) => cur,
                 None => {
                     self.current =
-                        Some(self.shards[self.shard].range_query_cursor(&self.query));
+                        Some(session.shards[self.shard].range_query_cursor(&self.query));
                     continue;
                 }
             };
@@ -782,7 +780,13 @@ impl CursorSource for ShardedCursor<'_> {
                     let start = out.len();
                     out.extend_from_slice(chunk);
                     *stats = stats.merge(cur.stats().since(before));
-                    remap_global(&mut out[start..], &table_read(&self.core.tables[self.shard]));
+                    remap_global(
+                        &mut out[start..],
+                        &table_read(&session.core.tables[self.shard]),
+                    );
+                    if let Some(cut) = session.cut {
+                        drop_unpublished(cut, out, start, stats);
+                    }
                     return true;
                 }
                 None => {
@@ -794,84 +798,6 @@ impl CursorSource for ShardedCursor<'_> {
                 }
             }
         }
-    }
-}
-
-/// A merged streaming batch over every shard: yields `(query_index,
-/// QueryResult)` pairs in completion order, one per query, each
-/// bit-identical to [`ShardedSnapshot::batch_query`] at that index.
-/// A query completes when its **last** shard's result arrives; per-shard
-/// partial results buffer inside the stream until then.
-///
-/// # Panics
-///
-/// [`Iterator::next`] panics if a shard's drainer died before delivering
-/// its results (the shard's own stream panics with its shard id first —
-/// see [`crate::exec::BatchStream`] — and this stream re-raises with the
-/// outstanding query count), mirroring the unsharded exactly-once
-/// contract.
-#[derive(Debug)]
-pub struct ShardedBatchStream {
-    rx: Receiver<(usize, usize, QueryResult)>,
-    /// Per-query partial results, indexed `[query][shard]` (allocated
-    /// lazily on first delivery).
-    parts: Vec<Vec<Option<QueryResult>>>,
-    /// How many shards have delivered each query.
-    filled: Vec<usize>,
-    /// Queries not yet yielded.
-    remaining: usize,
-    shards: usize,
-}
-
-impl ShardedBatchStream {
-    /// Merged results not yet yielded.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
-impl Iterator for ShardedBatchStream {
-    type Item = (usize, QueryResult);
-
-    fn next(&mut self) -> Option<(usize, QueryResult)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        loop {
-            match self.rx.recv() {
-                Ok((s, qi, result)) => {
-                    if self.parts[qi].is_empty() {
-                        self.parts[qi] = vec![None; self.shards];
-                    }
-                    self.parts[qi][s] = Some(result);
-                    self.filled[qi] += 1;
-                    if self.filled[qi] < self.shards {
-                        continue;
-                    }
-                    // Last shard delivered: merge in shard order.
-                    let mut merged =
-                        QueryResult { ids: Vec::new(), stats: ScanStats::default() };
-                    for part in std::mem::take(&mut self.parts[qi]).into_iter().flatten() {
-                        merged.ids.extend_from_slice(&part.ids);
-                        merged.stats = merged.stats.merge(part.stats);
-                    }
-                    self.remaining -= 1;
-                    return Some((qi, merged));
-                }
-                // Every drainer is gone with queries still owed: a shard
-                // worker died mid-batch (its own panic names the shard).
-                // coax-analyze: allow(panic-free-library, a dead shard drainer means owed results are gone for good — ending the iterator here would silently truncate the merged batch)
-                Err(_) => panic!(
-                    "sharded batch stream lost {} merged result(s): a shard worker \
-                     panicked mid-batch",
-                    self.remaining
-                ),
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining))
     }
 }
 
@@ -1012,5 +938,63 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn snapshots_are_dense_prefixes_under_concurrent_writers() {
+        const WRITERS: usize = 3;
+        const ROWS: usize = 300;
+        let ds = planted(1000, 16);
+        let sharded = ShardedHandle::build(
+            &ds,
+            &CoaxConfig { shard: ShardSpec::hash(3, 0), ..Default::default() },
+        );
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        // Snapshots taken back to back while writers on different shards
+        // finish out of id order. Each shard is captured at its own
+        // instant; snapshots capturing the same rows per shard and
+        // holding as many of them answer alike, so one of each is kept.
+        let mut taken: Vec<((Vec<usize>, usize), ShardedSnapshot)> = Vec::new();
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (sharded, done) = (&sharded, &done);
+                scope.spawn(move || {
+                    for i in 0..ROWS {
+                        let x = ((w * ROWS + i) * 7 % 1000) as f64;
+                        sharded.insert(&[x, 2.0 * x + 10.0]).expect("valid row");
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            loop {
+                let finished = done.load(Ordering::Acquire) == WRITERS;
+                let snap = sharded.snapshot();
+                let key = ((0..3).map(|s| snap.shard(s).len()).collect(), snap.len());
+                if taken.last().is_none_or(|(last, _)| *last != key) {
+                    taken.push((key, snap));
+                }
+                if finished {
+                    break;
+                }
+            }
+        });
+        // Every surface of every snapshot answers a dense prefix.
+        let unbounded = [RangeQuery::unbounded(2)];
+        for (_, snap) in &taken {
+            let dense: Vec<RowId> = (0..snap.len() as RowId).collect();
+            assert_eq!(sorted(snap.range_query(&unbounded[0])), dense, "torn single");
+            let batch = snap.batch_query(&unbounded).remove(0);
+            assert_eq!(sorted(batch.ids), dense, "torn batch");
+            let streamed: Vec<_> = snap.batch_query_streaming(&unbounded).collect();
+            assert_eq!(streamed.len(), 1, "one streamed result");
+            assert_eq!(sorted(streamed[0].1.ids.clone()), dense, "torn stream");
+            let cursor: Vec<RowId> = snap.range_query_cursor(&unbounded[0]).collect();
+            assert_eq!(sorted(cursor), dense, "torn cursor");
+            let mut entries = Vec::new();
+            snap.for_each_entry(&mut |id, _| entries.push(id));
+            assert_eq!(sorted(entries), dense, "torn for_each_entry");
+        }
+        let last = &taken.last().expect("at least one snapshot").1;
+        assert_eq!(last.len(), ds.len() + WRITERS * ROWS);
     }
 }

@@ -685,6 +685,15 @@ mod tests {
     }
 
     #[test]
+    fn absorbed_override_needs_an_equivalence_pin() {
+        let imp = "struct G;\nimpl MultidimIndex for G {\n    fn absorbed(&self) {}\n}\n";
+        let (findings, _) =
+            analyze_files(&[("crates/index/src/g.rs".to_string(), imp.to_string())]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("overrides `absorbed`"), "{findings:?}");
+    }
+
+    #[test]
     fn json_report_shape() {
         let report = Report {
             root: PathBuf::from("."),

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | `lock-order`     | the workspace lock-acquisition graph is acyclic |
 //! | `guard-scope`    | no obs/journal/metrics traffic while a write/mutex guard is live |
-//! | `trait-contract` | every `MultidimIndex` impl overriding a batch/cursor surface is pinned by an equivalence suite |
+//! | `trait-contract` | every `MultidimIndex` impl overriding a batch/cursor/absorb surface is pinned by an equivalence suite |
 //!
 //! (`stale-suppression`, the fourth v2 rule, lives in the engine: it
 //! audits the suppression ledger against the final finding set.)
@@ -1127,17 +1127,19 @@ fn guard_scope(files: &[SourceFile], model: &WorkspaceModel, out: &mut Vec<Findi
     }
 }
 
-/// Batch/cursor/streaming surfaces of `MultidimIndex` whose overrides
-/// must be pinned bit-identical by an equivalence suite.
+/// Batch/cursor/streaming surfaces of `MultidimIndex`, plus the fold's
+/// `absorbed`, whose overrides must be pinned against the reference by an
+/// equivalence suite.
 const SURFACE: &[&str] = &[
     "batch_query",
     "range_query_cursor",
     "range_query_filtered_cursor",
     "batch_query_streaming",
+    "absorbed",
 ];
 
 /// `trait-contract`: every non-test `impl MultidimIndex` that overrides
-/// a batch/cursor/streaming surface must be referenced from an
+/// a batch/cursor/streaming/absorb surface must be referenced from an
 /// equivalence test file (`…equivalence….rs` under `tests/`), which is
 /// where the house bit-identity sweeps live.
 fn trait_contract(files: &[SourceFile], model: &WorkspaceModel, out: &mut Vec<Finding>) {

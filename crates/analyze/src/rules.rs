@@ -16,7 +16,7 @@
 //! | `lock-order`          | the workspace lock-acquisition graph is acyclic (cross-file, see `model.rs`) |
 //! | `guard-scope`         | no obs/journal/metrics traffic while a write/mutex guard is live (cross-file) |
 //! | `stale-suppression`   | every `allow(...)` still silences a finding — the ledger only shrinks (engine audit) |
-//! | `trait-contract`      | `MultidimIndex` impls overriding batch/cursor surfaces are pinned by an equivalence suite (cross-file) |
+//! | `trait-contract`      | `MultidimIndex` impls overriding batch/cursor/absorb surfaces are pinned by an equivalence suite (cross-file) |
 //!
 //! This module holds the *per-file* rules (the first seven); the
 //! cross-file rules live in [`crate::model`] and the suppression audit
@@ -92,8 +92,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "trait-contract",
-        description: "every MultidimIndex impl overriding a batch/cursor/streaming surface is \
-             referenced from an equivalence test file",
+        description: "every MultidimIndex impl overriding a batch/cursor/streaming/absorb \
+             surface is referenced from an equivalence test file",
     },
 ];
 

@@ -4,9 +4,12 @@
 //! fold/refit split: `rebuild_incremental()` (fold) and `rebuild()`
 //! (refit) must answer every query exactly like the never-rebuilt index.
 
-use coax::core::{CoaxConfig, CoaxIndex, OutlierBackend, PrimaryBackend};
-use coax::data::synth::{Generator, LinearPairConfig};
-use coax::data::RangeQuery;
+use coax::core::{CoaxConfig, CoaxIndex, IndexHandle, OutlierBackend, PrimaryBackend};
+use coax::data::synth::{
+    Generator, LinearPairConfig, PlantedConfig, PlantedDependent, PlantedGroup,
+};
+use coax::data::workload::knn_rectangle_queries;
+use coax::data::{Dataset, RangeQuery};
 use coax::index::{BackendSpec, FullScan, MultidimIndex};
 
 fn planted(rows: usize, seed: u64) -> coax::data::Dataset {
@@ -109,6 +112,12 @@ fn posterior_update_tracks_a_drifting_stream() {
 /// (b) `rebuild_incremental()` — the maint layer's fold, models frozen —
 /// or (c) the full `rebuild()` — the refit — must answer every query
 /// identically, and identically to a full scan over the logical table.
+///
+/// The stream reaches beyond the build range and carries enough
+/// off-band rows to step the adaptive outlier grid's resolution, so the
+/// first fold rebuilds that partition; a second, smaller stream is then
+/// folded into the frozen directories with no step. Every combo thus
+/// runs a partition rebuild, and every grid-file partition also absorbs.
 #[test]
 fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
     let combos: Vec<(PrimaryBackend, OutlierBackend)> = vec![
@@ -133,20 +142,52 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
             // near-margin rows.
             let mut logical: Vec<Vec<f64>> = (0..ds.len() as u32).map(|r| ds.row(r)).collect();
             let model = index.groups()[0].models[0].clone();
-            for i in 0..150 {
-                let x = ((seed as f64 + i as f64) * 37.3) % 1000.0;
+            let width = model.margin_width();
+            let mut rows: Vec<[f64; 2]> = (0..150)
+                .map(|i| {
+                    let x = ((seed as f64 + i as f64) * 37.3) % 1000.0;
+                    let y = match i % 4 {
+                        0 => model.predict(x),
+                        1 => model.predict(x) + 30.0 * width,
+                        2 => model.predict(x) - 0.45 * width,
+                        _ => model.predict(x) + 0.45 * width,
+                    };
+                    [x, y]
+                })
+                .collect();
+            // Beyond the build range on both attributes, in-band and far
+            // off-band, plus a run of off-band rows large enough to step
+            // the outlier grid's resolution.
+            for i in 0..80 {
+                let x = if i % 2 == 0 { 1000.0 + 3.7 * i as f64 } else { -2.9 * i as f64 };
                 let y = match i % 4 {
-                    0 => model.predict(x),
-                    1 => model.predict(x) + 30.0 * model.margin_width(),
-                    2 => model.predict(x) - 0.45 * model.margin_width(),
-                    _ => model.predict(x) + 0.45 * model.margin_width(),
+                    0 | 1 => model.predict(x),
+                    2 => model.predict(x) + 40.0 * width,
+                    _ => model.predict(x) - 40.0 * width,
                 };
-                index.insert(&[x, y]).unwrap();
-                logical.push(vec![x, y]);
+                rows.push([x, y]);
+            }
+            rows.extend((0..120).map(|i| {
+                let x = ((seed as f64 + i as f64) * 53.9) % 1000.0;
+                [x, model.predict(x) + (10.0 + (i % 7) as f64) * width]
+            }));
+            for row in &rows {
+                index.insert(row).unwrap();
+                logical.push(row.to_vec());
+            }
+            let outlier_spec = |rows: usize, sort_dim| {
+                outlier.to_spec(rows, 2, sort_dim, cfg.outlier_cells_per_dim)
+            };
+            let off_band = index.pending_len() - index.pending_in_margins();
+            if outlier == OutlierBackend::GridFile {
+                assert_ne!(
+                    outlier_spec(index.outlier_len(), index.sort_dim()),
+                    outlier_spec(index.outlier_len() + off_band, index.sort_dim()),
+                    "the stream must step the outlier grid (combo {combo_i}, seed {seed})"
+                );
             }
 
-            let folded = index.rebuild_incremental();
-            let refitted = index.rebuild();
+            let mut folded = index.rebuild_incremental();
             assert_eq!(folded.pending_len(), 0);
             assert_eq!(folded.len(), index.len());
             // The fold must not have touched a model.
@@ -155,10 +196,54 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                 index.groups()[0].models[0],
                 "fold froze no model (combo {combo_i}, seed {seed})"
             );
+            if outlier == OutlierBackend::GridFile {
+                assert_ne!(
+                    folded.outlier_overhead(),
+                    index.outlier_overhead(),
+                    "a stepping fold rebuilds the outlier grid (combo {combo_i}, seed {seed})"
+                );
+            }
+
+            // A second, smaller stream folds with no resolution step:
+            // in-band rows, some beyond the build range, and a few far
+            // off-band rows beyond every `y` stored so far.
+            let mut more: Vec<[f64; 2]> = (0..20)
+                .map(|i| {
+                    let x =
+                        if i % 3 == 0 { 1300.0 + i as f64 } else { (i as f64 * 41.1) % 1000.0 };
+                    [x, model.predict(x)]
+                })
+                .collect();
+            more.extend(
+                [(1300.0, 80.0), (1350.0, 80.0), (-300.0, -80.0), (-350.0, -80.0)]
+                    .map(|(x, k)| [x, model.predict(x) + k * width]),
+            );
+            for row in &more {
+                assert_eq!(index.insert(row).unwrap(), folded.insert(row).unwrap());
+                logical.push(row.to_vec());
+            }
+            let off_band = folded.pending_len() - folded.pending_in_margins();
+            assert_eq!(
+                outlier_spec(folded.outlier_len(), folded.sort_dim()),
+                outlier_spec(folded.outlier_len() + off_band, folded.sort_dim()),
+                "the second stream must not step the outlier grid (combo {combo_i}, seed {seed})"
+            );
+            let refolded = folded.rebuild_incremental();
+            assert_eq!(refolded.pending_len(), 0);
+            assert_eq!(refolded.len(), index.len());
+            assert_eq!(refolded.groups()[0].models[0], index.groups()[0].models[0]);
+            if outlier == OutlierBackend::GridFile {
+                assert_eq!(
+                    refolded.outlier_overhead(),
+                    folded.outlier_overhead(),
+                    "an absorbing fold keeps the outlier directory (combo {combo_i}, seed {seed})"
+                );
+            }
+            let refitted = index.rebuild();
 
             let columns: Vec<Vec<f64>> =
                 (0..2).map(|d| logical.iter().map(|r| r[d]).collect()).collect();
-            let fs = FullScan::build(&coax::data::Dataset::new(columns));
+            let fs = FullScan::build(&Dataset::new(columns));
             let mut queries: Vec<RangeQuery> = (0..8)
                 .map(|i| {
                     let x0 = (seed as f64 * 11.0 + i as f64 * 113.0) % 900.0;
@@ -173,6 +258,26 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
             let mut dep_only = RangeQuery::unbounded(2);
             dep_only.constrain(1, 300.0, 420.0);
             queries.push(dep_only);
+            // Probes beyond the build range, where only inserted rows live.
+            for (d, lo, hi) in
+                [(0, 1000.5, 1400.0), (0, -400.0, -0.5), (1, 2300.0, f64::INFINITY)]
+            {
+                let mut q = RangeQuery::unbounded(2);
+                q.constrain(d, lo, hi);
+                queries.push(q);
+            }
+            // Only the second stream's far rows lie past these `y`
+            // bounds: an absorbing fold must have widened the outlier
+            // grid's outer edges to reach them.
+            for (lo, hi) in [
+                (f64::NEG_INFINITY, -100.0),
+                (f64::NEG_INFINITY, model.predict(-300.0) - 60.0 * width),
+                (model.predict(1300.0) + 60.0 * width, f64::INFINITY),
+            ] {
+                let mut q = RangeQuery::unbounded(2);
+                q.constrain(1, lo, hi);
+                queries.push(q);
+            }
             for q in &queries {
                 let expected = sorted(fs.range_query(q));
                 assert_eq!(
@@ -186,12 +291,94 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                     "fold diverged (combo {combo_i}, seed {seed}, {q:?})"
                 );
                 assert_eq!(
+                    sorted(refolded.range_query(q)),
+                    expected,
+                    "second fold diverged (combo {combo_i}, seed {seed}, {q:?})"
+                );
+                assert_eq!(
                     sorted(refitted.range_query(q)),
                     expected,
                     "refit diverged (combo {combo_i}, seed {seed}, {q:?})"
                 );
             }
         }
+    }
+}
+
+/// A handle fold with no resolution step absorbs into the frozen
+/// directories: both partitions' overheads stay the previous epoch's,
+/// and every answer stays exact — rows beyond the build range on the
+/// primary grid's gridded attribute included.
+#[test]
+fn handle_fold_keeps_the_directories_and_stays_exact() {
+    let ds = PlantedConfig {
+        rows: 6_000,
+        groups: vec![PlantedGroup {
+            x_range: (0.0, 1000.0),
+            dependents: vec![PlantedDependent {
+                slope: 2.0,
+                intercept: 25.0,
+                noise_sigma: 4.0,
+            }],
+            outlier_fraction: 0.08,
+            outlier_offset_sigmas: 25.0,
+        }],
+        independent: vec![(0.0, 100.0)],
+        seed: 51,
+    }
+    .generate();
+    let cfg = CoaxConfig::default();
+    let handle = IndexHandle::build(&ds, &cfg);
+    let before = handle.snapshot();
+    let frozen = before.frozen();
+    // x → y is learned; the primary grids the independent z and sorts x.
+    assert_eq!(frozen.indexed_dims(), vec![0, 2]);
+    let model = frozen.groups()[0].models[0].clone();
+
+    let mut logical: Vec<Vec<f64>> = (0..ds.len() as u32).map(|r| ds.row(r)).collect();
+    let mut off_band = 0;
+    for i in 0..400 {
+        let x = (i as f64 * 17.3) % 1000.0;
+        // z beyond the build range [0, 100) on either side.
+        let z = if i % 2 == 0 { 100.0 + i as f64 } else { -(i as f64) };
+        let y = if i % 50 == 0 {
+            off_band += 1;
+            model.predict(x) + 40.0 * model.margin_width()
+        } else {
+            model.predict(x)
+        };
+        handle.insert(&[x, y, z]).unwrap();
+        logical.push(vec![x, y, z]);
+    }
+    let spec = |rows| {
+        cfg.outlier_backend.to_spec(rows, 3, frozen.sort_dim(), cfg.outlier_cells_per_dim)
+    };
+    assert_eq!(
+        spec(frozen.outlier_len()),
+        spec(frozen.outlier_len() + off_band),
+        "the stream must not step the outlier grid"
+    );
+
+    handle.fold();
+    let after = handle.snapshot();
+    assert_eq!(after.epoch(), before.epoch() + 1);
+    assert_eq!(after.pending_len(), 0);
+    assert_eq!(after.frozen().outlier_len(), frozen.outlier_len() + off_band);
+    assert_eq!(after.frozen().primary_overhead(), frozen.primary_overhead());
+    assert_eq!(after.frozen().outlier_overhead(), frozen.outlier_overhead());
+
+    let columns: Vec<Vec<f64>> =
+        (0..3).map(|d| logical.iter().map(|r| r[d]).collect()).collect();
+    let all = Dataset::new(columns);
+    let fs = FullScan::build(&all);
+    let mut queries = knn_rectangle_queries(&all, 20, 40, 52);
+    for (lo, hi) in [(150.0, f64::INFINITY), (f64::NEG_INFINITY, -50.0), (90.0, 120.0)] {
+        let mut q = RangeQuery::unbounded(3);
+        q.constrain(2, lo, hi);
+        queries.push(q);
+    }
+    for q in &queries {
+        assert_eq!(sorted(handle.range_query(q)), sorted(fs.range_query(q)), "{q:?}");
     }
 }
 

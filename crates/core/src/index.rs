@@ -18,10 +18,11 @@
 //! Folding the buffer back into the structures is the job of the
 //! [`crate::maint`] lifecycle layer: wrap the index in a
 //! [`crate::maint::IndexHandle`] and let its drift monitor and policy
-//! decide between the cheap [`CoaxIndex::rebuild_incremental`] (re-pack
-//! partitions, models frozen) and the full [`CoaxIndex::rebuild`]
-//! (refresh every model, re-split). The two rebuild methods remain
-//! callable directly for synchronous, single-owner use.
+//! decide between the cheap [`CoaxIndex::rebuild_incremental`] (absorb
+//! the buffer into each partition in one merge pass, models and
+//! directories frozen) and the full [`CoaxIndex::rebuild`] (refresh
+//! every model, re-split, rebuild both partitions). The two methods
+//! remain callable directly for synchronous, single-owner use.
 
 use crate::discovery::{discover, CorrelationGroup, Discovery, DiscoveryConfig};
 use crate::epsilon::EpsilonPolicy;
@@ -276,14 +277,17 @@ impl CoaxQueryStats {
     }
 }
 
-/// A row inserted after the build, not yet folded into the grids.
+/// A row inserted after the build, not yet folded into the partitions:
+/// an entry of a [`CoaxIndex`]'s pending buffer or of a
+/// [`crate::maint::IndexHandle`]'s overlay.
 #[derive(Clone, Debug)]
 pub(crate) struct PendingRow {
     pub(crate) id: RowId,
     pub(crate) values: Vec<Value>,
     /// Whether the row was inside every model's margins at insert time.
     /// Folding trusts this flag: models are frozen between refits, so the
-    /// insert-time verdict stays valid until the models move.
+    /// insert-time verdict stays valid until the models move. The handle
+    /// re-computes it at publish when a refit moves the models.
     pub(crate) in_margins: bool,
 }
 
@@ -391,70 +395,14 @@ impl CoaxIndex {
             })
             .collect();
 
-        let next_id = dataset.len() as RowId;
-        Self::from_parts(
-            dataset,
-            discovery,
-            config.clone(),
-            primary_rows,
-            outlier_rows,
-            posteriors,
-            next_id,
-        )
-    }
-
-    /// Assembles an index from an already-decided row split: builds both
-    /// partition structures over their memberships and takes the model
-    /// state (discovery, posteriors) as given, checking nothing.
-    ///
-    /// This is the structural half of every build path:
-    /// [`CoaxIndex::build_with_discovery`] computes the split and seeds
-    /// the posteriors first; [`CoaxIndex::rebuild_incremental`] and the
-    /// [`crate::maint`] fold path reuse the memberships they already know
-    /// and skip both scans.
-    pub(crate) fn from_parts(
-        dataset: &Dataset,
-        discovery: Discovery,
-        config: CoaxConfig,
-        primary_rows: Vec<RowId>,
-        outlier_rows: Vec<RowId>,
-        posteriors: Vec<Option<BayesianLinReg>>,
-        next_id: RowId,
-    ) -> Self {
-        let dims = dataset.dims();
-        assert_eq!(discovery.dims, dims, "discovery dimensionality mismatch");
-        let indexed = discovery.indexed_dims();
-        let sort_dim = resolve_sort_dim(config.sort_dim, &discovery, &indexed);
-        let grid_dims: Vec<usize> =
-            indexed.iter().copied().filter(|&d| Some(d) != sort_dim).collect();
-
-        // The primary index is built through the configured backend —
-        // the default is the paper's reduced-dimensionality grid file
-        // (gridding only the indexed attributes, one sorted in-cell);
-        // any other backend indexes the partition over all dims.
-        let primary_ds = dataset.take_rows(&primary_rows);
-        let primary = config.primary_backend.build(
-            &primary_ds,
-            grid_dims,
-            sort_dim,
-            config.cells_per_dim,
-        );
-
-        let outlier_ds = dataset.take_rows(&outlier_rows);
-        // The outlier index is a conventional structure over *all* dims
-        // behind the configured backend, resolved to a `BackendSpec` and
-        // built through the factory; the default grid backend still
-        // benefits from the sorted-attribute trick and adapts its
-        // resolution to the partition size (≈32 rows per cell).
-        let outliers = config
-            .outlier_backend
-            .to_spec(outlier_ds.len(), dims, sort_dim, config.outlier_cells_per_dim)
-            .build(&outlier_ds);
-
-        let obs = Obs::new(&config.obs);
+        let sort_dim = resolve_sort_dim(config.sort_dim, &discovery, &discovery.indexed_dims());
+        let primary =
+            build_primary(config, &discovery, sort_dim, &dataset.take_rows(&primary_rows));
+        let outliers = outlier_spec(config, outlier_rows.len(), dims, sort_dim)
+            .build(&dataset.take_rows(&outlier_rows));
         Self {
             dims,
-            config,
+            config: config.clone(),
             discovery,
             primary,
             primary_ids: primary_rows,
@@ -463,8 +411,8 @@ impl CoaxIndex {
             sort_dim,
             posteriors,
             pending: Vec::new(),
-            next_id,
-            obs,
+            next_id: dataset.len() as RowId,
+            obs: Obs::new(&config.obs),
         }
     }
 
@@ -715,21 +663,32 @@ impl CoaxIndex {
     /// re-splits every row. When the models have not drifted, prefer
     /// [`CoaxIndex::rebuild_incremental`].
     pub fn rebuild(&self) -> CoaxIndex {
-        let dataset = self.to_dataset();
+        self.refit(&[], &self.posteriors)
+    }
+
+    /// The one refit behind [`CoaxIndex::rebuild`] and the
+    /// [`crate::maint`] handle's: every model refreshed from
+    /// `posteriors` and the residuals of all rows (this index's plus
+    /// `overlay`'s), then a fresh build over that logical dataset — every
+    /// row re-split, both partitions and their directories built anew.
+    pub(crate) fn refit(
+        &self,
+        overlay: &[PendingRow],
+        posteriors: &[Option<BayesianLinReg>],
+    ) -> CoaxIndex {
+        let dataset = self.to_dataset(overlay);
         let epsilon = self.config.discovery.learn.epsilon;
         let groups = self
             .discovery
             .groups
             .iter()
-            .map(|g| refresh_group(g, &self.discovery, &self.posteriors, &dataset, epsilon))
+            .map(|g| refresh_group(g, &self.discovery, posteriors, &dataset, epsilon))
             .collect();
         let discovery = Discovery { groups, dims: self.dims };
-        let mut rebuilt = CoaxIndex::build_with_discovery(&dataset, discovery, &self.config);
-        rebuilt.next_id = self.next_id;
-        rebuilt
+        CoaxIndex::build_with_discovery(&dataset, discovery, &self.config)
     }
 
-    /// Folds the pending buffer into fresh partition structures **without
+    /// Folds the pending buffer into the partition structures **without
     /// refitting any model** — the cheap **fold** half of the
     /// [`crate::maint`] fold/refit split.
     ///
@@ -737,61 +696,72 @@ impl CoaxIndex {
     /// no residual is recomputed and no row is re-checked against the
     /// margins: built rows keep their partition, and each pending row
     /// goes where its insert-time margin verdict already routed it (valid
-    /// because models only move on refit). The Bayesian posteriors keep
-    /// every observation accumulated so far, so a later
-    /// [`CoaxIndex::rebuild`] still refits from the full evidence.
+    /// because models only move on refit). The directories are frozen
+    /// the same way: each partition absorbs its rows in one merge pass
+    /// ([`MultidimIndex::absorbed`]) instead of being re-packed. A
+    /// partition is rebuilt only when its backend cannot absorb, or when
+    /// the adaptive outlier grid would pick another resolution at the
+    /// new size. The Bayesian posteriors keep every observation
+    /// accumulated so far, so a later [`CoaxIndex::rebuild`] still refits
+    /// from the full evidence (and re-derives the directories).
     ///
     /// Query results are identical to never rebuilding (same rows, same
     /// models) — only the linear pending scan disappears, which is
     /// exactly what [`ScanStats::scanned_pending`] stops charging.
     pub fn rebuild_incremental(&self) -> CoaxIndex {
-        let dataset = self.to_dataset();
-        let (primary_rows, outlier_rows) = self.fold_memberships(std::iter::empty());
-        Self::from_parts(
-            &dataset,
-            self.discovery.clone(),
-            self.config.clone(),
-            primary_rows,
-            outlier_rows,
-            self.posteriors.clone(),
-            self.next_id,
-        )
+        self.fold(&[], self.posteriors.clone())
     }
 
-    /// The partition memberships a fold produces: built rows keep their
-    /// partition, each buffered row goes where its insert-time margin
-    /// verdict routed it, and `extra` appends further `(id, in_margins)`
-    /// buffered rows (the [`crate::maint`] handle's overlay). One
-    /// routing for both fold paths, so they cannot diverge.
-    pub(crate) fn fold_memberships(
+    /// The one fold behind [`CoaxIndex::rebuild_incremental`] and the
+    /// [`crate::maint`] handle's: this index's pending buffer plus
+    /// `overlay` (buffered rows whose ids continue from `next_id`), split
+    /// by their insert-time margin verdicts, each share absorbed by its
+    /// partition. The successor carries `posteriors` as its write-side
+    /// evidence.
+    pub(crate) fn fold(
         &self,
-        extra: impl Iterator<Item = (RowId, bool)>,
-    ) -> (Vec<RowId>, Vec<RowId>) {
-        let mut primary_rows = self.primary_ids.clone();
-        let mut outlier_rows = self.outlier_ids.clone();
-        let pending = self.pending.iter().map(|p| (p.id, p.in_margins));
-        for (id, in_margins) in pending.chain(extra) {
-            if in_margins {
-                primary_rows.push(id);
-            } else {
-                outlier_rows.push(id);
-            }
+        overlay: &[PendingRow],
+        posteriors: Vec<Option<BayesianLinReg>>,
+    ) -> CoaxIndex {
+        let (primary_rows, outlier_rows): (Vec<&PendingRow>, Vec<&PendingRow>) =
+            self.pending.iter().chain(overlay).partition(|r| r.in_margins);
+        let primary = absorb_or_rebuild(self.primary.as_ref(), &primary_rows, false, |ds| {
+            build_primary(&self.config, &self.discovery, self.sort_dim, ds)
+        });
+        let old_len = self.outlier_ids.len();
+        let spec =
+            outlier_spec(&self.config, old_len + outlier_rows.len(), self.dims, self.sort_dim);
+        let stepped = spec != outlier_spec(&self.config, old_len, self.dims, self.sort_dim);
+        let outliers =
+            absorb_or_rebuild(self.outliers.as_ref(), &outlier_rows, stepped, |ds| {
+                spec.build(ds)
+            });
+        let appended = |ids: &[RowId], rows: &[&PendingRow]| -> Vec<RowId> {
+            ids.iter().copied().chain(rows.iter().map(|r| r.id)).collect()
+        };
+        CoaxIndex {
+            dims: self.dims,
+            config: self.config.clone(),
+            discovery: self.discovery.clone(),
+            primary,
+            primary_ids: appended(&self.primary_ids, &primary_rows),
+            outliers,
+            outlier_ids: appended(&self.outlier_ids, &outlier_rows),
+            sort_dim: self.sort_dim,
+            posteriors,
+            pending: Vec::new(),
+            next_id: self.next_id + overlay.len() as RowId,
+            obs: self.obs.clone(),
         }
-        (primary_rows, outlier_rows)
     }
 
-    /// Reconstructs the full logical dataset (built rows in id order, then
-    /// pending rows), through the trait's entry iteration — the rebuild
-    /// path works for any primary/outlier backend combination.
-    pub(crate) fn to_dataset(&self) -> Dataset {
-        let n = self.next_id as usize;
-        let mut columns = vec![vec![0.0; n]; self.dims];
-        self.for_each_entry(&mut |id, row| {
-            for (d, col) in columns.iter_mut().enumerate() {
-                col[id as usize] = row[d];
-            }
-        });
-        Dataset::new(columns)
+    /// The full logical dataset a refit starts from: built and pending
+    /// rows, then `overlay` (rows whose ids continue from `next_id`),
+    /// each at its own id — through the trait's entry iteration, so it
+    /// works for any primary/outlier backend combination.
+    pub(crate) fn to_dataset(&self, overlay: &[PendingRow]) -> Dataset {
+        let overlay = overlay.iter().map(|r| (r.id, r.values.as_slice()));
+        entries_dataset(self, self.next_id as usize + overlay.len(), overlay)
     }
 }
 
@@ -868,6 +838,76 @@ impl MultidimIndex for CoaxIndex {
     }
 }
 
+/// Builds the primary partition over `ds` through the configured
+/// backend — by default the paper's reduced-dimensionality grid file
+/// (gridding only the indexed attributes, one sorted in-cell); any other
+/// backend indexes the partition over all dims.
+fn build_primary(
+    config: &CoaxConfig,
+    discovery: &Discovery,
+    sort_dim: Option<usize>,
+    ds: &Dataset,
+) -> Box<dyn MultidimIndex> {
+    let grid_dims =
+        discovery.indexed_dims().into_iter().filter(|&d| Some(d) != sort_dim).collect();
+    config.primary_backend.build(ds, grid_dims, sort_dim, config.cells_per_dim)
+}
+
+/// The spec an outlier partition of `rows` rows is built with: a
+/// conventional structure over *all* dims behind the configured backend.
+/// The default grid backend still benefits from the sorted-attribute
+/// trick and adapts its resolution to the partition size (≈32 rows per
+/// cell).
+fn outlier_spec(
+    config: &CoaxConfig,
+    rows: usize,
+    dims: usize,
+    sort_dim: Option<usize>,
+) -> BackendSpec {
+    config.outlier_backend.to_spec(rows, dims, sort_dim, config.outlier_cells_per_dim)
+}
+
+/// `part` plus the buffered `rows`, whose local ids continue from
+/// `part.len()`: absorbed in one pass when the backend can and `rebuild`
+/// is false, else rebuilt by `build` over the partition's own entries
+/// plus `rows`.
+fn absorb_or_rebuild(
+    part: &dyn MultidimIndex,
+    rows: &[&PendingRow],
+    rebuild: bool,
+    build: impl FnOnce(&Dataset) -> Box<dyn MultidimIndex>,
+) -> Box<dyn MultidimIndex> {
+    if !rebuild {
+        let columns =
+            (0..part.dims()).map(|d| rows.iter().map(|r| r.values[d]).collect()).collect();
+        if let Some(absorbed) = part.absorbed(&Dataset::new(columns)) {
+            return absorbed;
+        }
+    }
+    let base = part.len();
+    let rows = rows.iter().enumerate().map(|(i, r)| ((base + i) as RowId, r.values.as_slice()));
+    build(&entries_dataset(part, base + rows.len(), rows))
+}
+
+/// A `len`-row dataset with every entry of `index` and every `(id, row)`
+/// of `extra` at its own id: the one scatter behind each rebuild from
+/// stored rows (refit, and a partition the fold cannot absorb into).
+fn entries_dataset<'a>(
+    index: &dyn MultidimIndex,
+    len: usize,
+    extra: impl Iterator<Item = (RowId, &'a [Value])>,
+) -> Dataset {
+    let mut columns = vec![vec![0.0; len]; index.dims()];
+    let mut put = |id: RowId, row: &[Value]| {
+        for (col, &v) in columns.iter_mut().zip(row) {
+            col[id as usize] = v;
+        }
+    };
+    index.for_each_entry(&mut put);
+    extra.for_each(|(id, row)| put(id, row));
+    Dataset::new(columns)
+}
+
 /// Grid resolution that puts roughly `32` rows in each cell of a
 /// `grid_dims`-dimensional directory, clamped to `[1, max]`.
 fn adaptive_cells_per_dim(rows: usize, grid_dims: usize, max: usize) -> usize {
@@ -898,10 +938,8 @@ fn resolve_sort_dim(
 
 /// Rebuild-time model refresh: linear models take their line from the
 /// posterior and their margins from the full current residuals; spline
-/// models keep their shape (re-discover to re-fit them). Shared with the
-/// [`crate::maint`] refit path, which refreshes against the combined
-/// epoch + overlay dataset.
-pub(crate) fn refresh_group(
+/// models keep their shape (re-discover to re-fit them).
+fn refresh_group(
     group: &CorrelationGroup,
     discovery: &Discovery,
     posteriors: &[Option<BayesianLinReg>],
@@ -1122,7 +1160,7 @@ mod tests {
         assert_eq!(rebuilt.len(), ds.len() + 220);
         // The rebuilt index answers exactly like a linear scan over the
         // reconstructed data.
-        let all = rebuilt.to_dataset();
+        let all = rebuilt.to_dataset(&[]);
         let queries = knn_rectangle_queries(&all, 10, 40, 15);
         let fs = FullScan::build(&all);
         for q in &queries {
@@ -1369,7 +1407,7 @@ mod tests {
         let rebuilt = index.rebuild();
         assert_eq!(rebuilt.len(), ds.len() + 1);
         assert_eq!(rebuilt.primary_index().name(), "coax");
-        assert_exact(&rebuilt, &rebuilt.to_dataset(), &queries);
+        assert_exact(&rebuilt, &rebuilt.to_dataset(&[]), &queries);
     }
 
     #[test]

@@ -42,8 +42,10 @@
 //! 9. [`maint`] — the lifecycle layer: [`maint::DriftMonitor`] watches
 //!    the insert stream for correlation drift,
 //!    [`maint::MaintenancePolicy`] decides between a cheap fold
-//!    ([`CoaxIndex::rebuild_incremental`]) and a full refit
-//!    ([`CoaxIndex::rebuild`]), [`maint::IndexHandle`] epoch-swaps
+//!    ([`CoaxIndex::rebuild_incremental`]: buffered rows merged into the
+//!    frozen directories in one pass) and a full refit
+//!    ([`CoaxIndex::rebuild`]: models and directories re-derived),
+//!    [`maint::IndexHandle`] epoch-swaps
 //!    the rebuilt index under concurrent readers, and
 //!    [`maint::ReadSnapshot`] gives multi-query read sessions one
 //!    consistent version of it all.

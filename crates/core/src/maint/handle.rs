@@ -36,9 +36,8 @@
 
 use super::drift::{DriftMonitor, DriftReport};
 use super::policy::{MaintenanceAction, MaintenancePolicy};
-use crate::discovery::Discovery;
 use crate::exec::BatchStream;
-use crate::index::{refresh_group, CoaxConfig, CoaxIndex, InsertError};
+use crate::index::{CoaxConfig, CoaxIndex, InsertError, PendingRow};
 use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::regression::BayesianLinReg;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
@@ -68,18 +67,9 @@ fn lock_guard<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().expect("lock poisoned")
 }
 
-/// One row buffered in the handle since the current epoch was published.
-#[derive(Clone, Debug)]
-struct OverlayRow {
-    id: RowId,
-    values: Vec<Value>,
-    /// Margin verdict against the epoch the row was inserted under,
-    /// re-computed at publish when a refit moves the models.
-    in_margins: bool,
-}
-
-/// The reader-visible state: epoch pointer + insert overlay, guarded
-/// together so the pair can never tear.
+/// The reader-visible state: epoch pointer + insert overlay (the rows
+/// buffered since the epoch was published), guarded together so the
+/// pair can never tear.
 ///
 /// The overlay is held behind an `Arc` so a [`ReadSnapshot`] freezes it
 /// by cloning the pointer, not the rows; the insert path mutates it
@@ -90,7 +80,7 @@ struct OverlayRow {
 struct EpochState {
     epoch: u64,
     index: Arc<CoaxIndex>,
-    overlay: Arc<Vec<OverlayRow>>,
+    overlay: Arc<Vec<PendingRow>>,
 }
 
 /// Write-side bookkeeping, touched briefly per insert: id allocation,
@@ -224,7 +214,7 @@ impl IndexHandle {
         // frozen overlay untouched.
         let mut st = write_guard(&self.state);
         let cow_len = (Arc::strong_count(&st.overlay) > 1).then(|| st.overlay.len());
-        Arc::make_mut(&mut st.overlay).push(OverlayRow {
+        Arc::make_mut(&mut st.overlay).push(PendingRow {
             id,
             values: row.to_vec(),
             in_margins,
@@ -265,16 +255,20 @@ impl IndexHandle {
         action
     }
 
-    /// Folds the buffered rows into fresh partition structures, models
-    /// frozen ([`CoaxIndex::rebuild_incremental`] semantics), and
-    /// publishes the result as the next epoch.
+    /// Folds the buffered rows — the epoch's pending buffer plus the
+    /// overlay — into the partition structures with the models and the
+    /// directories frozen, and publishes the result as the next epoch.
+    /// It is the same fold as [`CoaxIndex::rebuild_incremental`]: each
+    /// partition absorbs its rows in one merge pass, and is rebuilt only
+    /// when its backend cannot absorb or the adaptive outlier grid steps
+    /// its resolution.
     pub fn fold(&self) {
         self.run_maintenance(false);
     }
 
     /// Refreshes every model from its posterior and the full residuals,
-    /// rebuilds ([`CoaxIndex::rebuild`] semantics over epoch + overlay),
-    /// and publishes the result as the next epoch.
+    /// rebuilds both partitions ([`CoaxIndex::rebuild`] semantics over
+    /// epoch + overlay), and publishes the result as the next epoch.
     pub fn refit(&self) {
         self.run_maintenance(true);
     }
@@ -295,35 +289,14 @@ impl IndexHandle {
         let timer = self.obs.timer();
 
         // --- 2. build the successor, no lock held -----------------------
-        let dataset = combined_dataset(&base, &overlay_snapshot);
-        let next_id = dataset.len() as RowId;
-        let successor = if refit {
-            let epsilon = self.config.discovery.learn.epsilon;
-            let groups = base
-                .discovery
-                .groups
-                .iter()
-                .map(|g| refresh_group(g, &base.discovery, &posteriors, &dataset, epsilon))
-                .collect();
-            let discovery = Discovery { groups, dims: self.dims };
-            CoaxIndex::build_with_discovery(&dataset, discovery, &self.config)
+        // The same refit and fold as `CoaxIndex::rebuild` and
+        // `CoaxIndex::rebuild_incremental`, over the epoch's own pending
+        // buffer plus the overlay rows.
+        let successor = Arc::new(if refit {
+            base.refit(&overlay_snapshot, &posteriors)
         } else {
-            // Same routing as `CoaxIndex::rebuild_incremental`, extended
-            // with the overlay rows (shared helper — the two fold paths
-            // cannot diverge).
-            let (primary_rows, outlier_rows) =
-                base.fold_memberships(overlay_snapshot.iter().map(|r| (r.id, r.in_margins)));
-            CoaxIndex::from_parts(
-                &dataset,
-                base.discovery.clone(),
-                self.config.clone(),
-                primary_rows,
-                outlier_rows,
-                posteriors,
-                next_id,
-            )
-        };
-        let successor = Arc::new(successor);
+            base.fold(&overlay_snapshot, posteriors)
+        });
 
         // --- 3. publish -------------------------------------------------
         let mut ins = lock_guard(&self.insert);
@@ -458,13 +431,13 @@ impl MultidimIndex for IndexHandle {
 pub struct ReadSnapshot {
     epoch: u64,
     index: Arc<CoaxIndex>,
-    overlay: Arc<Vec<OverlayRow>>,
+    overlay: Arc<Vec<PendingRow>>,
 }
 
 /// Appends the overlay rows matching `query` to `out`, returning how
 /// many matched — the one overlay scan every snapshot query path runs
 /// first, so their results agree id for id.
-fn scan_overlay(overlay: &[OverlayRow], query: &RangeQuery, out: &mut Vec<RowId>) -> usize {
+fn scan_overlay(overlay: &[PendingRow], query: &RangeQuery, out: &mut Vec<RowId>) -> usize {
     let mut matched = 0;
     for r in overlay {
         if query.matches(&r.values) {
@@ -565,7 +538,7 @@ impl ReadSnapshot {
 /// [`ReadSnapshot`]'s `range_query_cursor`: one overlay chunk first,
 /// then the epoch's plan-cursor chunks.
 struct SnapshotCursor<'a> {
-    overlay: &'a [OverlayRow],
+    overlay: &'a [PendingRow],
     query: RangeQuery,
     inner: coax_index::RowCursor<'a>,
     overlay_done: bool,
@@ -650,27 +623,6 @@ impl MultidimIndex for ReadSnapshot {
     fn memory_overhead(&self) -> usize {
         self.index.memory_overhead()
     }
-}
-
-/// The logical dataset of an epoch plus its overlay, in id order — ids
-/// are dense (`0..next_id` built/pending, then the overlay's allocation
-/// order), so every row lands at its own id and a successor built over
-/// this dataset preserves all external row ids.
-fn combined_dataset(base: &CoaxIndex, overlay: &[OverlayRow]) -> Dataset {
-    let dims = base.dims();
-    let n = base.next_id as usize + overlay.len();
-    let mut columns = vec![vec![0.0; n]; dims];
-    base.for_each_entry(&mut |id, row| {
-        for (d, col) in columns.iter_mut().enumerate() {
-            col[id as usize] = row[d];
-        }
-    });
-    for r in overlay {
-        for (d, col) in columns.iter_mut().enumerate() {
-            col[r.id as usize] = r.values[d];
-        }
-    }
-    Dataset::new(columns)
 }
 
 #[cfg(test)]

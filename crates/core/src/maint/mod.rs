@@ -14,9 +14,10 @@
 //!   correlation group.
 //! * [`MaintenancePolicy`] + [`Maintainer`] — turn a report into the
 //!   cheapest sufficient [`MaintenanceAction`]: **fold** the buffer into
-//!   fresh structures with every model frozen
-//!   ([`crate::CoaxIndex::rebuild_incremental`]) when the buffer is
-//!   merely long, or **refit** the models from the accumulated evidence
+//!   the existing structures with every model and directory frozen
+//!   ([`crate::CoaxIndex::rebuild_incremental`]: one merge pass per
+//!   partition) when the buffer is merely long, or **refit** the models
+//!   from the accumulated evidence and rebuild both partitions
 //!   ([`crate::CoaxIndex::rebuild`] semantics) when the dependency has
 //!   drifted. The policy travels in [`crate::CoaxConfig::maintenance`].
 //! * [`IndexHandle`] — the epoch swap: readers query a consistent

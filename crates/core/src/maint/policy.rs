@@ -1,12 +1,13 @@
 //! Maintenance decisions: *when* to act and *how much* to pay.
 //!
 //! Two actions exist, with very different costs. **Fold**
-//! ([`crate::CoaxIndex::rebuild_incremental`]) re-packs the partition
-//! structures around the buffered inserts without touching a model —
-//! cheap, and the right answer when the buffer is merely long. **Refit**
-//! ([`crate::CoaxIndex::rebuild`]) refreshes every model from its
-//! posterior and the full residuals, then re-splits every row — expensive,
-//! and the only answer when the dependency itself has moved.
+//! ([`crate::CoaxIndex::rebuild_incremental`]) merges the buffered
+//! inserts into the partition structures in one pass, touching neither a
+//! model nor a directory — cheap, and the right answer when the buffer
+//! is merely long. **Refit** ([`crate::CoaxIndex::rebuild`]) refreshes
+//! every model from its posterior and the full residuals, then re-splits
+//! every row and rebuilds both partitions — expensive, and the only
+//! answer when the dependency itself has moved.
 //! [`MaintenancePolicy`] maps a [`DriftReport`] to one of them;
 //! [`Maintainer`] runs the loop against an [`IndexHandle`].
 

@@ -65,7 +65,7 @@ impl GridFileConfig {
 }
 
 /// A quantile-boundary grid file with contiguous row-store cells.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GridFile {
     dims: usize,
     grid_dims: Vec<usize>,
@@ -118,13 +118,7 @@ impl GridFile {
             strides[i] = strides[i + 1] * k;
         }
 
-        let cell_of = |r: RowId| -> usize {
-            let mut addr = 0;
-            for (i, &d) in config.grid_dims.iter().enumerate() {
-                addr += cell_index(&boundaries[i], dataset.value(r, d)) * strides[i];
-            }
-            addr
-        };
+        let cell_of = cell_of(&config.grid_dims, &boundaries, &strides, dataset);
         let pages = PageStore::build(dataset, n_cells, config.sort_dim, cell_of);
 
         Self {
@@ -133,6 +127,41 @@ impl GridFile {
             boundaries,
             strides,
             cells_per_dim: k,
+            pages,
+        }
+    }
+
+    /// This grid plus `rows`, whose local ids continue from `len()`, with
+    /// the directory frozen: interior quantile boundaries, strides and
+    /// `cells_per_dim` stay as built, so every stored row keeps its cell.
+    ///
+    /// Each gridded attribute's outer boundaries widen to cover the new
+    /// rows. A row beyond the build range is clamped into an edge cell,
+    /// and without the wider edges the data-range early-out in the
+    /// directory probe would skip it. The pages merge in one pass
+    /// ([`PageStore::absorbed`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` has another dimensionality.
+    pub fn absorbed(&self, rows: &Dataset) -> Self {
+        let mut boundaries = self.boundaries.clone();
+        for (b, &d) in boundaries.iter_mut().zip(&self.grid_dims) {
+            if let Some((lo, hi)) = rows.min_max(d) {
+                let k = b.len() - 1;
+                b[0] = b[0].min(lo);
+                b[k] = b[k].max(hi);
+            }
+        }
+        let pages = self
+            .pages
+            .absorbed(rows, cell_of(&self.grid_dims, &boundaries, &self.strides, rows));
+        Self {
+            dims: self.dims,
+            grid_dims: self.grid_dims.clone(),
+            boundaries,
+            strides: self.strides.clone(),
+            cells_per_dim: self.cells_per_dim,
             pages,
         }
     }
@@ -311,10 +340,34 @@ impl MultidimIndex for GridFile {
         self.pages.for_each_entry(f)
     }
 
+    /// One merge pass into a frozen directory (see
+    /// [`GridFile::absorbed`]): COAX's fold path.
+    fn absorbed(&self, rows: &Dataset) -> Option<Box<dyn MultidimIndex>> {
+        Some(Box::new(GridFile::absorbed(self, rows)))
+    }
+
     fn memory_overhead(&self) -> usize {
         let boundary_bytes: usize =
             self.boundaries.iter().map(|b| b.len() * std::mem::size_of::<Value>()).sum();
         boundary_bytes + self.pages.offsets_bytes()
+    }
+}
+
+/// The directory address of each row of `dataset`: one [`cell_index`]
+/// per gridded attribute, weighted by its row-major stride.
+fn cell_of<'a>(
+    grid_dims: &'a [usize],
+    boundaries: &'a [Vec<Value>],
+    strides: &'a [usize],
+    dataset: &'a Dataset,
+) -> impl Fn(RowId) -> usize + 'a {
+    move |r| {
+        grid_dims
+            .iter()
+            .zip(boundaries)
+            .zip(strides)
+            .map(|((&d, b), s)| cell_index(b, dataset.value(r, d)) * s)
+            .sum()
     }
 }
 
@@ -651,6 +704,96 @@ mod tests {
         let grid = GridFile::build(&ds, &GridFileConfig::all_dims(2, 3));
         assert!(grid.is_empty());
         assert!(grid.range_query(&RangeQuery::unbounded(2)).is_empty());
+    }
+
+    /// `base` rows, then `extra` rows from a cube shifted by `offset` on
+    /// every attribute — beyond the build range when `offset` ≥ 1.
+    fn union_with_shifted(base: &Dataset, extra: usize, offset: f64, seed: u64) -> Dataset {
+        let shifted = UniformConfig::cube(base.dims(), extra, seed).generate();
+        Dataset::new(
+            (0..base.dims())
+                .map(|d| {
+                    let mut col = base.column(d).to_vec();
+                    col.extend(shifted.column(d).iter().map(|v| v + offset));
+                    col
+                })
+                .collect(),
+        )
+    }
+
+    fn split(ds: &Dataset, at: usize) -> (Dataset, Dataset) {
+        let rows = |r: std::ops::Range<usize>| r.map(|r| r as RowId).collect::<Vec<_>>();
+        (ds.take_rows(&rows(0..at)), ds.take_rows(&rows(at..ds.len())))
+    }
+
+    #[test]
+    fn absorbed_grid_matches_fullscan_over_the_union() {
+        use coax_data::workload::knn_rectangle_queries;
+        let base = UniformConfig::cube(3, 400, 81).generate();
+        for offset in [0.0, 0.5] {
+            let ds = union_with_shifted(&base, 150, offset, 82);
+            let (prefix, suffix) = split(&ds, base.len());
+            let fs = FullScan::build(&ds);
+            let mut queries = knn_rectangle_queries(&ds, 12, 30, 83);
+            queries.push(RangeQuery::unbounded(3));
+            for config in [
+                GridFileConfig::all_dims(3, 4),
+                GridFileConfig::with_sort(3, 1, 5),
+                GridFileConfig::subset(vec![0], Some(2), 6),
+            ] {
+                let grid = GridFile::build(&prefix, &config).absorbed(&suffix);
+                assert_eq!(grid.len(), ds.len());
+                for q in &queries {
+                    let (mut got, mut want) = (grid.range_query(q), fs.range_query(q));
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{config:?}, offset {offset}, {q:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absorbed_row_beyond_the_build_range_is_found() {
+        let ds = UniformConfig::cube(2, 200, 84).generate();
+        let grid = GridFile::build(&ds, &GridFileConfig::all_dims(2, 4));
+        let far = Dataset::new(vec![vec![5.0], vec![0.5]]);
+        let grown = grid.absorbed(&far);
+        // Attribute 0's outer edge widened to the new row; the interior
+        // boundaries and the directory size did not move.
+        assert_eq!(grown.boundaries[0][4], 5.0);
+        assert_eq!(grown.boundaries[0][1..4], grid.boundaries[0][1..4]);
+        assert_eq!(grown.memory_overhead(), grid.memory_overhead());
+        let mut q = RangeQuery::unbounded(2);
+        q.constrain(0, 4.0, 6.0);
+        assert_eq!(grown.range_query(&q), vec![200]);
+        assert_eq!(grown.range_query(&RangeQuery::point(&[5.0, 0.5])), vec![200]);
+    }
+
+    #[test]
+    fn absorbing_nothing_reproduces_the_grid() {
+        let ds = UniformConfig::cube(3, 300, 85).generate();
+        let none = Dataset::new(vec![vec![]; 3]);
+        for config in [GridFileConfig::all_dims(3, 4), GridFileConfig::with_sort(3, 0, 3)] {
+            let grid = GridFile::build(&ds, &config);
+            assert_eq!(grid.absorbed(&none), grid);
+        }
+    }
+
+    #[test]
+    fn empty_grid_absorbs() {
+        let ds = UniformConfig::cube(2, 300, 86).generate();
+        let empty = Dataset::new(vec![vec![], vec![]]);
+        let fs = FullScan::build(&ds);
+        for config in [GridFileConfig::all_dims(2, 3), GridFileConfig::with_sort(2, 1, 4)] {
+            let grid = GridFile::build(&empty, &config).absorbed(&ds);
+            for q in coax_data::workload::knn_rectangle_queries(&ds, 8, 20, 87) {
+                let (mut got, mut want) = (grid.range_query(&q), fs.range_query(&q));
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{config:?}, {q:?}");
+            }
+        }
     }
 
     #[test]

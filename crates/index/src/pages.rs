@@ -29,7 +29,7 @@ pub(crate) const MAX_CELLS: usize = 1 << 28;
 
 /// Packed rows grouped into `n_cells` contiguous pages, stored as
 /// per-dimension column slabs in a shared packed order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PageStore {
     dims: usize,
     /// `offsets[c]..offsets[c+1]` is the packed-row range of cell `c`.
@@ -106,6 +106,89 @@ impl PageStore {
             .collect();
 
         Self { dims, offsets, ids, cols, sort_dim }
+    }
+
+    /// This store plus `rows`, in one merge pass: row `i` of `rows` takes
+    /// dataset row id `self.len() + i` and lands in cell `cell_of(i)`.
+    ///
+    /// The new rows are counting-sorted by cell and sorted inside each
+    /// cell on the sort attribute. Every old cell run is then copied with
+    /// `extend_from_slice`, and each new row is slotted in at its
+    /// `partition_point` on the sort column, after equal old keys (at the
+    /// end of its cell when there is no sort attribute). Each cell's
+    /// offset shifts by the count of new rows in the cells before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` has another dimensionality, the merged store
+    /// would outgrow the `RowId` space, or `cell_of` returns an
+    /// out-of-range cell.
+    pub fn absorbed(&self, rows: &Dataset, mut cell_of: impl FnMut(RowId) -> usize) -> Self {
+        assert_eq!(rows.dims(), self.dims, "absorbed rows dimensionality mismatch");
+        assert!(
+            self.len() + rows.len() <= RowId::MAX as usize,
+            "absorbed store outgrows the row id space"
+        );
+        let n_cells = self.n_cells();
+
+        // Counting sort of the new rows by cell: afterwards `shift[c]` is
+        // the number of new rows in cells before `c`.
+        let mut shift = vec![0u32; n_cells + 1];
+        let cells: Vec<u32> = rows
+            .row_ids()
+            .map(|r| {
+                let c = cell_of(r);
+                assert!(c < n_cells, "cell_of returned {c} >= {n_cells}");
+                shift[c + 1] += 1;
+                c as u32
+            })
+            .collect();
+        for i in 0..n_cells {
+            shift[i + 1] += shift[i];
+        }
+        let mut order = vec![0 as RowId; rows.len()];
+        let mut cursor = shift.clone();
+        for (r, &c) in cells.iter().enumerate() {
+            order[cursor[c as usize] as usize] = r as RowId;
+            cursor[c as usize] += 1;
+        }
+
+        // For each new row in output order, the old packed slot it goes
+        // in front of.
+        let mut slots = Vec::with_capacity(rows.len());
+        for c in 0..n_cells {
+            let new = &mut order[shift[c] as usize..shift[c + 1] as usize];
+            let (s, e) = self.cell_run(c);
+            match self.sort_dim {
+                Some(sd) => {
+                    let keys = rows.column(sd);
+                    // Stable: new rows with equal keys keep insert order.
+                    new.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+                    let run = &self.cols[sd][..e];
+                    let mut at = s;
+                    for &r in new.iter() {
+                        let key = keys[r as usize];
+                        at += run[at..].partition_point(|v| v.total_cmp(&key).is_le());
+                        slots.push(at);
+                    }
+                }
+                None => slots.extend(std::iter::repeat_n(e, new.len())),
+            }
+        }
+
+        let base = self.ids.len() as RowId;
+        let offsets = self.offsets.iter().zip(&shift).map(|(&o, &s)| o + s).collect();
+        let ids = merge_slots(&self.ids, &slots, &order, |r| base + r);
+        let cols = self
+            .cols
+            .iter()
+            .enumerate()
+            .map(|(d, old)| {
+                let new = rows.column(d);
+                merge_slots(old, &slots, &order, |r| new[r as usize])
+            })
+            .collect();
+        Self { dims: self.dims, offsets, ids, cols, sort_dim: self.sort_dim }
     }
 
     /// Number of cells.
@@ -329,6 +412,26 @@ impl PageStore {
     }
 }
 
+/// `old` with `new(order[i])` slotted in front of old slot `slots[i]`
+/// for every `i` (`slots` ascending): the copy behind
+/// [`PageStore::absorbed`], applied to the id map and each column slab.
+fn merge_slots<T: Copy>(
+    old: &[T],
+    slots: &[usize],
+    order: &[RowId],
+    new: impl Fn(RowId) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(old.len() + slots.len());
+    let mut from = 0;
+    for (&at, &r) in slots.iter().zip(order) {
+        out.extend_from_slice(&old[from..at]);
+        out.push(new(r));
+        from = at;
+    }
+    out.extend_from_slice(&old[from..]);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +591,122 @@ mod tests {
         let sb = ps.scan_cell_narrowed_scalar(0, &q, &q, &mut b);
         assert_eq!(sa, sb);
         assert_eq!(a, b);
+    }
+
+    /// 40 rows, 2 dims: x in [0, 3) picks one of 3 cells, y takes only
+    /// the keys 0..6, so every cell holds runs of equal sort keys.
+    fn keyed() -> Dataset {
+        Dataset::new(vec![
+            (0..40).map(|i| (i * 7 % 30) as f64 / 10.0).collect(),
+            (0..40).map(|i| (i * 5 % 6) as f64).collect(),
+        ])
+    }
+
+    fn range(ds: &Dataset, rows: std::ops::Range<usize>) -> Dataset {
+        ds.take_rows(&rows.map(|r| r as RowId).collect::<Vec<_>>())
+    }
+
+    /// Builds over rows `..split`, then absorbs the rest, cells by floor(x).
+    fn absorb_suffix(ds: &Dataset, split: usize, sort_dim: Option<usize>) -> PageStore {
+        let (prefix, suffix) = (range(ds, 0..split), range(ds, split..ds.len()));
+        PageStore::build(&prefix, 3, sort_dim, |r| prefix.value(r, 0) as usize)
+            .absorbed(&suffix, |r| suffix.value(r, 0) as usize)
+    }
+
+    fn cell_ids(ps: &PageStore, c: usize) -> Vec<RowId> {
+        let (s, e) = ps.cell_run(c);
+        ps.packed_ids()[s..e].to_vec()
+    }
+
+    #[test]
+    fn absorbed_runs_stay_sorted_with_old_rows_first() {
+        let ds = keyed();
+        let split = 24;
+        let merged = absorb_suffix(&ds, split, Some(1));
+        let fresh = PageStore::build(&ds, 3, Some(1), |r| ds.value(r, 0) as usize);
+        assert_eq!(merged.len(), ds.len());
+        assert_eq!(merged.cell_lengths(), fresh.cell_lengths());
+        for c in 0..3 {
+            let ids = cell_ids(&merged, c);
+            let mut want = cell_ids(&fresh, c);
+            let mut got = ids.clone();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "cell {c} holds the union's rows");
+            for (id, row) in cell_entries(&merged, c) {
+                assert_eq!(row, ds.row(id), "row {id} carried its values");
+            }
+            // Sorted on y; among equal keys, old rows first, then new
+            // rows in insert order.
+            for w in ids.windows(2) {
+                let (a, b) = (ds.value(w[0], 1), ds.value(w[1], 1));
+                assert!(a <= b, "cell {c} run unsorted: {a} before {b}");
+                if a == b && w[1] < split as RowId {
+                    assert!(w[0] < split as RowId, "new row {} before old row {}", w[0], w[1]);
+                }
+                if a == b && w[0] >= split as RowId {
+                    assert!(w[0] < w[1], "new rows {} and {} out of insert order", w[0], w[1]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absorbed_rows_append_to_unsorted_cells() {
+        let ds = keyed();
+        let split = 24;
+        let merged = absorb_suffix(&ds, split, None);
+        let base = range(&ds, 0..split);
+        let built = PageStore::build(&base, 3, None, |r| base.value(r, 0) as usize);
+        for c in 0..3 {
+            let ids = cell_ids(&merged, c);
+            let old = cell_ids(&built, c);
+            assert_eq!(&ids[..old.len()], &old[..], "cell {c} keeps its old run first");
+            let new = &ids[old.len()..];
+            assert!(new.iter().all(|&id| id >= split as RowId));
+            assert!(new.windows(2).all(|w| w[0] < w[1]), "cell {c}: insert order");
+        }
+    }
+
+    #[test]
+    fn absorbed_scans_find_every_match() {
+        let ds = keyed();
+        let merged = absorb_suffix(&ds, 17, Some(1));
+        let mut q = RangeQuery::unbounded(2);
+        q.constrain(1, 2.0, 3.0);
+        let mut got = Vec::new();
+        for c in 0..3 {
+            merged.scan_cell(c, &q, &mut got);
+        }
+        got.sort_unstable();
+        let want: Vec<RowId> = ds.row_ids().filter(|&r| q.matches(&ds.row(r))).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn absorbing_nothing_reproduces_the_store() {
+        let ds = keyed();
+        let none = Dataset::new(vec![vec![], vec![]]);
+        for sort_dim in [None, Some(1)] {
+            let ps = PageStore::build(&ds, 3, sort_dim, |r| ds.value(r, 0) as usize);
+            assert_eq!(ps.absorbed(&none, |_| unreachable!()), ps);
+        }
+    }
+
+    #[test]
+    fn empty_store_absorbs() {
+        let ds = keyed();
+        let merged = absorb_suffix(&ds, 0, Some(1));
+        let fresh = PageStore::build(&ds, 3, Some(1), |r| ds.value(r, 0) as usize);
+        assert_eq!(merged.cell_lengths(), fresh.cell_lengths());
+        for c in 0..3 {
+            let (mut got, mut want) = (cell_ids(&merged, c), cell_ids(&fresh, c));
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "cell {c}");
+        }
+        // Both sorted on y: the sort column is identical cell for cell.
+        assert_eq!(merged.columns()[1], fresh.columns()[1]);
     }
 
     #[test]

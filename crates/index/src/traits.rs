@@ -1,6 +1,6 @@
 //! The common index interface and scan accounting.
 
-use coax_data::{RangeQuery, RowId, Value};
+use coax_data::{Dataset, RangeQuery, RowId, Value};
 
 /// Counters describing the work one query performed.
 ///
@@ -599,6 +599,19 @@ pub trait MultidimIndex: std::fmt::Debug + Send + Sync {
     /// logical dataset from its primary and outlier backends through this
     /// method when rebuilding, whichever structures back them.
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value]));
+
+    /// This index plus `rows`, as a new index: row `i` of `rows` takes
+    /// local id `self.len() + i`, and every stored row keeps its own.
+    ///
+    /// `None`, the default, means the backend has no path cheaper than a
+    /// rebuild; the caller then rebuilds over
+    /// [`MultidimIndex::for_each_entry`] plus `rows`. [`crate::GridFile`]
+    /// merges the rows into its frozen directory in one pass. COAX's fold
+    /// calls this for each partition so that folding buffered inserts
+    /// does not re-pack the stored rows.
+    fn absorbed(&self, _rows: &Dataset) -> Option<Box<dyn MultidimIndex>> {
+        None
+    }
 
     /// Bytes of *directory* overhead: everything the structure adds on top
     /// of the stored rows (boundary tables, cell offsets, tree nodes).

@@ -259,3 +259,72 @@ fn for_each_entry_round_trips_every_row() {
         }
     }
 }
+
+/// A random dataset followed by up to 120 rows drawn from a range three
+/// times as wide, so an absorbed suffix often lies beyond the build
+/// range; also returns the length of the random part.
+fn grown_dataset(rng: &mut StdRng) -> (Dataset, usize) {
+    let base = random_dataset(rng);
+    let extra = rng.gen_range(0usize..=120);
+    let columns = (0..base.dims())
+        .map(|d| {
+            let mut col = base.column(d).to_vec();
+            col.extend((0..extra).map(|_| rng.gen_range(-75i32..75) as f64 / 2.0));
+            col
+        })
+        .collect();
+    (Dataset::new(columns), base.len())
+}
+
+/// A grid built over a prefix and handed the rest through
+/// `MultidimIndex::absorbed` — in one piece or two — answers every query
+/// exactly like `FullScan` over the union, and yields every row once at
+/// its union id, with and without a sorted attribute.
+#[test]
+fn absorbed_grids_match_full_scan() {
+    let mut rng = StdRng::seed_from_u64(0xE0_07);
+    for round in 0..ROUNDS {
+        let (ds, built) = grown_dataset(&mut rng);
+        let dims = ds.dims();
+        let mid = rng.gen_range(built..=ds.len());
+        let rows = |r: std::ops::Range<usize>| {
+            ds.take_rows(&r.map(|i| i as RowId).collect::<Vec<_>>())
+        };
+        let (prefix, first, second) = (rows(0..built), rows(built..mid), rows(mid..ds.len()));
+        let fs = FullScan::build(&ds);
+        let queries: Vec<RangeQuery> = (0..6).map(|_| random_query(&mut rng, dims)).collect();
+        let cells = rng.gen_range(1usize..6);
+        let mut specs = vec![BackendSpec::GridFile { cells_per_dim: cells, sort_dim: None }];
+        if dims > 1 {
+            specs
+                .push(BackendSpec::GridFile { cells_per_dim: cells, sort_dim: Some(dims - 1) });
+        }
+        for spec in specs {
+            let grid = spec.build(&prefix);
+            let once = grid.absorbed(&rows(built..ds.len())).expect("a grid file absorbs");
+            let twice = grid
+                .absorbed(&first)
+                .and_then(|g| g.absorbed(&second))
+                .expect("a grid file absorbs");
+            for (label, index) in [("once", &once), ("twice", &twice)] {
+                assert_eq!(index.len(), ds.len(), "round {round}: {spec:?} {label}");
+                for q in &queries {
+                    assert_eq!(
+                        sorted(index.range_query(q)),
+                        sorted(fs.range_query(q)),
+                        "round {round}: {spec:?} absorbed {label} diverged on {q:?}"
+                    );
+                }
+                let mut seen = vec![false; ds.len()];
+                index.for_each_entry(&mut |id, row| {
+                    assert_eq!(row, ds.row(id).as_slice(), "round {round}: entry {id}");
+                    assert!(
+                        !std::mem::replace(&mut seen[id as usize], true),
+                        "entry {id} twice"
+                    );
+                });
+                assert!(seen.iter().all(|&s| s), "round {round}: {spec:?} {label} lost a row");
+            }
+        }
+    }
+}

@@ -2,7 +2,7 @@
 //! workspace.
 //!
 //! COAX's correctness rests on contracts the compiler cannot check: the
-//! scan kernel's bit-identity promise, the local-id remap contract, the
+//! scan kernel's bit-identity promise, the backends' id contract, the
 //! epoch-swap/snapshot discipline, lock ordering and guard scopes in the
 //! maintenance and shard layers, seeded-deterministic test suites. This
 //! crate machine-checks the source-level shadows of those contracts on

@@ -22,7 +22,7 @@
 //! named: `self.field` through the enclosing impl, struct fields that
 //! are unique workspace-wide, local `Mutex::new`/`RwLock::new` bindings,
 //! and the guard-returning helper functions (`read_guard`,
-//! `table_write`, …, detected by their return type). A receiver the
+//! `write_guard`, …, detected by their return type). A receiver the
 //! model cannot resolve never becomes a lock identity, so every
 //! reported cycle is backed by two concrete acquisition chains; the
 //! call graph is propagated exactly one level, and only through calls
@@ -524,7 +524,7 @@ fn is_call_keyword(name: &str) -> bool {
 }
 
 /// Walks a method receiver backwards from its `.` token, returning the
-/// dotted path (`self.core.tables[s].lock()` → `[self, core, tables]`).
+/// dotted path (`self.core.locks[s].lock()` → `[self, core, locks]`).
 /// Index projections are skipped; any other shape (call results, parens)
 /// is unresolvable and returns an empty path.
 fn walk_receiver(toks: &[Tok], dot: usize) -> Vec<String> {
@@ -570,7 +570,7 @@ fn walk_receiver(toks: &[Tok], dot: usize) -> Vec<String> {
 }
 
 /// Parses the first argument of a helper call as a dotted path
-/// (`table_read(&self.core.tables[s])` → `[self, core, tables]`).
+/// (`read_guard(&self.core.locks[s])` → `[self, core, locks]`).
 fn first_arg_path(toks: &[Tok], open: usize, close: usize) -> Option<Vec<String>> {
     let mut i = open + 1;
     while i < close && (toks[i].is_punct('&') || toks[i].is_ident("mut")) {

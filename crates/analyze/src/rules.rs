@@ -221,8 +221,7 @@ fn kernel_encapsulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         return;
     }
     const BANNED_CALLS: &[&str] = &["columns", "packed_ids"];
-    const BANNED_IDENTS: &[&str] =
-        &["tile_mask", "select_tile", "scan_columnar", "scan_columnar_identity"];
+    const BANNED_IDENTS: &[&str] = &["tile_mask", "select_tile", "scan_columnar"];
     let toks = ctx.toks;
     for i in 0..toks.len() {
         if ctx.class_at(toks[i].line) == FileClass::Test {

@@ -31,7 +31,7 @@ use coax_bench::harness::{
     fmt_ms, json_mode, maybe_write_csv, print_table, JsonReport, JsonValue, ReportRow,
 };
 use coax_data::synth::{Generator, UniformConfig};
-use coax_data::RangeQuery;
+use coax_data::{RangeQuery, RowId};
 use coax_index::pages::PageStore;
 use coax_index::{kernel, GridFile, GridFileConfig, MultidimIndex};
 use std::time::Instant;
@@ -83,7 +83,8 @@ fn main() {
         let dataset = UniformConfig::cube(dims, rows, 0x5ca0 + dims as u64).generate();
 
         // ---- Section 1: the pure kernel over one whole-dataset cell.
-        let ps = PageStore::build(&dataset, 1, None, |_| 0);
+        let ids: Vec<RowId> = dataset.row_ids().collect();
+        let ps = PageStore::build(&dataset, &ids, 1, None, |_| 0);
         let section = format!("cell-scan dims={dims}");
         let constrained = dims.min(2);
         let mut table = Vec::new();

@@ -12,7 +12,7 @@
 //! match and every buffered row is scanned exactly once, wherever it
 //! lives. At one shard the **entire** result is bit-identical — ids, id
 //! order, and the full [`ScanStats`] — because a single-shard service is
-//! the unsharded layout behind an identity id table. And across the
+//! the unsharded layout over the same ids. And across the
 //! sharded service's own surfaces (handle vs snapshot vs batch vs
 //! stream vs cursor, sequential or parallel fan-out) everything is
 //! bit-identical: ids, order, stats.
@@ -115,8 +115,8 @@ fn assert_sharded_matches_single(
             "{label}: scanned_pending on {q:?}"
         );
         if one_shard {
-            // A single-shard service is the unsharded layout behind an
-            // identity id table: everything is bit-identical.
+            // A single-shard service is the unsharded layout over the
+            // same ids: everything is bit-identical.
             assert_eq!(ids, expect_ids, "{label}: one-shard id order on {q:?}");
             assert_eq!(stats, expect, "{label}: one-shard stats on {q:?}");
         }

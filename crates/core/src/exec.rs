@@ -11,8 +11,9 @@
 //!    filtering rows against the original query;
 //! 3. **probe the outlier** index with the original query (margins mean
 //!    nothing to outliers);
-//! 4. **merge**: map local row ids back to dataset ids, linearly scan the
-//!    pending-insert buffer, and sum the per-part counters.
+//! 4. **merge**: linearly scan the pending-insert buffer and sum the
+//!    per-part counters. Both partitions store and emit the rows' own
+//!    ids, so results concatenate with no id translation.
 //!
 //! Keeping this sequence in one place is what lets
 //! [`CoaxIndex`] be *just another backend* behind
@@ -122,37 +123,14 @@ impl QueryPlan {
     }
 }
 
-/// Remaps backend-local row ids (the trait contract: ids in
-/// `0..index.len()`) to dataset row ids through `table`.
-///
-/// The debug assertion pins the [`MultidimIndex`] id contract at the one
-/// place a violation would otherwise corrupt results silently: a custom
-/// backend emitting anything but local ids either trips this assert
-/// (debug builds) or panics on the table lookup (release) — it can never
-/// alias another partition's rows.
-///
-/// [`MultidimIndex`]: coax_index::MultidimIndex
-pub(crate) fn remap_local_ids(ids: &mut [RowId], table: &[RowId], backend: &str) {
-    for id in ids {
-        debug_assert!(
-            (*id as usize) < table.len(),
-            "backend '{backend}' emitted out-of-range local row id {id} (partition holds {} \
-             rows) — MultidimIndex implementations must emit local ids in 0..len()",
-            table.len(),
-        );
-        *id = table[*id as usize];
-    }
-}
-
 /// Step 2: probes the primary backend with every navigation rectangle
 /// (trait-level filtered probe: navigate with `nav`, accept against the
-/// original filter) and maps local ids back to dataset row ids.
+/// original filter).
 pub(crate) fn probe_primary(
     index: &CoaxIndex,
     plan: &QueryPlan,
     out: &mut Vec<RowId>,
 ) -> ScanStats {
-    let from = out.len();
     let mut stats = ScanStats::default();
     for nav in &plan.navs {
         if nav.is_empty() {
@@ -160,20 +138,6 @@ pub(crate) fn probe_primary(
         }
         stats = stats.merge(index.primary.range_query_filtered(nav, &plan.filter, out));
     }
-    remap_local_ids(&mut out[from..], &index.primary_ids, index.primary.name());
-    stats
-}
-
-/// Step 3: probes the outlier backend with the original query and maps
-/// local ids back to dataset row ids.
-pub(crate) fn probe_outliers(
-    index: &CoaxIndex,
-    filter: &RangeQuery,
-    out: &mut Vec<RowId>,
-) -> ScanStats {
-    let from = out.len();
-    let stats = index.outliers.range_query_stats(filter, out);
-    remap_local_ids(&mut out[from..], &index.outlier_ids, index.outliers.name());
     stats
 }
 
@@ -208,7 +172,7 @@ pub(crate) fn execute(
     let mut stats =
         CoaxQueryStats { primary: probe_primary(index, plan, out), ..Default::default() };
     span.phase(QueryPhase::PrimaryProbe);
-    stats.outliers = probe_outliers(index, plan.filter(), out);
+    stats.outliers = index.outliers.range_query_stats(plan.filter(), out);
     span.phase(QueryPhase::OutlierProbe);
     let (examined, matched) = scan_pending(index, plan.filter(), out);
     span.phase(QueryPhase::PendingScan);
@@ -232,8 +196,8 @@ pub(crate) fn execute_query(
 }
 
 /// Streaming counterpart of [`execute`]: a [`RowCursor`] that chains the
-/// primary probe (one sub-cursor per navigation rectangle, local ids
-/// remapped chunk by chunk), the outlier probe, and the pending-buffer
+/// primary probe (one sub-cursor per navigation rectangle), the outlier
+/// probe, and the pending-buffer
 /// scan — in exactly the order [`execute`] appends them, with the same
 /// counters, so collecting the cursor reproduces the materialized call
 /// bit for bit. First results leave as soon as the primary backend's own
@@ -267,30 +231,25 @@ struct PlanCursor<'a> {
     stage: PlanStage<'a>,
 }
 
-impl PlanCursor<'_> {
-    /// Pulls one chunk from `cursor`, remaps its local ids through
-    /// `table`, and merges the chunk's counter delta. `false` when the
-    /// sub-cursor is exhausted.
-    fn forward_chunk(
-        cursor: &mut RowCursor<'_>,
-        table: &[RowId],
-        backend: &str,
-        out: &mut Vec<RowId>,
-        stats: &mut ScanStats,
-    ) -> bool {
-        let before = cursor.stats();
-        let from = out.len();
-        let Some(chunk) = cursor.next_chunk() else {
-            // Exhaustion may still have folded trailing empty-chunk
-            // counters (visited cells with no match) into the cursor.
-            *stats = stats.merge(cursor.stats().since(before));
-            return false;
-        };
-        out.extend_from_slice(chunk);
-        remap_local_ids(&mut out[from..], table, backend);
-        *stats = stats.merge(cursor.stats().since(before));
-        true
-    }
+/// Pulls one chunk from `cursor` into `out` and merges the chunk's
+/// counter delta. `false` when the sub-cursor is exhausted.
+pub(crate) fn forward_chunk(
+    cursor: &mut RowCursor<'_>,
+    out: &mut Vec<RowId>,
+    stats: &mut ScanStats,
+) -> bool {
+    let before = cursor.stats();
+    let produced = match cursor.next_chunk() {
+        Some(chunk) => {
+            out.extend_from_slice(chunk);
+            true
+        }
+        // Exhaustion may still have folded trailing empty-chunk counters
+        // (visited cells with no match) into the cursor.
+        None => false,
+    };
+    *stats = stats.merge(cursor.stats().since(before));
+    produced
 }
 
 impl CursorSource for PlanCursor<'_> {
@@ -299,13 +258,7 @@ impl CursorSource for PlanCursor<'_> {
             match &mut self.stage {
                 PlanStage::Primary { nav_idx, cursor } => {
                     if let Some(cur) = cursor {
-                        if PlanCursor::forward_chunk(
-                            cur,
-                            &self.index.primary_ids,
-                            self.index.primary.name(),
-                            out,
-                            stats,
-                        ) {
+                        if forward_chunk(cur, out, stats) {
                             return true;
                         }
                         *cursor = None;
@@ -332,13 +285,7 @@ impl CursorSource for PlanCursor<'_> {
                     let cur = cursor.get_or_insert_with(|| {
                         self.index.outliers.range_query_cursor(self.plan.filter())
                     });
-                    if PlanCursor::forward_chunk(
-                        cur,
-                        &self.index.outlier_ids,
-                        self.index.outliers.name(),
-                        out,
-                        stats,
-                    ) {
+                    if forward_chunk(cur, out, stats) {
                         return true;
                     }
                     self.stage = PlanStage::Pending;
@@ -758,73 +705,5 @@ impl Iterator for BatchStream {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, Some(self.remaining))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::index::CoaxConfig;
-    use coax_data::synth::{Generator, PlantedConfig, PlantedDependent, PlantedGroup};
-    use coax_data::Value;
-    use coax_index::MultidimIndex;
-
-    /// A backend that violates the `MultidimIndex` id contract by
-    /// emitting a row id far beyond `0..len()`.
-    #[derive(Debug)]
-    struct RogueBackend {
-        dims: usize,
-    }
-
-    impl MultidimIndex for RogueBackend {
-        fn name(&self) -> &str {
-            "rogue"
-        }
-        fn dims(&self) -> usize {
-            self.dims
-        }
-        fn len(&self) -> usize {
-            1
-        }
-        fn range_query_stats(&self, _query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-            // Out of contract: not a local id of this one-row "index".
-            out.push(1_000_000);
-            ScanStats { cells_visited: 1, rows_examined: 1, matches: 1, ..Default::default() }
-        }
-        fn for_each_entry(&self, _f: &mut dyn FnMut(RowId, &[Value])) {}
-        fn memory_overhead(&self) -> usize {
-            0
-        }
-    }
-
-    // Debug builds only: the contract message comes from a debug_assert;
-    // in release the same violation still panics, but on the id-table
-    // bound check with the stock out-of-bounds message.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "out-of-range local row id")]
-    fn out_of_contract_backend_ids_are_caught() {
-        let ds = PlantedConfig {
-            rows: 2000,
-            groups: vec![PlantedGroup {
-                x_range: (0.0, 1000.0),
-                dependents: vec![PlantedDependent {
-                    slope: 2.0,
-                    intercept: 25.0,
-                    noise_sigma: 4.0,
-                }],
-                outlier_fraction: 0.08,
-                outlier_offset_sigmas: 25.0,
-            }],
-            independent: vec![(0.0, 100.0)],
-            seed: 77,
-        }
-        .generate();
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        // Swap in a backend that breaks the local-id contract; the exec
-        // layer must refuse to remap its garbage into another partition's
-        // row ids.
-        index.outliers = Box::new(RogueBackend { dims: ds.dims() });
-        index.range_query(&RangeQuery::unbounded(ds.dims()));
     }
 }

@@ -130,8 +130,8 @@ pub enum PrimaryBackend {
 
 impl PrimaryBackend {
     /// Builds the primary index over the primary partition `primary_ds`
-    /// (a full-dimensionality dataset of the in-margin rows), boxed
-    /// behind the trait.
+    /// (a full-dimensionality dataset of the in-margin rows, row `i`
+    /// stored under id `ids[i]`), boxed behind the trait.
     ///
     /// `grid_dims`/`sort_dim`/`cells_per_dim` describe the paper's
     /// reduced-dimensionality layout and are only consumed by the
@@ -140,20 +140,25 @@ impl PrimaryBackend {
     pub fn build(
         &self,
         primary_ds: &Dataset,
+        ids: &[RowId],
         grid_dims: Vec<usize>,
         sort_dim: Option<usize>,
         cells_per_dim: usize,
     ) -> Box<dyn MultidimIndex> {
         match self {
-            PrimaryBackend::GridFile => Box::new(GridFile::build(
+            PrimaryBackend::GridFile => Box::new(GridFile::build_with_ids(
                 primary_ds,
+                ids,
                 &GridFileConfig::subset(grid_dims, sort_dim, cells_per_dim),
             )),
             PrimaryBackend::RTree { capacity } => {
-                BackendSpec::RTree { capacity: *capacity }.build(primary_ds)
+                BackendSpec::RTree { capacity: *capacity }.build_with_ids(primary_ds, ids)
             }
-            PrimaryBackend::Custom(spec) => spec.build(primary_ds),
-            PrimaryBackend::Coax(config) => Box::new(CoaxIndex::build(primary_ds, config)),
+            PrimaryBackend::Custom(spec) => spec.build_with_ids(primary_ds, ids),
+            PrimaryBackend::Coax(config) => {
+                let discovery = discover(primary_ds, &config.discovery, config.seed);
+                Box::new(CoaxIndex::build_with_ids(primary_ds, ids, discovery, config))
+            }
         }
     }
 
@@ -303,6 +308,8 @@ pub enum InsertError {
     },
     /// The row contains NaN or an infinity.
     NonFinite,
+    /// Every [`RowId`] has been handed out: the next id would not fit.
+    IdsExhausted,
 }
 
 impl std::fmt::Display for InsertError {
@@ -312,11 +319,33 @@ impl std::fmt::Display for InsertError {
                 write!(f, "row has {got} values, index has {expected} dimensions")
             }
             InsertError::NonFinite => write!(f, "row contains a non-finite value"),
+            InsertError::IdsExhausted => write!(f, "every row id has been handed out"),
         }
     }
 }
 
 impl std::error::Error for InsertError {}
+
+/// The checks every insert path runs before it allocates an id: the row
+/// has `dims` values, all finite.
+pub(crate) fn check_row(dims: usize, row: &[Value]) -> Result<(), InsertError> {
+    if row.len() != dims {
+        return Err(InsertError::WrongArity { expected: dims, got: row.len() });
+    }
+    if row.iter().any(|v| !v.is_finite()) {
+        return Err(InsertError::NonFinite);
+    }
+    Ok(())
+}
+
+/// Hands out `*next` as a row id and advances the counter, or refuses
+/// with [`InsertError::IdsExhausted`] once it no longer fits a [`RowId`]
+/// (the counter then stays put).
+pub(crate) fn take_id(next: &mut u64) -> Result<RowId, InsertError> {
+    let id = RowId::try_from(*next).map_err(|_| InsertError::IdsExhausted)?;
+    *next += 1;
+    Ok(id)
+}
 
 /// The correlation-aware index: learned soft-FD primary + outlier index.
 ///
@@ -333,14 +362,11 @@ pub struct CoaxIndex {
     pub(crate) config: CoaxConfig,
     pub(crate) discovery: Discovery,
     /// The primary (in-margin) partition behind its configured backend —
-    /// by default the paper's reduced-dimensionality grid file.
+    /// by default the paper's reduced-dimensionality grid file. Like the
+    /// outlier partition, it stores and emits the rows' own ids.
     pub(crate) primary: Box<dyn MultidimIndex>,
-    /// Local row id (inside `primary`) → original row id.
-    pub(crate) primary_ids: Vec<RowId>,
     /// The outlier partition behind its configured backend.
     pub(crate) outliers: Box<dyn MultidimIndex>,
-    /// Local row id (inside `outliers`) → original row id.
-    pub(crate) outlier_ids: Vec<RowId>,
     /// Sorted attribute of the primary index.
     sort_dim: Option<usize>,
     /// One posterior accumulator per *linear* model (in discovery model
@@ -349,7 +375,9 @@ pub struct CoaxIndex {
     pub(crate) posteriors: Vec<Option<BayesianLinReg>>,
     /// Buffered inserts, scanned linearly at query time.
     pub(crate) pending: Vec<PendingRow>,
-    pub(crate) next_id: RowId,
+    /// One past the largest id this index holds or has handed out: the
+    /// id [`CoaxIndex::insert`] allocates next.
+    pub(crate) next_id: u64,
     /// Observability recorder (no-op when `config.obs` is disabled).
     /// Rebuilt with the index; the underlying metric cells are
     /// process-wide, so counters survive fold/refit cycles.
@@ -368,6 +396,19 @@ impl CoaxIndex {
     /// studies, hand-specified dependencies, rebuilds).
     pub fn build_with_discovery(
         dataset: &Dataset,
+        discovery: Discovery,
+        config: &CoaxConfig,
+    ) -> Self {
+        Self::build_with_ids(dataset, &dataset.row_ids().collect::<Vec<_>>(), discovery, config)
+    }
+
+    /// [`CoaxIndex::build_with_discovery`] over rows that carry ids: row
+    /// `i` of `dataset` is `ids[i]`, the id both partitions store and
+    /// every query emits. Shards are built over their members' global
+    /// ids this way, and refits over the ids they gathered.
+    pub(crate) fn build_with_ids(
+        dataset: &Dataset,
+        ids: &[RowId],
         discovery: Discovery,
         config: &CoaxConfig,
     ) -> Self {
@@ -396,22 +437,27 @@ impl CoaxIndex {
             .collect();
 
         let sort_dim = resolve_sort_dim(config.sort_dim, &discovery, &discovery.indexed_dims());
-        let primary =
-            build_primary(config, &discovery, sort_dim, &dataset.take_rows(&primary_rows));
+        let part_ids =
+            |rows: &[RowId]| -> Vec<RowId> { rows.iter().map(|&r| ids[r as usize]).collect() };
+        let primary = build_primary(
+            config,
+            &discovery,
+            sort_dim,
+            &dataset.take_rows(&primary_rows),
+            &part_ids(&primary_rows),
+        );
         let outliers = outlier_spec(config, outlier_rows.len(), dims, sort_dim)
-            .build(&dataset.take_rows(&outlier_rows));
+            .build_with_ids(&dataset.take_rows(&outlier_rows), &part_ids(&outlier_rows));
         Self {
             dims,
             config: config.clone(),
             discovery,
             primary,
-            primary_ids: primary_rows,
             outliers,
-            outlier_ids: outlier_rows,
             sort_dim,
             posteriors,
             pending: Vec::new(),
-            next_id: dataset.len() as RowId,
+            next_id: ids.iter().max().map_or(0, |&id| u64::from(id) + 1),
             obs: Obs::new(&config.obs),
         }
     }
@@ -438,12 +484,12 @@ impl CoaxIndex {
 
     /// Rows in the primary partition.
     pub fn primary_len(&self) -> usize {
-        self.primary_ids.len()
+        self.primary.len()
     }
 
     /// Rows in the outlier partition.
     pub fn outlier_len(&self) -> usize {
-        self.outlier_ids.len()
+        self.outliers.len()
     }
 
     /// Buffered inserts not yet folded into the grids.
@@ -461,11 +507,11 @@ impl CoaxIndex {
     /// Fraction of built rows in the primary partition (Table 1's
     /// "Primary Index Ratio"). Pending inserts are excluded.
     pub fn primary_ratio(&self) -> f64 {
-        let built = self.primary_ids.len() + self.outlier_ids.len();
+        let built = self.primary_len() + self.outlier_len();
         if built == 0 {
             return 1.0;
         }
-        self.primary_ids.len() as f64 / built as f64
+        self.primary_len() as f64 / built as f64
     }
 
     /// Directory overhead of the primary index alone (Fig. 8's
@@ -600,16 +646,13 @@ impl CoaxIndex {
         query: &RangeQuery,
         out: &mut Vec<RowId>,
     ) -> ScanStats {
-        let from = out.len();
-        let stats = self.primary.range_query_filtered(query, query, out);
-        exec::remap_local_ids(&mut out[from..], &self.primary_ids, self.primary.name());
-        stats
+        self.primary.range_query_filtered(query, query, out)
     }
 
     /// Queries only the outlier index (original, untranslated query — the
     /// margins mean nothing to outliers).
     pub fn query_outliers(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        exec::probe_outliers(self, query, out)
+        self.outliers.range_query_stats(query, out)
     }
 
     /// Full query: primary + outliers + pending buffer, with per-part
@@ -626,12 +669,8 @@ impl CoaxIndex {
     /// scanned linearly until [`CoaxIndex::rebuild`] folds it in; the
     /// returned id identifies it in query results.
     pub fn insert(&mut self, row: &[Value]) -> Result<RowId, InsertError> {
-        if row.len() != self.dims {
-            return Err(InsertError::WrongArity { expected: self.dims, got: row.len() });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(InsertError::NonFinite);
-        }
+        check_row(self.dims, row)?;
+        let id = take_id(&mut self.next_id)?;
         let models: Vec<&FdModel> = self.discovery.all_models().collect();
         let in_margins =
             models.iter().all(|m| m.contains(row[m.predictor()], row[m.dependent()]));
@@ -642,8 +681,6 @@ impl CoaxIndex {
                 }
             }
         }
-        let id = self.next_id;
-        self.next_id += 1;
         self.pending.push(PendingRow { id, values: row.to_vec(), in_margins });
         Ok(id)
     }
@@ -669,14 +706,15 @@ impl CoaxIndex {
     /// The one refit behind [`CoaxIndex::rebuild`] and the
     /// [`crate::maint`] handle's: every model refreshed from
     /// `posteriors` and the residuals of all rows (this index's plus
-    /// `overlay`'s), then a fresh build over that logical dataset — every
-    /// row re-split, both partitions and their directories built anew.
+    /// `overlay`'s, gathered once in entry order with their ids), then a
+    /// fresh build over those rows under the same ids — every row
+    /// re-split, both partitions and their directories built anew.
     pub(crate) fn refit(
         &self,
         overlay: &[PendingRow],
         posteriors: &[Option<BayesianLinReg>],
     ) -> CoaxIndex {
-        let dataset = self.to_dataset(overlay);
+        let (dataset, ids) = gather(self, overlay.iter());
         let epsilon = self.config.discovery.learn.epsilon;
         let groups = self
             .discovery
@@ -685,7 +723,7 @@ impl CoaxIndex {
             .map(|g| refresh_group(g, &self.discovery, posteriors, &dataset, epsilon))
             .collect();
         let discovery = Discovery { groups, dims: self.dims };
-        CoaxIndex::build_with_discovery(&dataset, discovery, &self.config)
+        CoaxIndex::build_with_ids(&dataset, &ids, discovery, &self.config)
     }
 
     /// Folds the pending buffer into the partition structures **without
@@ -714,10 +752,10 @@ impl CoaxIndex {
 
     /// The one fold behind [`CoaxIndex::rebuild_incremental`] and the
     /// [`crate::maint`] handle's: this index's pending buffer plus
-    /// `overlay` (buffered rows whose ids continue from `next_id`), split
-    /// by their insert-time margin verdicts, each share absorbed by its
-    /// partition. The successor carries `posteriors` as its write-side
-    /// evidence.
+    /// `overlay` (buffered rows, ids ascending), split by their
+    /// insert-time margin verdicts, each share absorbed by its partition
+    /// under its own ids. The successor carries `posteriors` as its
+    /// write-side evidence.
     pub(crate) fn fold(
         &self,
         overlay: &[PendingRow],
@@ -725,43 +763,32 @@ impl CoaxIndex {
     ) -> CoaxIndex {
         let (primary_rows, outlier_rows): (Vec<&PendingRow>, Vec<&PendingRow>) =
             self.pending.iter().chain(overlay).partition(|r| r.in_margins);
-        let primary = absorb_or_rebuild(self.primary.as_ref(), &primary_rows, false, |ds| {
-            build_primary(&self.config, &self.discovery, self.sort_dim, ds)
-        });
-        let old_len = self.outlier_ids.len();
+        let primary =
+            absorb_or_rebuild(self.primary.as_ref(), &primary_rows, false, |ds, ids| {
+                build_primary(&self.config, &self.discovery, self.sort_dim, ds, ids)
+            });
+        let old_len = self.outliers.len();
         let spec =
             outlier_spec(&self.config, old_len + outlier_rows.len(), self.dims, self.sort_dim);
         let stepped = spec != outlier_spec(&self.config, old_len, self.dims, self.sort_dim);
         let outliers =
-            absorb_or_rebuild(self.outliers.as_ref(), &outlier_rows, stepped, |ds| {
-                spec.build(ds)
+            absorb_or_rebuild(self.outliers.as_ref(), &outlier_rows, stepped, |ds, ids| {
+                spec.build_with_ids(ds, ids)
             });
-        let appended = |ids: &[RowId], rows: &[&PendingRow]| -> Vec<RowId> {
-            ids.iter().copied().chain(rows.iter().map(|r| r.id)).collect()
-        };
         CoaxIndex {
             dims: self.dims,
             config: self.config.clone(),
             discovery: self.discovery.clone(),
             primary,
-            primary_ids: appended(&self.primary_ids, &primary_rows),
             outliers,
-            outlier_ids: appended(&self.outlier_ids, &outlier_rows),
             sort_dim: self.sort_dim,
             posteriors,
             pending: Vec::new(),
-            next_id: self.next_id + overlay.len() as RowId,
+            next_id: overlay
+                .last()
+                .map_or(self.next_id, |r| self.next_id.max(u64::from(r.id) + 1)),
             obs: self.obs.clone(),
         }
-    }
-
-    /// The full logical dataset a refit starts from: built and pending
-    /// rows, then `overlay` (rows whose ids continue from `next_id`),
-    /// each at its own id — through the trait's entry iteration, so it
-    /// works for any primary/outlier backend combination.
-    pub(crate) fn to_dataset(&self, overlay: &[PendingRow]) -> Dataset {
-        let overlay = overlay.iter().map(|r| (r.id, r.values.as_slice()));
-        entries_dataset(self, self.next_id as usize + overlay.len(), overlay)
     }
 }
 
@@ -775,7 +802,7 @@ impl MultidimIndex for CoaxIndex {
     }
 
     fn len(&self) -> usize {
-        self.primary_ids.len() + self.outlier_ids.len() + self.pending.len()
+        self.primary.len() + self.outliers.len() + self.pending.len()
     }
 
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
@@ -821,12 +848,8 @@ impl MultidimIndex for CoaxIndex {
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
-        self.primary.for_each_entry(&mut |local, row| {
-            f(self.primary_ids[local as usize], row);
-        });
-        self.outliers.for_each_entry(&mut |local, row| {
-            f(self.outlier_ids[local as usize], row);
-        });
+        self.primary.for_each_entry(f);
+        self.outliers.for_each_entry(f);
         for p in &self.pending {
             f(p.id, &p.values);
         }
@@ -838,19 +861,21 @@ impl MultidimIndex for CoaxIndex {
     }
 }
 
-/// Builds the primary partition over `ds` through the configured
-/// backend — by default the paper's reduced-dimensionality grid file
-/// (gridding only the indexed attributes, one sorted in-cell); any other
-/// backend indexes the partition over all dims.
+/// Builds the primary partition over `ds`, row `i` under id `ids[i]`,
+/// through the configured backend — by default the paper's
+/// reduced-dimensionality grid file (gridding only the indexed
+/// attributes, one sorted in-cell); any other backend indexes the
+/// partition over all dims.
 fn build_primary(
     config: &CoaxConfig,
     discovery: &Discovery,
     sort_dim: Option<usize>,
     ds: &Dataset,
+    ids: &[RowId],
 ) -> Box<dyn MultidimIndex> {
     let grid_dims =
         discovery.indexed_dims().into_iter().filter(|&d| Some(d) != sort_dim).collect();
-    config.primary_backend.build(ds, grid_dims, sort_dim, config.cells_per_dim)
+    config.primary_backend.build(ds, ids, grid_dims, sort_dim, config.cells_per_dim)
 }
 
 /// The spec an outlier partition of `rows` rows is built with: a
@@ -867,45 +892,48 @@ fn outlier_spec(
     config.outlier_backend.to_spec(rows, dims, sort_dim, config.outlier_cells_per_dim)
 }
 
-/// `part` plus the buffered `rows`, whose local ids continue from
-/// `part.len()`: absorbed in one pass when the backend can and `rebuild`
-/// is false, else rebuilt by `build` over the partition's own entries
-/// plus `rows`.
+/// `part` plus the buffered `rows`, each under its own id: absorbed in
+/// one pass when the backend can and `rebuild` is false, else rebuilt by
+/// `build` over the partition's entries plus `rows`, gathered with their
+/// ids.
 fn absorb_or_rebuild(
     part: &dyn MultidimIndex,
     rows: &[&PendingRow],
     rebuild: bool,
-    build: impl FnOnce(&Dataset) -> Box<dyn MultidimIndex>,
+    build: impl FnOnce(&Dataset, &[RowId]) -> Box<dyn MultidimIndex>,
 ) -> Box<dyn MultidimIndex> {
     if !rebuild {
         let columns =
             (0..part.dims()).map(|d| rows.iter().map(|r| r.values[d]).collect()).collect();
-        if let Some(absorbed) = part.absorbed(&Dataset::new(columns)) {
+        let ids: Vec<RowId> = rows.iter().map(|r| r.id).collect();
+        if let Some(absorbed) = part.absorbed(&Dataset::new(columns), &ids) {
             return absorbed;
         }
     }
-    let base = part.len();
-    let rows = rows.iter().enumerate().map(|(i, r)| ((base + i) as RowId, r.values.as_slice()));
-    build(&entries_dataset(part, base + rows.len(), rows))
+    let (dataset, ids) = gather(part, rows.iter().copied());
+    build(&dataset, &ids)
 }
 
-/// A `len`-row dataset with every entry of `index` and every `(id, row)`
-/// of `extra` at its own id: the one scatter behind each rebuild from
-/// stored rows (refit, and a partition the fold cannot absorb into).
-fn entries_dataset<'a>(
+/// Every entry of `index`, then every `extra` row, gathered once in that
+/// order, beside their ids: the rows each rebuild from stored rows starts
+/// from (the refit, and a partition the fold cannot absorb into).
+fn gather<'a>(
     index: &dyn MultidimIndex,
-    len: usize,
-    extra: impl Iterator<Item = (RowId, &'a [Value])>,
-) -> Dataset {
-    let mut columns = vec![vec![0.0; len]; index.dims()];
-    let mut put = |id: RowId, row: &[Value]| {
+    extra: impl ExactSizeIterator<Item = &'a PendingRow>,
+) -> (Dataset, Vec<RowId>) {
+    let n = index.len() + extra.len();
+    let mut columns: Vec<Vec<Value>> =
+        (0..index.dims()).map(|_| Vec::with_capacity(n)).collect();
+    let mut ids = Vec::with_capacity(n);
+    let mut push = |id: RowId, row: &[Value]| {
+        ids.push(id);
         for (col, &v) in columns.iter_mut().zip(row) {
-            col[id as usize] = v;
+            col.push(v);
         }
     };
-    index.for_each_entry(&mut put);
-    extra.for_each(|(id, row)| put(id, row));
-    Dataset::new(columns)
+    index.for_each_entry(&mut push);
+    extra.for_each(|r| push(r.id, &r.values));
+    (Dataset::new(columns), ids)
 }
 
 /// Grid resolution that puts roughly `32` rows in each cell of a
@@ -1004,7 +1032,12 @@ mod tests {
     }
 
     fn assert_exact(index: &CoaxIndex, ds: &Dataset, queries: &[RangeQuery]) {
-        let fs = FullScan::build(ds);
+        assert_exact_over(index, &FullScan::build(ds), queries);
+    }
+
+    /// `index` answers every query exactly like `fs`, which holds the
+    /// same rows under the same ids.
+    fn assert_exact_over(index: &CoaxIndex, fs: &FullScan, queries: &[RangeQuery]) {
         for q in queries {
             let mut expected = fs.range_query(q);
             let mut got = index.range_query(q);
@@ -1141,6 +1174,18 @@ mod tests {
     }
 
     #[test]
+    fn insert_refuses_once_the_id_space_is_spent() {
+        let ds = planted_dataset(1000, 19);
+        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
+        index.next_id = u64::from(RowId::MAX);
+        let row = [1.0, 27.0, 3.0];
+        assert_eq!(index.insert(&row), Ok(RowId::MAX));
+        assert_eq!(index.insert(&row), Err(InsertError::IdsExhausted));
+        assert_eq!(index.pending_len(), 1, "a refused insert buffers nothing");
+        assert_eq!(index.next_id, u64::from(RowId::MAX) + 1);
+    }
+
+    #[test]
     fn rebuild_folds_pending_and_stays_exact() {
         let ds = planted_dataset(5000, 14);
         let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
@@ -1160,9 +1205,9 @@ mod tests {
         assert_eq!(rebuilt.len(), ds.len() + 220);
         // The rebuilt index answers exactly like a linear scan over the
         // reconstructed data.
-        let all = rebuilt.to_dataset(&[]);
+        let (all, ids) = gather(&rebuilt, std::iter::empty());
         let queries = knn_rectangle_queries(&all, 10, 40, 15);
-        let fs = FullScan::build(&all);
+        let fs = FullScan::build_with_ids(&all, &ids);
         for q in &queries {
             let mut expected = fs.range_query(q);
             let mut got = rebuilt.range_query(q);
@@ -1407,7 +1452,8 @@ mod tests {
         let rebuilt = index.rebuild();
         assert_eq!(rebuilt.len(), ds.len() + 1);
         assert_eq!(rebuilt.primary_index().name(), "coax");
-        assert_exact(&rebuilt, &rebuilt.to_dataset(&[]), &queries);
+        let (all, ids) = gather(&rebuilt, std::iter::empty());
+        assert_exact_over(&rebuilt, &FullScan::build_with_ids(&all, &ids), &queries);
     }
 
     #[test]

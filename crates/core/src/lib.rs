@@ -64,11 +64,12 @@
 //!     [`shard::ShardedHandle`] partitions rows across N independent
 //!     [`maint::IndexHandle`] shards on a correlation-aware shard key
 //!     ([`shard::ShardSpec`] in [`CoaxConfig`]), fans single / batch /
-//!     streaming queries out across them, remaps per-shard local ids to
-//!     global ids, and merges results and [`coax_index::ScanStats`]
-//!     exactly as the unsharded path reports them. Each shard keeps its
-//!     own epoch and maintenance loop — a refit on one shard never
-//!     stalls the other N−1 — and [`shard::ShardedSnapshot`] gives
+//!     streaming queries out across them, and merges results and
+//!     [`coax_index::ScanStats`] exactly as the unsharded path reports
+//!     them. Every shard stores its rows under their global ids, so no
+//!     layer translates an id between insert and result. Each shard
+//!     keeps its own epoch and maintenance loop — a refit on one shard
+//!     never stalls the other N−1 — and [`shard::ShardedSnapshot`] gives
 //!     cross-shard read sessions without a global lock, cut at the
 //!     publish watermark so every read is a dense prefix of the ids.
 

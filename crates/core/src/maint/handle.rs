@@ -37,7 +37,7 @@
 use super::drift::{DriftMonitor, DriftReport};
 use super::policy::{MaintenanceAction, MaintenancePolicy};
 use crate::exec::BatchStream;
-use crate::index::{CoaxConfig, CoaxIndex, InsertError, PendingRow};
+use crate::index::{check_row, take_id, CoaxConfig, CoaxIndex, InsertError, PendingRow};
 use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::regression::BayesianLinReg;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
@@ -90,7 +90,8 @@ struct EpochState {
 #[derive(Debug)]
 struct InsertState {
     models: Arc<CoaxIndex>,
-    next_id: RowId,
+    /// The id [`IndexHandle::insert`] allocates next.
+    next_id: u64,
     posteriors: Vec<Option<BayesianLinReg>>,
     monitor: DriftMonitor,
 }
@@ -183,20 +184,30 @@ impl IndexHandle {
         st.index.pending_len() + st.overlay.len()
     }
 
-    /// Inserts a row through the handle: margin-checked against the
-    /// current epoch's models, observed by the drift monitor and the
-    /// Bayesian posteriors, and buffered in the overlay — visible to
-    /// every query issued after this call returns.
+    /// Inserts a row through the handle: allocated the handle's next id,
+    /// margin-checked against the current epoch's models, observed by the
+    /// drift monitor and the Bayesian posteriors, and buffered in the
+    /// overlay — visible to every query issued after this call returns.
     pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
-        if row.len() != self.dims {
-            return Err(InsertError::WrongArity { expected: self.dims, got: row.len() });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(InsertError::NonFinite);
-        }
+        self.insert_with(row, take_id)
+    }
+
+    /// [`IndexHandle::insert`] with the row's id drawn by `alloc` under
+    /// the insert lock (`alloc` receives the handle's own counter). The
+    /// overlay is pushed under the same lock, so its ids ascend in
+    /// allocation order whoever allocates them; a sharded service hands
+    /// out its global ids this way. A refused allocation leaves the
+    /// handle untouched.
+    pub(crate) fn insert_with(
+        &self,
+        row: &[Value],
+        alloc: impl FnOnce(&mut u64) -> Result<RowId, InsertError>,
+    ) -> Result<RowId, InsertError> {
+        check_row(self.dims, row)?;
         let timer = self.obs.timer();
         let mut guard = lock_guard(&self.insert);
         let ins = &mut *guard;
+        let id = alloc(&mut ins.next_id)?;
         let in_margins = ins.monitor.observe(row);
         if in_margins {
             for (m, reg) in ins.models.discovery.all_models().zip(&mut ins.posteriors) {
@@ -205,8 +216,6 @@ impl IndexHandle {
                 }
             }
         }
-        let id = ins.next_id;
-        ins.next_id += 1;
         // Publish to readers while still holding the insert lock: ids
         // enter the overlay in allocation order, so a reader's snapshot
         // is always a contiguous prefix of the insert history. The
@@ -520,6 +529,23 @@ impl ReadSnapshot {
         })
     }
 
+    /// Rows of this session whose ids lie below `cut`. The overlay's ids
+    /// ascend, so its share is one binary search; the epoch counts whole
+    /// unless it may hold an id at or above the cut (a fold published a
+    /// row whose insert had not yet passed the cut), and is then counted
+    /// entry by entry.
+    pub(crate) fn len_below(&self, cut: u64) -> usize {
+        let below = |id: RowId| u64::from(id) < cut;
+        let epoch = if self.index.next_id <= cut {
+            self.index.len()
+        } else {
+            let mut n = 0;
+            self.index.for_each_entry(&mut |id, _| n += usize::from(below(id)));
+            n
+        };
+        epoch + self.overlay.partition_point(|r| below(r.id))
+    }
+
     /// Answers one query of a batch with no per-query span: the overlay
     /// matches, then the epoch's plan — the ids, order and stats a single
     /// snapshot query returns, appended to `out`.
@@ -552,16 +578,7 @@ impl coax_index::CursorSource for SnapshotCursor<'_> {
             stats.scanned_pending += self.overlay.len();
             return true;
         }
-        let before = self.inner.stats();
-        let produced = match self.inner.next_chunk() {
-            Some(chunk) => {
-                out.extend_from_slice(chunk);
-                true
-            }
-            None => false,
-        };
-        *stats = stats.merge(self.inner.stats().since(before));
-        produced
+        crate::exec::forward_chunk(&mut self.inner, out, stats)
     }
 }
 
@@ -810,6 +827,17 @@ mod tests {
         let handle = IndexHandle::build(&ds, &CoaxConfig::default());
         assert_eq!(handle.insert(&[1.0]), Err(InsertError::WrongArity { expected: 2, got: 1 }));
         assert_eq!(handle.insert(&[1.0, f64::NAN]), Err(InsertError::NonFinite));
+    }
+
+    #[test]
+    fn insert_refuses_once_the_id_space_is_spent() {
+        let ds = planted(1000, 9);
+        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        lock_guard(&handle.insert).next_id = u64::from(RowId::MAX);
+        assert_eq!(handle.insert(&[1.0, 12.0]), Ok(RowId::MAX));
+        assert_eq!(handle.insert(&[2.0, 14.0]), Err(InsertError::IdsExhausted));
+        assert_eq!(handle.pending_len(), 1, "a refused insert buffers nothing");
+        assert_eq!(lock_guard(&handle.insert).next_id, u64::from(RowId::MAX) + 1);
     }
 
     #[test]

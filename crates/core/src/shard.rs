@@ -8,14 +8,15 @@
 //! ```text
 //!                    ShardedHandle
 //!       route(row[key_dim]) ── hash or range router
+//!       next global id ─────── allocated under the shard's insert lock
 //!      ┌──────────────┬──────────────┬──────────────┐
 //!      │  shard 0     │  shard 1     │  shard N−1   │
 //!      │ IndexHandle  │ IndexHandle  │ IndexHandle  │   per-shard epochs,
 //!      │ epoch e₀     │ epoch e₁     │ epoch e₂     │   overlays, drift
-//!      │ id table t₀  │ id table t₁  │ id table t₂  │   monitors
+//!      │ (global ids) │ (global ids) │ (global ids) │   monitors
 //!      └──────┬───────┴──────┬───────┴──────┬───────┘
-//!             └── fan out query, remap local→global ids
-//!                 through tᵢ, concatenate in shard order,
+//!             └── fan out query, cut at the publish
+//!                 watermark, concatenate in shard order,
 //!                 merge ScanStats componentwise ──▶ one result
 //! ```
 //!
@@ -34,12 +35,12 @@
 //! * **One discovery**: soft-FD discovery runs once over the full build
 //!   dataset and every shard is built from that shared result, so all
 //!   shards translate queries identically at epoch 0.
-//! * **Global ids**: each shard's handle speaks local ids
-//!   (`0..shard_len`); an append-only per-shard id table maps them back
-//!   to the caller's global ids. Table entries are written *before* the
-//!   row becomes visible in the shard and are immutable afterwards, so
-//!   queries remap through the live table under a brief read lock — no
-//!   copy-on-write, no global lock.
+//! * **Global ids**: a row's id is assigned once and never translated.
+//!   Each shard is built over its members' global ids, and an insert
+//!   allocates the next global id under the owning shard's insert lock
+//!   and hands it to the shard, so every shard stores, and every query
+//!   emits, the caller's ids directly. Each shard's ids ascend in insert
+//!   order.
 //! * **Reads are a consistent cut**: inserts advance a global publish
 //!   watermark in id order once their row is visible. A live read loads
 //!   it before fanning out, and [`ShardedHandle::snapshot`] loads it
@@ -76,13 +77,13 @@
 
 use crate::discovery::{discover, Discovery};
 use crate::exec::{self, BatchStream, ExecConfig};
-use crate::index::{CoaxConfig, CoaxIndex, InsertError};
+use crate::index::{check_row, CoaxConfig, CoaxIndex, InsertError};
 use crate::maint::{IndexHandle, Maintainer, MaintenanceAction, ReadSnapshot};
 use crate::obs::Obs;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 use coax_index::{CursorSource, MultidimIndex, QueryResult, RowCursor, ScanStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// How rows are routed to shards.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -207,22 +208,6 @@ fn quantile_bounds(column: &[Value], shards: usize) -> Vec<Value> {
         .collect()
 }
 
-/// Remaps a shard's local row ids to global ids through its id table.
-/// The table is append-only and entries are written before a local id
-/// becomes visible, so every id a query returns has its entry; the
-/// debug assert (and, in release, the bound-checked indexing) enforces
-/// the [`MultidimIndex::range_query_stats`] id contract on the shard.
-fn remap_global(ids: &mut [RowId], table: &[RowId]) {
-    for id in ids.iter_mut() {
-        debug_assert!(
-            (*id as usize) < table.len(),
-            "shard emitted local id {id} beyond its id table ({} rows)",
-            table.len()
-        );
-        *id = table[*id as usize];
-    }
-}
-
 /// The publish-watermark cut every cross-shard read applies: drops the
 /// ids at or above `cut` from `ids[from..]`, keeping the order of the
 /// rest, and takes them out of `stats.matches`.
@@ -235,20 +220,6 @@ fn drop_unpublished(cut: u64, ids: &mut Vec<RowId>, from: usize, stats: &mut Sca
     stats.matches -= found - ids.len();
 }
 
-/// Acquires a read guard on an id table, propagating a poisoned-lock
-/// panic (same rationale as the handle's state lock: a writer panicked
-/// mid-push, remapping through torn state would alias rows).
-fn table_read(lock: &RwLock<Vec<RowId>>) -> std::sync::RwLockReadGuard<'_, Vec<RowId>> {
-    // coax-analyze: allow(panic-free-library, poisoned id-table lock: a writer panicked mid-insert, remapping through torn state would alias rows)
-    lock.read().expect("id table lock poisoned")
-}
-
-/// Write-guard counterpart of [`table_read`].
-fn table_write(lock: &RwLock<Vec<RowId>>) -> std::sync::RwLockWriteGuard<'_, Vec<RowId>> {
-    // coax-analyze: allow(panic-free-library, poisoned id-table lock: a writer panicked mid-insert, remapping through torn state would alias rows)
-    lock.write().expect("id table lock poisoned")
-}
-
 /// Everything the shards share, behind one `Arc` so snapshots and
 /// detached streams can outlive the caller's borrow.
 #[derive(Debug)]
@@ -256,16 +227,11 @@ struct ShardState {
     dims: usize,
     key_dim: usize,
     router: Router,
-    /// One live-maintained handle per shard; `Arc` so callers can hang
-    /// per-shard [`Maintainer`]s off them.
+    /// One live-maintained handle per shard, storing global ids; `Arc` so
+    /// callers can hang per-shard [`Maintainer`]s off them.
     handles: Vec<Arc<IndexHandle>>,
-    /// Per-shard local→global id tables. Append-only: an entry is
-    /// pushed (under the write lock) *before* the row is inserted into
-    /// the shard, and never changes afterwards — so readers remap
-    /// through the live table under a brief read lock. Each table
-    /// ascends: a shard allocates its global ids under its write lock.
-    tables: Vec<RwLock<Vec<RowId>>>,
-    /// Next global row id; also the logical row count.
+    /// Next global row id; also the logical row count. Refused inserts
+    /// past the id space advance it too (see [`ShardedHandle::insert`]).
     next_global: AtomicU64,
     /// Publish watermark: every global id below it belongs to an insert
     /// that has returned. Inserts advance it in id order (see
@@ -283,9 +249,9 @@ struct ShardState {
 
 impl ShardState {
     /// Answers one query on every shard over the exec pool —
-    /// `query(s, ids)` appends shard `s`'s local ids — and concatenates
-    /// the results into `out` in shard order, remapped to global ids and
-    /// cut at `cut`. Stats merge componentwise in the same order.
+    /// `query(s, ids)` appends shard `s`'s ids — and concatenates the
+    /// results into `out` in shard order, cut at `cut`. Stats merge
+    /// componentwise in the same order.
     fn query_shards(
         &self,
         cut: Option<u64>,
@@ -300,7 +266,6 @@ impl ShardState {
             |s| {
                 let mut ids = Vec::new();
                 let mut stats = query(s, &mut ids);
-                remap_global(&mut ids, &table_read(&self.tables[s]));
                 if let Some(cut) = cut {
                     drop_unpublished(cut, &mut ids, 0, &mut stats);
                 }
@@ -392,9 +357,8 @@ impl ShardedHandle {
             _ => Router::Hash { dim: key_dim, shards },
         };
 
-        // Route every build row; member lists double as the initial
-        // local→global id tables (local id i of shard s is members[s][i]
-        // by `take_rows` construction).
+        // Route every build row; shard s is built over its members under
+        // their global ids.
         let mut members: Vec<Vec<RowId>> = vec![Vec::new(); shards];
         let mut row = vec![0.0; dims];
         for id in dataset.row_ids() {
@@ -406,7 +370,6 @@ impl ShardedHandle {
             .iter()
             .enumerate()
             .map(|(s, rows)| {
-                let sub = dataset.take_rows(rows);
                 let mut shard_config = config.clone();
                 // The shard is a leaf: no nested sharding, shard-labelled
                 // observability, and the inner batch engine stays on its
@@ -414,21 +377,20 @@ impl ShardedHandle {
                 shard_config.shard = ShardSpec::default();
                 shard_config.obs = config.obs.for_shard(s as u32);
                 shard_config.exec.batch_threads = 1;
-                Arc::new(IndexHandle::new(CoaxIndex::build_with_discovery(
-                    &sub,
+                Arc::new(IndexHandle::new(CoaxIndex::build_with_ids(
+                    &dataset.take_rows(rows),
+                    rows,
                     discovery.clone(),
                     &shard_config,
                 )))
             })
             .collect();
-        let tables = members.into_iter().map(RwLock::new).collect();
         ShardedHandle {
             core: Arc::new(ShardState {
                 dims,
                 key_dim,
                 router,
                 handles,
-                tables,
                 next_global: AtomicU64::new(dataset.len() as u64),
                 published: AtomicU64::new(dataset.len() as u64),
                 exec: config.exec,
@@ -484,46 +446,24 @@ impl ShardedHandle {
         self.core.handles.iter().map(|h| h.pending_len()).sum()
     }
 
-    /// Inserts a row: validated, routed by the shard key, allocated the
-    /// next global id, and handed to the owning shard. The id-table
-    /// entry is pushed (under the table write lock) *before* the shard
-    /// insert publishes the row, so a concurrent reader can never see a
-    /// local id without its global mapping. Before returning, the insert
-    /// advances the publish watermark past its id, after every lower id.
+    /// Inserts a row: validated, routed by the shard key, and handed to
+    /// the owning shard, which draws the next global id under its insert
+    /// lock (so each shard's ids ascend in insert order) and publishes
+    /// the row under that id. Before returning, the insert advances the
+    /// publish watermark past its id, after every lower id — also when
+    /// the id no longer fits a [`RowId`] and the insert is refused with
+    /// [`InsertError::IdsExhausted`].
     pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
-        // Validate before allocating a global id, mirroring the shard
-        // handle's own checks — the shard insert below cannot fail.
-        if row.len() != self.core.dims {
-            return Err(InsertError::WrongArity { expected: self.core.dims, got: row.len() });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(InsertError::NonFinite);
-        }
-        let s = self.core.router.route(row);
-        let mut table = table_write(&self.core.tables[s]);
-        let next = self.core.next_global.fetch_add(1, Ordering::Relaxed);
-        let ticket = PublishTicket { watermark: &self.core.published, gid: next };
-        let gid = next as RowId;
-        table.push(gid);
-        let result = match self.core.handles[s].insert(row) {
-            Ok(local) => {
-                debug_assert_eq!(
-                    local as usize,
-                    table.len() - 1,
-                    "shard {s} local id diverged from its id table"
-                );
-                Ok(gid)
-            }
-            // Unreachable (validation above matches the handle's), but
-            // keep the table consistent rather than panic.
-            Err(e) => {
-                table.pop();
-                Err(e)
-            }
-        };
-        // Release the table first: readers remapping through it must not
-        // wait on another shard's insert.
-        drop(table);
+        let core = &*self.core;
+        // Routing reads the key attribute: validate first.
+        check_row(core.dims, row)?;
+        let mut ticket = None;
+        let result = core.handles[core.router.route(row)].insert_with(row, |_| {
+            let gid = core.next_global.fetch_add(1, Ordering::Relaxed);
+            ticket = Some(PublishTicket { watermark: &core.published, gid });
+            RowId::try_from(gid).map_err(|_| InsertError::IdsExhausted)
+        });
+        // The shard's locks are released: admit the id.
         drop(ticket);
         result
     }
@@ -531,9 +471,8 @@ impl ShardedHandle {
     /// Opens a cross-shard read session: one [`ReadSnapshot`] per shard,
     /// taken in a single pass with **no global lock** — each shard's
     /// epoch/overlay pair is internally consistent (cloned under that
-    /// shard's own read guard), and per-shard global-id remapping stays
-    /// exact however many inserts or refits land concurrently, because
-    /// id-table entries are immutable once written.
+    /// shard's own read guard), and holds its rows under their global
+    /// ids.
     ///
     /// The publish watermark is loaded before the capture, and every
     /// surface of the session drops ids at or above it, so the session
@@ -569,13 +508,15 @@ impl MultidimIndex for ShardedHandle {
         self.core.dims
     }
 
+    /// Ids allocated so far, refused ones past the id space excluded.
     fn len(&self) -> usize {
-        self.core.next_global.load(Ordering::Relaxed) as usize
+        let next = self.core.next_global.load(Ordering::Relaxed);
+        next.min(u64::from(RowId::MAX) + 1) as usize
     }
 
     /// Fans the query out across shards (each shard answering through
-    /// its handle's inline one-query session), remaps each shard's local
-    /// ids to global ids, and merges per the module-level policy.
+    /// its handle's inline one-query session) and merges per the
+    /// module-level policy.
     ///
     /// The shards are read one after another, so inserts can land
     /// between two shard reads. The read therefore loads the publish
@@ -603,16 +544,9 @@ impl MultidimIndex for ShardedHandle {
         self.snapshot().for_each_entry(f)
     }
 
-    /// Per-shard structure overhead plus the id tables (the price of
-    /// global-id remapping).
+    /// Per-shard directory and model overhead.
     fn memory_overhead(&self) -> usize {
-        let tables: usize = self
-            .core
-            .tables
-            .iter()
-            .map(|t| table_read(t).len() * std::mem::size_of::<RowId>())
-            .sum();
-        self.core.handles.iter().map(|h| h.memory_overhead()).sum::<usize>() + tables
+        self.core.handles.iter().map(|h| h.memory_overhead()).sum()
     }
 }
 
@@ -658,14 +592,12 @@ impl ShardedSnapshot {
     }
 
     /// Answers one query of a batch on every shard in shard order — each
-    /// shard's part in its single-query order (overlay, then epoch),
-    /// remapped to global ids — and cuts the result at the watermark.
+    /// shard's part in its single-query order (overlay, then epoch) — and
+    /// cuts the result at the watermark.
     fn answer_batched(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let (start, mut stats) = (out.len(), ScanStats::default());
-        for (s, shard) in self.shards.iter().enumerate() {
-            let from = out.len();
+        for shard in &self.shards {
             stats = stats.merge(shard.answer_batched(query, out));
-            remap_global(&mut out[from..], &table_read(&self.core.tables[s]));
         }
         if let Some(cut) = self.cut {
             drop_unpublished(cut, out, start, &mut stats);
@@ -683,33 +615,26 @@ impl MultidimIndex for ShardedSnapshot {
         self.core.dims
     }
 
-    /// Rows below the cut: each shard's captured rows whose global ids
-    /// lie below it (a prefix of the shard, whose id table ascends).
+    /// Rows below the cut: each shard's captured rows whose ids lie
+    /// below it.
     fn len(&self) -> usize {
-        let Some(cut) = self.cut else {
-            return self.shards.iter().map(|s| s.len()).sum();
-        };
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, snap)| {
-                table_read(&self.core.tables[s])[..snap.len()]
-                    .partition_point(|&gid| u64::from(gid) < cut)
-            })
-            .sum()
+        match self.cut {
+            None => self.shards.iter().map(|s| s.len()).sum(),
+            Some(cut) => self.shards.iter().map(|s| s.len_below(cut)).sum(),
+        }
     }
 
-    /// Fan-out over the frozen per-shard snapshots, remap, merge, cut —
-    /// same policy as the live handle, against this session's versions.
+    /// Fan-out over the frozen per-shard snapshots, merge, cut — same
+    /// policy as the live handle, against this session's versions.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         self.core
             .query_shards(self.cut, out, |s, ids| self.shards[s].range_query_stats(query, ids))
     }
 
     /// Streaming override: one merged cursor chaining the shards'
-    /// snapshot cursors in shard order, each chunk's local ids remapped
-    /// to global ids and cut as it flows. Collected ids, order, and stats
-    /// are identical to [`ShardedSnapshot::range_query_stats`].
+    /// snapshot cursors in shard order, each chunk cut as it flows.
+    /// Collected ids, order, and stats are identical to
+    /// [`ShardedSnapshot::range_query_stats`].
     fn range_query_cursor(&self, query: &RangeQuery) -> RowCursor<'_> {
         RowCursor::new(Box::new(ShardedCursor {
             session: self,
@@ -731,13 +656,10 @@ impl MultidimIndex for ShardedSnapshot {
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
-        for (s, snap) in self.shards.iter().enumerate() {
-            let table: Vec<RowId> = table_read(&self.core.tables[s]).clone();
-            snap.for_each_entry(&mut |local, values| {
-                debug_assert!((local as usize) < table.len());
-                let gid = table[local as usize];
-                if self.cut.is_none_or(|cut| u64::from(gid) < cut) {
-                    f(gid, values);
+        for snap in &self.shards {
+            snap.for_each_entry(&mut |id, values| {
+                if self.cut.is_none_or(|cut| u64::from(id) < cut) {
+                    f(id, values);
                 }
             });
         }
@@ -750,8 +672,7 @@ impl MultidimIndex for ShardedSnapshot {
 
 /// The incremental scan behind [`ShardedSnapshot::range_query_cursor`]:
 /// shard 0's snapshot cursor chunk by chunk, then shard 1's, …, each
-/// chunk remapped to global ids under a brief id-table read guard and cut
-/// at the session's watermark.
+/// chunk cut at the session's watermark.
 struct ShardedCursor<'a> {
     session: &'a ShardedSnapshot,
     query: RangeQuery,
@@ -774,29 +695,15 @@ impl CursorSource for ShardedCursor<'_> {
                     continue;
                 }
             };
-            let before = cur.stats();
-            match cur.next_chunk() {
-                Some(chunk) => {
-                    let start = out.len();
-                    out.extend_from_slice(chunk);
-                    *stats = stats.merge(cur.stats().since(before));
-                    remap_global(
-                        &mut out[start..],
-                        &table_read(&session.core.tables[self.shard]),
-                    );
-                    if let Some(cut) = session.cut {
-                        drop_unpublished(cut, out, start, stats);
-                    }
-                    return true;
+            let start = out.len();
+            if exec::forward_chunk(cur, out, stats) {
+                if let Some(cut) = session.cut {
+                    drop_unpublished(cut, out, start, stats);
                 }
-                None => {
-                    // The sub-cursor may have folded trailing empty
-                    // chunks' counters into its stats before exhausting.
-                    *stats = stats.merge(cur.stats().since(before));
-                    self.current = None;
-                    self.shard += 1;
-                }
+                return true;
             }
+            self.current = None;
+            self.shard += 1;
         }
     }
 }
@@ -888,6 +795,62 @@ mod tests {
         );
         assert_eq!(sharded.insert(&[1.0, f64::NAN]), Err(InsertError::NonFinite));
         assert_eq!(sharded.len(), ds.len() + 1);
+    }
+
+    #[test]
+    fn insert_refuses_once_the_id_space_is_spent() {
+        let ds = planted(1000, 17);
+        let sharded = ShardedHandle::build(
+            &ds,
+            &CoaxConfig { shard: ShardSpec::hash(3, 0), ..Default::default() },
+        );
+        // Every lower id is spoken for and admitted.
+        let max = u64::from(RowId::MAX);
+        sharded.core.next_global.store(max, Ordering::Relaxed);
+        sharded.core.published.store(max, Ordering::Release);
+        let row = [5.0, 20.0];
+        assert_eq!(sharded.insert(&row), Ok(RowId::MAX));
+        assert_eq!(sharded.insert(&row), Err(InsertError::IdsExhausted));
+        // The refused insert still admitted the value it consumed, so the
+        // writers behind it are not stalled.
+        assert_eq!(sharded.core.published.load(Ordering::Acquire), max + 2);
+        assert_eq!(sharded.len(), max as usize + 1);
+        assert_eq!(sharded.pending_len(), 1, "a refused insert buffers nothing");
+        assert!(sharded.point_query(&row).contains(&RowId::MAX));
+    }
+
+    #[test]
+    fn a_cut_below_folded_rows_holds_in_every_surface() {
+        let ds = planted(1500, 18);
+        let sharded = ShardedHandle::build(
+            &ds,
+            &CoaxConfig { shard: ShardSpec::hash(3, 0), ..Default::default() },
+        );
+        for i in 0..60 {
+            let x = (i * 13 % 1000) as f64;
+            sharded.insert(&[x, 2.0 * x + 10.0]).expect("valid row");
+        }
+        for s in 0..3 {
+            sharded.shard_handle(s).fold();
+        }
+        assert_eq!(sharded.pending_len(), 0, "the new rows sit in the epochs");
+        // An insert still in flight below the last 40 rows would leave the
+        // watermark here.
+        let cut = ds.len() as u64 + 20;
+        let published = sharded.core.published.swap(cut, Ordering::AcqRel);
+        let snap = sharded.snapshot();
+        let below: Vec<RowId> = (0..cut as RowId).collect();
+        let unbounded = [RangeQuery::unbounded(2)];
+        assert_eq!(snap.len(), below.len(), "len");
+        assert_eq!(sorted(snap.range_query(&unbounded[0])), below, "single");
+        assert_eq!(sorted(snap.batch_query(&unbounded).remove(0).ids), below, "batch");
+        let streamed: Vec<_> = snap.batch_query_streaming(&unbounded).collect();
+        assert_eq!(sorted(streamed[0].1.ids.clone()), below, "stream");
+        assert_eq!(sorted(snap.range_query_cursor(&unbounded[0]).collect()), below, "cursor");
+        let mut entries = Vec::new();
+        snap.for_each_entry(&mut |id, _| entries.push(id));
+        assert_eq!(sorted(entries), below, "for_each_entry");
+        sharded.core.published.store(published, Ordering::Release);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::pages::MAX_CELLS;
 use crate::rtree::{RTree, RTreeConfig};
 use crate::traits::MultidimIndex;
 use crate::uniform_grid::UniformGrid;
-use coax_data::Dataset;
+use coax_data::{Dataset, RowId};
 
 /// A buildable description of one substrate index.
 ///
@@ -58,13 +58,19 @@ pub enum BackendSpec {
 
 impl BackendSpec {
     /// Builds the described index over `dataset`, boxed behind the
-    /// common trait. This is the only place in the workspace that maps
-    /// spec variants to concrete substrate types.
+    /// common trait; row `i` keeps id `i`.
     pub fn build(&self, dataset: &Dataset) -> Box<dyn MultidimIndex> {
+        self.build_with_ids(dataset, &dataset.row_ids().collect::<Vec<_>>())
+    }
+
+    /// [`BackendSpec::build`] with row `i` stored, and emitted by every
+    /// query, under id `ids[i]`. This is the only place in the workspace
+    /// that maps spec variants to concrete substrate types.
+    pub fn build_with_ids(&self, dataset: &Dataset, ids: &[RowId]) -> Box<dyn MultidimIndex> {
         match *self {
-            BackendSpec::FullScan => Box::new(FullScan::build(dataset)),
+            BackendSpec::FullScan => Box::new(FullScan::build_with_ids(dataset, ids)),
             BackendSpec::UniformGrid { cells_per_dim } => {
-                Box::new(UniformGrid::build(dataset, cells_per_dim))
+                Box::new(UniformGrid::build_with_ids(dataset, ids, cells_per_dim))
             }
             BackendSpec::GridFile { cells_per_dim, sort_dim } => {
                 let dims = dataset.dims();
@@ -72,14 +78,13 @@ impl BackendSpec {
                     Some(sd) => GridFileConfig::with_sort(dims, sd, cells_per_dim),
                     None => GridFileConfig::all_dims(dims, cells_per_dim),
                 };
-                Box::new(GridFile::build(dataset, &config))
+                Box::new(GridFile::build_with_ids(dataset, ids, &config))
             }
-            BackendSpec::ColumnFiles { cells_per_dim, sort_dim } => match sort_dim {
-                Some(sd) => Box::new(ColumnFiles::build(dataset, sd, cells_per_dim)),
-                None => Box::new(ColumnFiles::build_auto(dataset, cells_per_dim)),
-            },
+            BackendSpec::ColumnFiles { cells_per_dim, sort_dim } => {
+                Box::new(ColumnFiles::build_with_ids(dataset, ids, sort_dim, cells_per_dim))
+            }
             BackendSpec::RTree { capacity } => {
-                Box::new(RTree::build(dataset, RTreeConfig::uniform(capacity)))
+                Box::new(RTree::build_with_ids(dataset, ids, RTreeConfig::uniform(capacity)))
             }
         }
     }

@@ -24,10 +24,10 @@ pub struct ColumnFiles {
 
 impl ColumnFiles {
     /// Builds with an explicit sort dimension (the paper tunes "chunk size
-    /// and sort dimension" per workload, §8.2.1).
+    /// and sort dimension" per workload, §8.2.1); row `i` keeps id `i`.
     pub fn build(dataset: &Dataset, sort_dim: usize, cells_per_dim: usize) -> Self {
-        let config = GridFileConfig::with_sort(dataset.dims(), sort_dim, cells_per_dim);
-        Self { inner: GridFile::build(dataset, &config) }
+        let ids: Vec<RowId> = dataset.row_ids().collect();
+        Self::build_with_ids(dataset, &ids, Some(sort_dim), cells_per_dim)
     }
 
     /// Builds choosing the sort dimension automatically: the attribute with
@@ -35,8 +35,21 @@ impl ColumnFiles {
     /// off most on near-unique attributes (binary search cuts deepest) and
     /// least on low-cardinality ones, where whole runs share one key.
     pub fn build_auto(dataset: &Dataset, cells_per_dim: usize) -> Self {
-        let sort_dim = pick_sort_dim(dataset);
-        Self::build(dataset, sort_dim, cells_per_dim)
+        let ids: Vec<RowId> = dataset.row_ids().collect();
+        Self::build_with_ids(dataset, &ids, None, cells_per_dim)
+    }
+
+    /// [`ColumnFiles::build`] (or, for `sort_dim: None`,
+    /// [`ColumnFiles::build_auto`]) with row `i` stored under id `ids[i]`.
+    pub fn build_with_ids(
+        dataset: &Dataset,
+        ids: &[RowId],
+        sort_dim: Option<usize>,
+        cells_per_dim: usize,
+    ) -> Self {
+        let sort_dim = sort_dim.unwrap_or_else(|| pick_sort_dim(dataset));
+        let config = GridFileConfig::with_sort(dataset.dims(), sort_dim, cells_per_dim);
+        Self { inner: GridFile::build_with_ids(dataset, ids, &config) }
     }
 
     /// The sorted attribute.

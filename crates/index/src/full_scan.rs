@@ -1,7 +1,7 @@
 //! The full-scan baseline (§8.1.3: "every item in the dataset is checked
 //! against queries").
 
-use crate::kernel;
+use crate::pages::PageStore;
 use crate::traits::{MultidimIndex, ScanStats};
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 
@@ -9,15 +9,20 @@ use coax_data::{Dataset, RangeQuery, RowId, Value};
 /// per query — the floor every real index must beat.
 #[derive(Clone, Debug)]
 pub struct FullScan {
-    /// Column-major copy of the data (the "heap file").
-    columns: Vec<Vec<Value>>,
+    /// The "heap file": one page holding every row in dataset order, so
+    /// a query is one cell scan on the shared kernel.
+    heap: PageStore,
 }
 
 impl FullScan {
-    /// Copies the dataset into an unindexed heap.
+    /// Copies the dataset into an unindexed heap; row `i` keeps id `i`.
     pub fn build(dataset: &Dataset) -> Self {
-        let columns = (0..dataset.dims()).map(|d| dataset.column(d).to_vec()).collect();
-        Self { columns }
+        Self::build_with_ids(dataset, &dataset.row_ids().collect::<Vec<_>>())
+    }
+
+    /// [`FullScan::build`] with row `i` stored under id `ids[i]`.
+    pub fn build_with_ids(dataset: &Dataset, ids: &[RowId]) -> Self {
+        Self { heap: PageStore::build(dataset, ids, 1, None, |_| 0) }
     }
 }
 
@@ -27,48 +32,24 @@ impl MultidimIndex for FullScan {
     }
 
     fn dims(&self) -> usize {
-        self.columns.len()
+        self.heap.dims()
     }
 
     fn len(&self) -> usize {
-        self.columns[0].len()
+        self.heap.len()
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
-        let mut row = vec![0.0; self.dims()];
-        for r in 0..self.len() {
-            for (d, col) in self.columns.iter().enumerate() {
-                row[d] = col[r];
-            }
-            f(r as RowId, &row);
-        }
+        self.heap.for_each_entry(f)
     }
 
+    /// One scan of the heap page on the shared kernel (or the scalar
+    /// reference, through the same process-wide flag as the cell scans):
+    /// rows emerge in dataset order.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         assert_eq!(query.dims(), self.dims(), "query dimensionality mismatch");
-        let n = self.len();
-        // Column-major predicate evaluation over the whole heap — the
-        // same tile-mask kernel the grid cells use, with the identity
-        // gather (packed slot == row id). Constrained dimensions only;
-        // rows emerge in ascending id order. The scalar reference stays
-        // reachable through the same process-wide flag as the cell scans.
-        let matches = if kernel::scalar_forced() {
-            let mut matches = 0;
-            for r in 0..n {
-                let ok = query
-                    .constrained_bounds()
-                    .all(|(d, lo, hi)| (lo..=hi).contains(&self.columns[d][r]));
-                if ok {
-                    out.push(r as RowId);
-                    matches += 1;
-                }
-            }
-            matches
-        } else {
-            // coax-analyze: allow(kernel-encapsulation, FullScan owns its column slabs and is itself a scan baseline — it calls the kernel entry point directly rather than re-implementing the loop)
-            kernel::scan_columnar_identity(&self.columns, 0, n, query, out)
-        };
-        ScanStats { cells_visited: 1, rows_examined: n, matches, ..Default::default() }
+        let (rows_examined, matches) = self.heap.scan_cell(0, query, out);
+        ScanStats { cells_visited: 1, rows_examined, matches, ..Default::default() }
     }
 
     fn memory_overhead(&self) -> usize {

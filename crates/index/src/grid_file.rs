@@ -78,7 +78,7 @@ pub struct GridFile {
 }
 
 impl GridFile {
-    /// Builds the grid file over `dataset`.
+    /// Builds the grid file over `dataset`; row `i` keeps id `i`.
     ///
     /// # Panics
     ///
@@ -86,6 +86,11 @@ impl GridFile {
     /// unsorted `grid_dims`, `sort_dim` also gridded, zero cells, or a
     /// directory larger than the 2²⁸-cell safety cap.
     pub fn build(dataset: &Dataset, config: &GridFileConfig) -> Self {
+        Self::build_with_ids(dataset, &dataset.row_ids().collect::<Vec<_>>(), config)
+    }
+
+    /// [`GridFile::build`] with row `i` stored under id `ids[i]`.
+    pub fn build_with_ids(dataset: &Dataset, ids: &[RowId], config: &GridFileConfig) -> Self {
         let dims = dataset.dims();
         let k = config.cells_per_dim;
         assert!(k > 0, "cells_per_dim must be positive");
@@ -119,7 +124,7 @@ impl GridFile {
         }
 
         let cell_of = cell_of(&config.grid_dims, &boundaries, &strides, dataset);
-        let pages = PageStore::build(dataset, n_cells, config.sort_dim, cell_of);
+        let pages = PageStore::build(dataset, ids, n_cells, config.sort_dim, cell_of);
 
         Self {
             dims,
@@ -131,8 +136,8 @@ impl GridFile {
         }
     }
 
-    /// This grid plus `rows`, whose local ids continue from `len()`, with
-    /// the directory frozen: interior quantile boundaries, strides and
+    /// This grid plus `rows`, row `i` under id `ids[i]`, with the
+    /// directory frozen: interior quantile boundaries, strides and
     /// `cells_per_dim` stay as built, so every stored row keeps its cell.
     ///
     /// Each gridded attribute's outer boundaries widen to cover the new
@@ -143,8 +148,8 @@ impl GridFile {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` has another dimensionality.
-    pub fn absorbed(&self, rows: &Dataset) -> Self {
+    /// Panics if `rows` has another dimensionality or not one id per row.
+    pub fn absorbed(&self, rows: &Dataset, ids: &[RowId]) -> Self {
         let mut boundaries = self.boundaries.clone();
         for (b, &d) in boundaries.iter_mut().zip(&self.grid_dims) {
             if let Some((lo, hi)) = rows.min_max(d) {
@@ -153,9 +158,11 @@ impl GridFile {
                 b[k] = b[k].max(hi);
             }
         }
-        let pages = self
-            .pages
-            .absorbed(rows, cell_of(&self.grid_dims, &boundaries, &self.strides, rows));
+        let pages = self.pages.absorbed(
+            rows,
+            ids,
+            cell_of(&self.grid_dims, &boundaries, &self.strides, rows),
+        );
         Self {
             dims: self.dims,
             grid_dims: self.grid_dims.clone(),
@@ -342,8 +349,8 @@ impl MultidimIndex for GridFile {
 
     /// One merge pass into a frozen directory (see
     /// [`GridFile::absorbed`]): COAX's fold path.
-    fn absorbed(&self, rows: &Dataset) -> Option<Box<dyn MultidimIndex>> {
-        Some(Box::new(GridFile::absorbed(self, rows)))
+    fn absorbed(&self, rows: &Dataset, ids: &[RowId]) -> Option<Box<dyn MultidimIndex>> {
+        Some(Box::new(GridFile::absorbed(self, rows, ids)))
     }
 
     fn memory_overhead(&self) -> usize {
@@ -733,6 +740,7 @@ mod tests {
         for offset in [0.0, 0.5] {
             let ds = union_with_shifted(&base, 150, offset, 82);
             let (prefix, suffix) = split(&ds, base.len());
+            let suffix_ids: Vec<RowId> = (base.len() as RowId..ds.len() as RowId).collect();
             let fs = FullScan::build(&ds);
             let mut queries = knn_rectangle_queries(&ds, 12, 30, 83);
             queries.push(RangeQuery::unbounded(3));
@@ -741,7 +749,7 @@ mod tests {
                 GridFileConfig::with_sort(3, 1, 5),
                 GridFileConfig::subset(vec![0], Some(2), 6),
             ] {
-                let grid = GridFile::build(&prefix, &config).absorbed(&suffix);
+                let grid = GridFile::build(&prefix, &config).absorbed(&suffix, &suffix_ids);
                 assert_eq!(grid.len(), ds.len());
                 for q in &queries {
                     let (mut got, mut want) = (grid.range_query(q), fs.range_query(q));
@@ -758,7 +766,7 @@ mod tests {
         let ds = UniformConfig::cube(2, 200, 84).generate();
         let grid = GridFile::build(&ds, &GridFileConfig::all_dims(2, 4));
         let far = Dataset::new(vec![vec![5.0], vec![0.5]]);
-        let grown = grid.absorbed(&far);
+        let grown = grid.absorbed(&far, &[200]);
         // Attribute 0's outer edge widened to the new row; the interior
         // boundaries and the directory size did not move.
         assert_eq!(grown.boundaries[0][4], 5.0);
@@ -776,7 +784,7 @@ mod tests {
         let none = Dataset::new(vec![vec![]; 3]);
         for config in [GridFileConfig::all_dims(3, 4), GridFileConfig::with_sort(3, 0, 3)] {
             let grid = GridFile::build(&ds, &config);
-            assert_eq!(grid.absorbed(&none), grid);
+            assert_eq!(grid.absorbed(&none, &[]), grid);
         }
     }
 
@@ -786,7 +794,8 @@ mod tests {
         let empty = Dataset::new(vec![vec![], vec![]]);
         let fs = FullScan::build(&ds);
         for config in [GridFileConfig::all_dims(2, 3), GridFileConfig::with_sort(2, 1, 4)] {
-            let grid = GridFile::build(&empty, &config).absorbed(&ds);
+            let ids: Vec<RowId> = ds.row_ids().collect();
+            let grid = GridFile::build(&empty, &config).absorbed(&ds, &ids);
             for q in coax_data::workload::knn_rectangle_queries(&ds, 8, 20, 87) {
                 let (mut got, mut want) = (grid.range_query(&q), fs.range_query(&q));
                 got.sort_unstable();

@@ -5,8 +5,9 @@
 //! `dims` interleaved values per row, a data-dependent branch per
 //! dimension — which defeats autovectorization and drags every
 //! dimension's bytes through the cache whether the predicate constrains
-//! it or not. This module is the columnar alternative the page store
-//! ([`crate::pages::PageStore`]) and [`crate::FullScan`] share:
+//! it or not. This module is the columnar alternative every page store
+//! ([`crate::pages::PageStore`]) scans with — the grid cells and
+//! [`crate::FullScan`]'s one heap page alike:
 //!
 //! 1. rows are processed in fixed-width **tiles** of [`TILE`] = 64 rows,
 //!    one selection bit per row in a `u64` mask;
@@ -197,34 +198,6 @@ pub fn scan_columnar(
     matched
 }
 
-/// Like [`scan_columnar`] for stores whose packed order *is* the row-id
-/// order ([`crate::FullScan`]'s heap): slot `i` is row id `i`, so no id
-/// map is read at all.
-pub fn scan_columnar_identity(
-    cols: &[Vec<Value>],
-    s: usize,
-    e: usize,
-    filter: &RangeQuery,
-    out: &mut Vec<RowId>,
-) -> usize {
-    crate::kernel_span!(scan_columnar_identity);
-    let mut matched = 0;
-    let mut t = s;
-    while t < e {
-        let len = TILE.min(e - t);
-        let mut mask = select_tile(cols, filter, t, len);
-        matched += mask.count_ones() as usize;
-        out.reserve(mask.count_ones() as usize);
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            out.push((t + j) as RowId);
-            mask &= mask - 1;
-        }
-        t += len;
-    }
-    matched
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,18 +251,6 @@ mod tests {
             (0..n).filter(|i| (2..=3).contains(&(i % 7))).map(|i| ids[i]).collect();
         assert_eq!(out, expect);
         assert_eq!(matched, expect.len());
-    }
-
-    #[test]
-    fn identity_scan_skips_the_id_map() {
-        let n = 70;
-        let cols = cols_of(vec![(0..n).map(|i| i as f64).collect()]);
-        let mut q = RangeQuery::unbounded(1);
-        q.constrain(0, 60.0, 99.0);
-        let mut out = Vec::new();
-        let matched = scan_columnar_identity(&cols, 0, n, &q, &mut out);
-        assert_eq!(out, (60..70).collect::<Vec<RowId>>());
-        assert_eq!(matched, 10);
     }
 
     #[test]

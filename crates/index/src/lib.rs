@@ -30,6 +30,12 @@
 //! [`BackendSpec::build`] returns the built structure as a
 //! `Box<dyn MultidimIndex>` — the factory seam the COAX outlier store,
 //! the bench harness, and the equivalence tests are written against.
+//!
+//! Every structure stores the ids it was built or absorbed with and
+//! emits them unchanged ([`BackendSpec::build_with_ids`],
+//! [`MultidimIndex::absorbed`]); a plain build numbers rows `0..len`.
+//! COAX hands its partitions the rows' global ids this way, so no layer
+//! above translates an id again.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

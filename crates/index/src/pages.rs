@@ -7,7 +7,8 @@
 //!
 //! A [`PageStore`] is a CSR-style layout with **columnar-within-cell**
 //! pages: one `offsets` table with one entry per cell boundary, one flat
-//! `ids` array mapping each packed row back to its dataset row id, and —
+//! `ids` array holding each packed row's id (the id the row was built or
+//! absorbed with), and —
 //! instead of row-major packed rows — one flat slab *per dimension*, all
 //! sharing the same packed order. `cols[d][offsets[c]..offsets[c + 1]]`
 //! is cell `c`'s dimension-`d` values as one contiguous `&[f64]` run, so
@@ -34,7 +35,7 @@ pub struct PageStore {
     dims: usize,
     /// `offsets[c]..offsets[c+1]` is the packed-row range of cell `c`.
     offsets: Vec<u32>,
-    /// Original dataset row id of each packed row.
+    /// The id of each packed row, as given at build or absorb.
     ids: Vec<RowId>,
     /// One value slab per dimension: `cols[d][i]` is dimension `d` of
     /// packed row `i`. Every slab shares the packed order, so a cell's
@@ -46,15 +47,17 @@ pub struct PageStore {
 
 impl PageStore {
     /// Builds a page store by distributing every row of `dataset` into the
-    /// cell returned by `cell_of`, optionally sorting rows inside each cell
-    /// by attribute `sort_dim`.
+    /// cell `cell_of` returns for its position, optionally sorting rows
+    /// inside each cell by attribute `sort_dim`. Row `i` is stored under
+    /// id `ids[i]`.
     ///
     /// # Panics
     ///
-    /// Panics if `cell_of` returns an out-of-range cell or `sort_dim` is
-    /// out of range.
+    /// Panics if `ids` does not hold one id per row, `cell_of` returns an
+    /// out-of-range cell, or `sort_dim` is out of range.
     pub fn build(
         dataset: &Dataset,
+        ids: &[RowId],
         n_cells: usize,
         sort_dim: Option<usize>,
         mut cell_of: impl FnMut(RowId) -> usize,
@@ -64,6 +67,7 @@ impl PageStore {
             assert!(sd < dims, "sort dimension out of range");
         }
         let n = dataset.len();
+        assert_eq!(ids.len(), n, "one id per row");
 
         // Counting sort of rows by cell.
         let mut counts = vec![0u32; n_cells + 1];
@@ -79,11 +83,12 @@ impl PageStore {
         }
         let offsets = counts.clone();
 
-        let mut ids = vec![0 as RowId; n];
+        // The packed order, as dataset positions.
+        let mut packed = vec![0 as RowId; n];
         let mut cursor = counts;
         for r in dataset.row_ids() {
             let c = cell_ids[r as usize] as usize;
-            ids[cursor[c] as usize] = r;
+            packed[cursor[c] as usize] = r;
             cursor[c] += 1;
         }
 
@@ -92,24 +97,28 @@ impl PageStore {
             let col = dataset.column(sd);
             for c in 0..n_cells {
                 let (s, e) = (offsets[c] as usize, offsets[c + 1] as usize);
-                ids[s..e]
+                packed[s..e]
                     .sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
             }
         }
 
-        // Gather each dimension's slab in the final packed order.
+        // Gather each dimension's slab in the final packed order, then map
+        // the positions through the given ids once.
         let cols = (0..dims)
             .map(|d| {
                 let src = dataset.column(d);
-                ids.iter().map(|&id| src[id as usize]).collect()
+                packed.iter().map(|&r| src[r as usize]).collect()
             })
             .collect();
+        for r in &mut packed {
+            *r = ids[*r as usize];
+        }
 
-        Self { dims, offsets, ids, cols, sort_dim }
+        Self { dims, offsets, ids: packed, cols, sort_dim }
     }
 
     /// This store plus `rows`, in one merge pass: row `i` of `rows` takes
-    /// dataset row id `self.len() + i` and lands in cell `cell_of(i)`.
+    /// id `ids[i]` and lands in cell `cell_of(i)`.
     ///
     /// The new rows are counting-sorted by cell and sorted inside each
     /// cell on the sort attribute. Every old cell run is then copied with
@@ -120,14 +129,20 @@ impl PageStore {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` has another dimensionality, the merged store
-    /// would outgrow the `RowId` space, or `cell_of` returns an
-    /// out-of-range cell.
-    pub fn absorbed(&self, rows: &Dataset, mut cell_of: impl FnMut(RowId) -> usize) -> Self {
+    /// Panics if `rows` has another dimensionality or not one id per
+    /// row, the merged store would outgrow its `u32` cell offsets, or
+    /// `cell_of` returns an out-of-range cell.
+    pub fn absorbed(
+        &self,
+        rows: &Dataset,
+        ids: &[RowId],
+        mut cell_of: impl FnMut(RowId) -> usize,
+    ) -> Self {
         assert_eq!(rows.dims(), self.dims, "absorbed rows dimensionality mismatch");
+        assert_eq!(ids.len(), rows.len(), "one id per absorbed row");
         assert!(
-            self.len() + rows.len() <= RowId::MAX as usize,
-            "absorbed store outgrows the row id space"
+            self.len() + rows.len() <= u32::MAX as usize,
+            "absorbed store outgrows its cell offsets"
         );
         let n_cells = self.n_cells();
 
@@ -176,9 +191,8 @@ impl PageStore {
             }
         }
 
-        let base = self.ids.len() as RowId;
         let offsets = self.offsets.iter().zip(&shift).map(|(&o, &s)| o + s).collect();
-        let ids = merge_slots(&self.ids, &slots, &order, |r| base + r);
+        let ids = merge_slots(&self.ids, &slots, &order, |r| ids[r as usize]);
         let cols = self
             .cols
             .iter()
@@ -244,7 +258,7 @@ impl PageStore {
         &self.cols
     }
 
-    /// The packed-order id map (`packed slot → dataset row id`).
+    /// The packed-order id map (`packed slot → stored id`).
     #[inline]
     pub fn packed_ids(&self) -> &[RowId] {
         &self.ids
@@ -362,9 +376,8 @@ impl PageStore {
         (s, e)
     }
 
-    /// The dataset row id stored in packed slot `i` (a global packed-row
-    /// position as returned in a [`PageStore::narrowed_run`] range, *not*
-    /// a dataset row id).
+    /// The id stored in packed slot `i` (a global packed-row position as
+    /// returned in a [`PageStore::narrowed_run`] range, *not* an id).
     #[inline]
     pub fn packed_id(&self, i: usize) -> RowId {
         self.ids[i]
@@ -381,7 +394,7 @@ impl PageStore {
             + self.ids.len() * std::mem::size_of::<RowId>()
     }
 
-    /// Invokes `f` with every `(dataset_row_id, row_values)` pair of cell
+    /// Invokes `f` with every `(id, row_values)` pair of cell
     /// `c` in packed order, gathering each row from the column slabs into
     /// `scratch` (resized to `dims`; the slice passed to `f` is only valid
     /// for that call).
@@ -401,7 +414,7 @@ impl PageStore {
         }
     }
 
-    /// Invokes `f` with every stored `(dataset_row_id, row_values)` pair,
+    /// Invokes `f` with every stored `(id, row_values)` pair,
     /// cells in order and packed order within each cell — the rebuild /
     /// fold traversal of the grid-family indexes.
     pub fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
@@ -436,6 +449,11 @@ fn merge_slots<T: Copy>(
 mod tests {
     use super::*;
 
+    /// Dense ids: row `i` stored as id `i`.
+    fn dense(ds: &Dataset) -> Vec<RowId> {
+        ds.row_ids().collect()
+    }
+
     fn dataset() -> Dataset {
         // 6 rows, 2 dims; cell = floor(x) so cells 0,1,2.
         Dataset::new(vec![
@@ -445,7 +463,7 @@ mod tests {
     }
 
     fn by_floor(ds: &Dataset) -> PageStore {
-        PageStore::build(ds, 3, None, |r| ds.value(r, 0) as usize)
+        PageStore::build(ds, &dense(ds), 3, None, |r| ds.value(r, 0) as usize)
     }
 
     fn cell_entries(ps: &PageStore, c: usize) -> Vec<(RowId, Vec<Value>)> {
@@ -520,7 +538,7 @@ mod tests {
     #[test]
     fn sorted_cells_narrow_the_scan() {
         let ds = dataset();
-        let ps = PageStore::build(&ds, 1, Some(1), |_| 0);
+        let ps = PageStore::build(&ds, &dense(&ds), 1, Some(1), |_| 0);
         // All six rows in one cell, sorted by y = 10..60.
         let mut q = RangeQuery::unbounded(2);
         q.constrain(1, 25.0, 45.0);
@@ -535,7 +553,7 @@ mod tests {
     #[test]
     fn sorted_scan_handles_open_bounds() {
         let ds = dataset();
-        let ps = PageStore::build(&ds, 1, Some(1), |_| 0);
+        let ps = PageStore::build(&ds, &dense(&ds), 1, Some(1), |_| 0);
         let mut q = RangeQuery::unbounded(2);
         q.constrain(1, f64::NEG_INFINITY, 15.0);
         let mut out = Vec::new();
@@ -547,7 +565,7 @@ mod tests {
     #[test]
     fn sorted_scan_empty_range() {
         let ds = dataset();
-        let ps = PageStore::build(&ds, 1, Some(1), |_| 0);
+        let ps = PageStore::build(&ds, &dense(&ds), 1, Some(1), |_| 0);
         let mut q = RangeQuery::unbounded(2);
         // (40, 50) exclusive of both stored neighbours: nothing qualifies
         // and the two binary searches collapse the scan to zero rows.
@@ -561,7 +579,7 @@ mod tests {
     #[test]
     fn empty_store() {
         let ds = Dataset::new(vec![vec![], vec![]]);
-        let ps = PageStore::build(&ds, 4, Some(0), |_| 0);
+        let ps = PageStore::build(&ds, &dense(&ds), 4, Some(0), |_| 0);
         assert!(ps.is_empty());
         assert_eq!(ps.n_cells(), 4);
         let mut out = Vec::new();
@@ -571,7 +589,7 @@ mod tests {
     #[test]
     fn duplicate_sort_keys_are_all_found() {
         let ds = Dataset::new(vec![vec![1.0; 5], vec![7.0, 7.0, 7.0, 1.0, 9.0]]);
-        let ps = PageStore::build(&ds, 1, Some(1), |_| 0);
+        let ps = PageStore::build(&ds, &dense(&ds), 1, Some(1), |_| 0);
         let mut q = RangeQuery::unbounded(2);
         q.constrain(1, 7.0, 7.0);
         let mut out = Vec::new();
@@ -582,7 +600,7 @@ mod tests {
     #[test]
     fn scalar_reference_is_bit_identical_here() {
         let ds = dataset();
-        let ps = PageStore::build(&ds, 1, Some(1), |_| 0);
+        let ps = PageStore::build(&ds, &dense(&ds), 1, Some(1), |_| 0);
         let mut q = RangeQuery::unbounded(2);
         q.constrain(0, 0.2, 1.6);
         q.constrain(1, 15.0, 55.0);
@@ -609,8 +627,9 @@ mod tests {
     /// Builds over rows `..split`, then absorbs the rest, cells by floor(x).
     fn absorb_suffix(ds: &Dataset, split: usize, sort_dim: Option<usize>) -> PageStore {
         let (prefix, suffix) = (range(ds, 0..split), range(ds, split..ds.len()));
-        PageStore::build(&prefix, 3, sort_dim, |r| prefix.value(r, 0) as usize)
-            .absorbed(&suffix, |r| suffix.value(r, 0) as usize)
+        let suffix_ids: Vec<RowId> = (split as RowId..ds.len() as RowId).collect();
+        PageStore::build(&prefix, &dense(&prefix), 3, sort_dim, |r| prefix.value(r, 0) as usize)
+            .absorbed(&suffix, &suffix_ids, |r| suffix.value(r, 0) as usize)
     }
 
     fn cell_ids(ps: &PageStore, c: usize) -> Vec<RowId> {
@@ -623,7 +642,7 @@ mod tests {
         let ds = keyed();
         let split = 24;
         let merged = absorb_suffix(&ds, split, Some(1));
-        let fresh = PageStore::build(&ds, 3, Some(1), |r| ds.value(r, 0) as usize);
+        let fresh = PageStore::build(&ds, &dense(&ds), 3, Some(1), |r| ds.value(r, 0) as usize);
         assert_eq!(merged.len(), ds.len());
         assert_eq!(merged.cell_lengths(), fresh.cell_lengths());
         for c in 0..3 {
@@ -657,7 +676,8 @@ mod tests {
         let split = 24;
         let merged = absorb_suffix(&ds, split, None);
         let base = range(&ds, 0..split);
-        let built = PageStore::build(&base, 3, None, |r| base.value(r, 0) as usize);
+        let built =
+            PageStore::build(&base, &dense(&base), 3, None, |r| base.value(r, 0) as usize);
         for c in 0..3 {
             let ids = cell_ids(&merged, c);
             let old = cell_ids(&built, c);
@@ -688,8 +708,9 @@ mod tests {
         let ds = keyed();
         let none = Dataset::new(vec![vec![], vec![]]);
         for sort_dim in [None, Some(1)] {
-            let ps = PageStore::build(&ds, 3, sort_dim, |r| ds.value(r, 0) as usize);
-            assert_eq!(ps.absorbed(&none, |_| unreachable!()), ps);
+            let ps =
+                PageStore::build(&ds, &dense(&ds), 3, sort_dim, |r| ds.value(r, 0) as usize);
+            assert_eq!(ps.absorbed(&none, &[], |_| unreachable!()), ps);
         }
     }
 
@@ -697,7 +718,7 @@ mod tests {
     fn empty_store_absorbs() {
         let ds = keyed();
         let merged = absorb_suffix(&ds, 0, Some(1));
-        let fresh = PageStore::build(&ds, 3, Some(1), |r| ds.value(r, 0) as usize);
+        let fresh = PageStore::build(&ds, &dense(&ds), 3, Some(1), |r| ds.value(r, 0) as usize);
         assert_eq!(merged.cell_lengths(), fresh.cell_lengths());
         for c in 0..3 {
             let (mut got, mut want) = (cell_ids(&merged, c), cell_ids(&fresh, c));

@@ -65,23 +65,29 @@ pub struct RTree {
     config: RTreeConfig,
     /// Flat entry coordinates, `dims` per entry, grouped by leaf.
     coords: Vec<Value>,
-    /// Dataset row id per entry.
+    /// Id of each entry, as given at build.
     ids: Vec<RowId>,
     nodes: Vec<Node>,
     root: Option<u32>,
 }
 
 impl RTree {
-    /// Bulk-loads the tree from `dataset`.
+    /// Bulk-loads the tree from `dataset`; row `i` keeps id `i`.
     ///
     /// # Panics
     ///
     /// Panics if either capacity is < 2 (a fanout of 1 cannot terminate).
     pub fn build(dataset: &Dataset, config: RTreeConfig) -> Self {
+        Self::build_with_ids(dataset, &dataset.row_ids().collect::<Vec<_>>(), config)
+    }
+
+    /// [`RTree::build`] with row `i` stored under id `ids[i]`.
+    pub fn build_with_ids(dataset: &Dataset, ids: &[RowId], config: RTreeConfig) -> Self {
         assert!(config.leaf_capacity >= 2, "leaf capacity must be >= 2");
         assert!(config.internal_fanout >= 2, "internal fanout must be >= 2");
         let dims = dataset.dims();
         let n = dataset.len();
+        assert_eq!(ids.len(), n, "one id per row");
         let mut tree = Self {
             dims,
             config,
@@ -103,7 +109,7 @@ impl RTree {
             let mut lo = vec![f64::INFINITY; dims].into_boxed_slice();
             let mut hi = vec![f64::NEG_INFINITY; dims].into_boxed_slice();
             for &r in &group {
-                tree.ids.push(r);
+                tree.ids.push(ids[r as usize]);
                 for d in 0..dims {
                     let v = dataset.value(r, d);
                     tree.coords.push(v);

@@ -449,18 +449,19 @@ pub trait MultidimIndex: std::fmt::Debug + Send + Sync {
     ///
     /// # Id contract
     ///
-    /// Every appended id is a **local** row id of this index, i.e. in
-    /// `0..self.len()` — the id the row had in the dataset the index was
-    /// built over. Composing callers (COAX holds one boxed primary and
-    /// one boxed outlier index over partition-local datasets) rely on
-    /// this to remap results through an id table; an implementation
-    /// emitting anything else is out of contract and will corrupt
-    /// composed results (COAX's exec layer debug-asserts the range, and
-    /// in release builds a violation panics on the id-table bound check
-    /// instead of aliasing another partition's rows).
+    /// Every appended id is the id its row was built or absorbed with:
+    /// `ids[i]` for row `i` of an ids-taking build
+    /// ([`crate::BackendSpec::build_with_ids`]) or of
+    /// [`MultidimIndex::absorbed`], so `0..self.len()` for a plain build.
+    /// Ids pass through unchanged, so composing callers need no
+    /// translation table: COAX builds both partitions over the rows'
+    /// own ids, and a sharded service each shard over its members'
+    /// global ids (`crates/index/tests/equivalence.rs` pins the contract
+    /// for every backend over sparse, shuffled ids).
     ///
     /// The contract applies to every query method of this trait — the
-    /// filtered, point, and batched variants all emit the same local ids.
+    /// filtered, point, batched and cursor variants, and
+    /// [`MultidimIndex::for_each_entry`], all emit the same ids.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats;
 
     /// Range query with separate *navigation* and *filter* predicates:
@@ -592,16 +593,16 @@ pub trait MultidimIndex: std::fmt::Debug + Send + Sync {
         results
     }
 
-    /// Invokes `f` with every stored `(row_id, row_values)` pair, in an
-    /// unspecified order.
+    /// Invokes `f` with every stored `(id, row_values)` pair, each id
+    /// exactly once, in an unspecified order.
     ///
-    /// This opens the store for composition: COAX reconstructs its
-    /// logical dataset from its primary and outlier backends through this
+    /// This opens the store for composition: COAX gathers its rows, with
+    /// their ids, from its primary and outlier backends through this
     /// method when rebuilding, whichever structures back them.
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value]));
 
-    /// This index plus `rows`, as a new index: row `i` of `rows` takes
-    /// local id `self.len() + i`, and every stored row keeps its own.
+    /// This index plus `rows`, as a new index: row `i` of `rows` takes id
+    /// `ids[i]`, and every stored row keeps its own.
     ///
     /// `None`, the default, means the backend has no path cheaper than a
     /// rebuild; the caller then rebuilds over
@@ -609,7 +610,7 @@ pub trait MultidimIndex: std::fmt::Debug + Send + Sync {
     /// merges the rows into its frozen directory in one pass. COAX's fold
     /// calls this for each partition so that folding buffered inserts
     /// does not re-pack the stored rows.
-    fn absorbed(&self, _rows: &Dataset) -> Option<Box<dyn MultidimIndex>> {
+    fn absorbed(&self, _rows: &Dataset, _ids: &[RowId]) -> Option<Box<dyn MultidimIndex>> {
         None
     }
 

@@ -29,13 +29,19 @@ pub struct UniformGrid {
 }
 
 impl UniformGrid {
-    /// Builds a uniform grid with `cells_per_dim` cells on every attribute.
+    /// Builds a uniform grid with `cells_per_dim` cells on every attribute;
+    /// row `i` keeps id `i`.
     ///
     /// # Panics
     ///
     /// Panics if `cells_per_dim == 0` or the directory would exceed the
     /// safety cap.
     pub fn build(dataset: &Dataset, cells_per_dim: usize) -> Self {
+        Self::build_with_ids(dataset, &dataset.row_ids().collect::<Vec<_>>(), cells_per_dim)
+    }
+
+    /// [`UniformGrid::build`] with row `i` stored under id `ids[i]`.
+    pub fn build_with_ids(dataset: &Dataset, ids: &[RowId], cells_per_dim: usize) -> Self {
         assert!(cells_per_dim > 0, "cells_per_dim must be positive");
         let dims = dataset.dims();
         let n_cells = cells_per_dim
@@ -65,7 +71,7 @@ impl UniformGrid {
         let cell_of = |r: RowId| -> usize {
             (0..dims).map(|d| coord(dataset.value(r, d), d) * strides[d]).sum()
         };
-        let pages = PageStore::build(dataset, n_cells, None, cell_of);
+        let pages = PageStore::build(dataset, ids, n_cells, None, cell_of);
 
         Self { dims, cells_per_dim, mins, inv_widths, maxs, strides, pages }
     }

@@ -7,11 +7,18 @@
 //! rounds over the same input space the original strategies covered —
 //! every backend is constructed through [`BackendSpec`] and driven as a
 //! `Box<dyn MultidimIndex>`, exercising the factory seam directly.
+//!
+//! The id contract is pinned here too: built (and, for the grid file,
+//! absorbed) over sparse, shuffled ids, every backend emits exactly the
+//! ids its rows were given, from every query surface and from
+//! `for_each_entry`. `BackendSpec` is a closed enum, so this covers every
+//! structure a COAX partition can hold.
 
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 use coax_index::{BackendSpec, FullScan, GridFile, GridFileConfig, MultidimIndex, ScanStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Number of randomized rounds per property (the proptest versions ran
 /// 64 cases; these are cheaper, so run the same order of magnitude).
@@ -299,12 +306,15 @@ fn absorbed_grids_match_full_scan() {
             specs
                 .push(BackendSpec::GridFile { cells_per_dim: cells, sort_dim: Some(dims - 1) });
         }
+        let ids = |r: std::ops::Range<usize>| r.map(|i| i as RowId).collect::<Vec<_>>();
         for spec in specs {
             let grid = spec.build(&prefix);
-            let once = grid.absorbed(&rows(built..ds.len())).expect("a grid file absorbs");
+            let once = grid
+                .absorbed(&rows(built..ds.len()), &ids(built..ds.len()))
+                .expect("a grid file absorbs");
             let twice = grid
-                .absorbed(&first)
-                .and_then(|g| g.absorbed(&second))
+                .absorbed(&first, &ids(built..mid))
+                .and_then(|g| g.absorbed(&second, &ids(mid..ds.len())))
                 .expect("a grid file absorbs");
             for (label, index) in [("once", &once), ("twice", &twice)] {
                 assert_eq!(index.len(), ds.len(), "round {round}: {spec:?} {label}");
@@ -325,6 +335,99 @@ fn absorbed_grids_match_full_scan() {
                 });
                 assert!(seen.iter().all(|&s| s), "round {round}: {spec:?} {label} lost a row");
             }
+        }
+    }
+}
+
+/// `7·i + 3` for every row `i`, in a seeded shuffled order: ids that are
+/// neither dense, nor ascending, nor the rows' positions.
+fn sparse_ids(rng: &mut StdRng, n: usize) -> Vec<RowId> {
+    let mut ids: Vec<RowId> = (0..n as RowId).map(|i| 7 * i + 3).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    ids
+}
+
+/// `index` holds row `i` of `ds` under id `ids[i]`: every query surface
+/// answers `FullScan`'s dense answer mapped through `ids`, and
+/// `for_each_entry` yields each id exactly once, with its row.
+fn assert_emits_ids(
+    index: &dyn MultidimIndex,
+    ds: &Dataset,
+    ids: &[RowId],
+    queries: &[RangeQuery],
+    ctx: &str,
+) {
+    let dense = FullScan::build(ds);
+    assert_eq!(index.len(), ds.len(), "{ctx}");
+    for q in queries {
+        let want = sorted(dense.range_query(q).iter().map(|&r| ids[r as usize]).collect());
+        assert_eq!(sorted(index.range_query(q)), want, "{ctx}: range query {q:?}");
+        let cursor: Vec<RowId> = index.range_query_cursor(q).collect();
+        assert_eq!(sorted(cursor), want, "{ctx}: cursor {q:?}");
+        let batched = index.batch_query(std::slice::from_ref(q)).remove(0).ids;
+        assert_eq!(sorted(batched), want, "{ctx}: batch {q:?}");
+    }
+    let position: HashMap<RowId, usize> =
+        ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let mut seen = vec![false; ds.len()];
+    index.for_each_entry(&mut |id, row| {
+        let i = *position.get(&id).unwrap_or_else(|| panic!("{ctx}: unknown id {id}"));
+        assert_eq!(row, ds.row(i as RowId).as_slice(), "{ctx}: entry {id}");
+        assert!(!std::mem::replace(&mut seen[i], true), "{ctx}: entry {id} twice");
+    });
+    assert!(seen.iter().all(|&s| s), "{ctx}: an entry is missing");
+}
+
+#[test]
+fn every_backend_emits_the_ids_it_was_built_with() {
+    let mut rng = StdRng::seed_from_u64(0xE0_08);
+    for round in 0..ROUNDS {
+        let ds = random_dataset(&mut rng);
+        let ids = sparse_ids(&mut rng, ds.len());
+        let queries: Vec<RangeQuery> =
+            (0..4).map(|_| random_query(&mut rng, ds.dims())).collect();
+        for spec in random_specs(&mut rng, ds.dims()) {
+            let index = spec.build_with_ids(&ds, &ids);
+            assert_emits_ids(
+                index.as_ref(),
+                &ds,
+                &ids,
+                &queries,
+                &format!("round {round}: {spec:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn absorbed_grids_keep_old_ids_and_take_new_ones() {
+    let mut rng = StdRng::seed_from_u64(0xE0_09);
+    for round in 0..ROUNDS {
+        let (ds, built) = grown_dataset(&mut rng);
+        let dims = ds.dims();
+        let ids = sparse_ids(&mut rng, ds.len());
+        let rows = |r: std::ops::Range<usize>| {
+            ds.take_rows(&r.map(|i| i as RowId).collect::<Vec<_>>())
+        };
+        let queries: Vec<RangeQuery> = (0..4).map(|_| random_query(&mut rng, dims)).collect();
+        let cells = rng.gen_range(1usize..6);
+        let mut configs = vec![GridFileConfig::all_dims(dims, cells)];
+        if dims > 1 {
+            configs.push(GridFileConfig::with_sort(dims, dims - 1, cells));
+        }
+        for config in configs {
+            let grid = GridFile::build_with_ids(&rows(0..built), &ids[..built], &config);
+            let grown = MultidimIndex::absorbed(&grid, &rows(built..ds.len()), &ids[built..])
+                .expect("a grid file absorbs");
+            assert_emits_ids(
+                grown.as_ref(),
+                &ds,
+                &ids,
+                &queries,
+                &format!("round {round}: {config:?}"),
+            );
         }
     }
 }

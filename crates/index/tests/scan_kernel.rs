@@ -24,6 +24,11 @@ fn random_dataset(rng: &mut StdRng, min_rows: usize, max_rows: usize) -> Dataset
     Dataset::new(columns)
 }
 
+/// Dense ids: row `i` stored as id `i`.
+fn dense(ds: &Dataset) -> Vec<RowId> {
+    ds.row_ids().collect()
+}
+
 /// Random rectangles mixing bounded, one-sided, unconstrained, inverted
 /// (empty) and point constraints per dimension.
 fn random_query(rng: &mut StdRng, dims: usize) -> RangeQuery {
@@ -78,7 +83,10 @@ fn kernel_matches_scalar_randomized() {
         // Hash rows into cells arbitrarily; with up to 8 cells over up to
         // 300 rows, small datasets leave some cells empty.
         let sort_dim = if rng.gen_bool(0.5) { Some(rng.gen_range(0..dims)) } else { None };
-        let ps = PageStore::build(&ds, n_cells, sort_dim, |r| (r as usize * 7 + 3) % n_cells);
+        // Sparse ids, so the gather must read the stored id map.
+        let ids: Vec<RowId> = ds.row_ids().map(|r| 7 * r + 3).collect();
+        let ps =
+            PageStore::build(&ds, &ids, n_cells, sort_dim, |r| (r as usize * 7 + 3) % n_cells);
         for _ in 0..4 {
             let filter = random_query(&mut rng, dims);
             // nav == filter (the plain-index shape) and a loosened nav
@@ -105,7 +113,7 @@ fn tile_boundary_sizes_are_exact() {
             .collect();
         let ds = Dataset::new(columns);
         for sort_dim in [None, Some(1)] {
-            let ps = PageStore::build(&ds, 1, sort_dim, |_| 0);
+            let ps = PageStore::build(&ds, &dense(&ds), 1, sort_dim, |_| 0);
             for _ in 0..16 {
                 let q = random_query(&mut rng, 2);
                 assert_cells_identical(&ps, &q, &q, &format!("rows={rows} sort={sort_dim:?}"));
@@ -123,7 +131,7 @@ fn duplicate_sort_keys_and_open_bounds() {
         (0..n).map(|i| (i % 5) as f64).collect(),
         (0..n).map(|i| (i % 3) as f64).collect(),
     ]);
-    let ps = PageStore::build(&ds, 1, Some(1), |_| 0);
+    let ps = PageStore::build(&ds, &dense(&ds), 1, Some(1), |_| 0);
     let cases = [
         (1.0, 1.0),               // duplicate run, both searches active
         (f64::NEG_INFINITY, 1.0), // lower bound open

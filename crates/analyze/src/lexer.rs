@@ -1,6 +1,6 @@
 //! A minimal Rust token scanner: comments-, strings- and raw-strings-aware.
 //!
-//! The workspace vendors only `rand` and `criterion`, so this analyzer
+//! The workspace vendors only `rand`, so this analyzer
 //! cannot lean on `syn` or `proc-macro2`; instead it lexes source files
 //! into a flat token stream that is *just* faithful enough for the rule
 //! set in [`crate::rules`]:

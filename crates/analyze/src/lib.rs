@@ -7,8 +7,7 @@
 //! maintenance and shard layers, seeded-deterministic test suites. This
 //! crate machine-checks the source-level shadows of those contracts on
 //! every push, with zero dependencies (the workspace vendors only
-//! `rand`/`criterion`, so the scanner is hand-rolled pure std — see
-//! [`lexer`]).
+//! `rand`, so the scanner is hand-rolled pure std — see [`lexer`]).
 //!
 //! The engine is two-phase: per-file rules run over each token stream in
 //! isolation ([`rules`]), then a lightweight workspace model — items,

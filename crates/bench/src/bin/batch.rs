@@ -93,8 +93,8 @@ fn time_first_ms(repeats: usize, mut f: impl FnMut() -> f64) -> f64 {
 /// Mean streaming time-to-first-result in milliseconds over `repeats`
 /// runs of `f`, read from the exec layer's own span recorder: the
 /// `coax.batch.ttfr_us` histogram delta across the timed passes
-/// (`execute_streaming` stamps first-result latency before the first
-/// sink call, so this measures the engine, not the bench's callback).
+/// (the batch engine stamps first-result latency before the first sink
+/// call, so this measures the engine, not the bench's callback).
 fn stream_ttfr_ms(repeats: usize, mut f: impl FnMut()) -> f64 {
     let hist = MetricsRegistry::global().histogram("coax.batch.ttfr_us");
     let repeats = repeats.max(1);
@@ -366,7 +366,7 @@ fn main() {
         // The merged stream delivers every query exactly once, each
         // result equal to the materialized batch's.
         let mut streamed: Vec<Option<QueryResult>> = vec![None; shard_queries.len()];
-        for (qi, r) in sharded.batch_query_streaming(shard_queries) {
+        for (qi, r) in sharded.snapshot().batch_query_streaming(shard_queries) {
             assert!(streamed[qi].replace(r).is_none(), "{label}: query {qi} streamed twice");
         }
         for (qi, (slot, expect)) in streamed.iter().zip(&results).enumerate() {
@@ -379,7 +379,7 @@ fn main() {
             std::hint::black_box(sharded.batch_query(shard_queries));
         });
         let stream_ms = time_batch_ms(repeats, || {
-            for (_, r) in sharded.batch_query_streaming(shard_queries) {
+            for (_, r) in sharded.snapshot().batch_query_streaming(shard_queries) {
                 std::hint::black_box(r);
             }
         });

@@ -1,12 +1,13 @@
 //! Quickstart: build a COAX index on correlated data, watch it discover
 //! the soft functional dependencies, query it through the typed
 //! predicate builder, stream results through a cursor, and update it.
+//! Updates go through an `IndexHandle`.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use coax::core::{CoaxConfig, CoaxIndex};
+use coax::core::{CoaxConfig, CoaxIndex, IndexHandle};
 use coax::data::synth::{AirlineConfig, Generator};
-use coax::data::Query;
+use coax::data::{Query, RangeQuery};
 use coax::index::MultidimIndex;
 
 fn main() {
@@ -96,15 +97,28 @@ fn main() {
         stats.rows_examined
     );
 
-    // 5. Inserts route by the margin check; rebuild folds them in. (For
-    //    concurrent inserts + reads, wrap the index in an IndexHandle and
-    //    take ReadSnapshot sessions — see the streaming_maintenance
-    //    example.)
-    let mut index = index;
-    let id = index
-        .insert(&[800.0, 135.0, 107.0, 600.0, 755.0, 750.0, 3.0, 2.0])
-        .expect("well-formed row");
-    println!("\ninserted row id {id}; pending = {}", index.pending_len());
-    let index = index.rebuild();
-    println!("after rebuild: {} rows indexed, pending = {}", index.len(), index.pending_len());
+    // 5. The built index is a frozen epoch; updates go through an
+    //    IndexHandle. An insert is routed by the margin check and
+    //    buffered in the handle's overlay, visible to queries at once; a
+    //    fold merges the overlay into the epoch with the models frozen,
+    //    and a refit refreshes the models from the insert evidence. Each
+    //    publishes a new epoch. (For concurrent inserts + reads through
+    //    ReadSnapshot views, see the streaming_maintenance example.)
+    let handle = IndexHandle::new(index);
+    let row = [800.0, 135.0, 107.0, 600.0, 755.0, 750.0, 3.0, 2.0];
+    let id = handle.insert(&row).expect("well-formed row");
+    let visible = handle.range_query(&RangeQuery::point(&row)).contains(&id);
+    println!("\ninserted row id {id}; pending = {}, visible = {visible}", handle.pending_len());
+    for (action, run) in
+        [("fold", IndexHandle::fold as fn(&IndexHandle)), ("refit", IndexHandle::refit)]
+    {
+        run(&handle);
+        let epoch = handle.snapshot();
+        println!(
+            "after {action}: epoch {}, {} rows indexed, pending = {}",
+            epoch.epoch(),
+            epoch.frozen().len(),
+            epoch.pending_len()
+        );
+    }
 }

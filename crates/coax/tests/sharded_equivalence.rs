@@ -142,7 +142,7 @@ fn assert_sharded_matches_single(
     // …and the merged stream: every query exactly once, results
     // bit-identical, whatever the completion order.
     let mut streamed: Vec<Option<QueryResult>> = vec![None; queries.len()];
-    for (qi, result) in sharded.batch_query_streaming(queries) {
+    for (qi, result) in sharded.snapshot().batch_query_streaming(queries) {
         assert!(streamed[qi].is_none(), "{label}: query {qi} delivered twice");
         streamed[qi] = Some(result);
     }

@@ -190,10 +190,10 @@ fn batch_stream_matches_materialized_batch() {
         }
     }
 
-    // The handle's sugar takes its own (equal, nothing inserted since)
-    // snapshot.
+    // A fresh snapshot of the handle (equal, nothing inserted since)
+    // streams the same results.
     let mut from_handle: Vec<Option<QueryResult>> = vec![None; queries.len()];
-    for (qi, result) in handle.batch_query_streaming(&queries) {
+    for (qi, result) in handle.snapshot().batch_query_streaming(&queries) {
         from_handle[qi] = Some(result);
     }
     for (qi, slot) in from_handle.iter().enumerate() {

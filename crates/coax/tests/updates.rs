@@ -1,10 +1,11 @@
 //! Integration tests for the update path (§5's Bayesian update story +
-//! §9 future work): insert → pending queries → rebuild → model refresh,
-//! plus the maintenance-equivalence property behind `crate::maint`'s
-//! fold/refit split: `rebuild_incremental()` (fold) and `rebuild()`
-//! (refit) must answer every query exactly like the never-rebuilt index.
+//! §9 future work), which runs through an `IndexHandle`: insert →
+//! overlay queries → fold/refit → model refresh, plus the
+//! maintenance-equivalence property behind the fold/refit split: a
+//! handle's `fold()` and `refit()` must answer every query exactly like
+//! a never-folded handle holding the same rows.
 
-use coax::core::{CoaxConfig, CoaxIndex, IndexHandle, OutlierBackend, PrimaryBackend};
+use coax::core::{CoaxConfig, IndexHandle, OutlierBackend, PrimaryBackend};
 use coax::data::synth::{
     Generator, LinearPairConfig, PlantedConfig, PlantedDependent, PlantedGroup,
 };
@@ -33,8 +34,9 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 #[test]
 fn inserted_rows_are_visible_before_and_after_rebuild() {
     let ds = planted(10_000, 1);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    assert!(!index.groups().is_empty());
+    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+    let built = handle.snapshot();
+    assert!(!built.frozen().groups().is_empty());
 
     let rows: Vec<Vec<f64>> = (0..50)
         .map(|i| {
@@ -44,37 +46,54 @@ fn inserted_rows_are_visible_before_and_after_rebuild() {
         .collect();
     let mut ids = Vec::new();
     for row in &rows {
-        ids.push(index.insert(row).unwrap());
+        ids.push(handle.insert(row).unwrap());
     }
-    assert_eq!(index.pending_len(), 50);
-    assert_eq!(index.pending_in_margins(), 50, "on-line rows route to primary");
-
+    assert_eq!(handle.pending_len(), 50);
     for (row, id) in rows.iter().zip(&ids) {
-        assert!(index.range_query(&RangeQuery::point(row)).contains(id));
+        assert!(handle.range_query(&RangeQuery::point(row)).contains(id));
     }
 
-    let rebuilt = index.rebuild();
+    // The fold routes each row by its insert-time verdict: on-line rows
+    // route to the primary.
+    handle.fold();
+    let folded = handle.snapshot();
+    assert_eq!(folded.pending_len(), 0);
+    assert_eq!(
+        folded.frozen().primary_len(),
+        built.frozen().primary_len() + 50,
+        "on-line rows route to primary"
+    );
+    assert_eq!(folded.frozen().outlier_len(), built.frozen().outlier_len());
+
+    handle.refit();
+    let rebuilt = handle.snapshot();
     assert_eq!(rebuilt.pending_len(), 0);
     for (row, id) in rows.iter().zip(&ids) {
-        assert!(rebuilt.range_query(&RangeQuery::point(row)).contains(id));
+        assert!(folded.frozen().range_query(&RangeQuery::point(row)).contains(id));
+        assert!(rebuilt.frozen().range_query(&RangeQuery::point(row)).contains(id));
     }
-    // The folded-in rows landed in the primary partition.
-    assert_eq!(rebuilt.primary_len() + rebuilt.outlier_len(), ds.len() + 50);
+    assert_eq!(rebuilt.frozen().primary_len() + rebuilt.frozen().outlier_len(), ds.len() + 50);
 }
 
 #[test]
 fn outlier_inserts_route_to_outlier_partition() {
     let ds = planted(10_000, 2);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    let before_outliers = index.outlier_len();
+    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+    let built = handle.snapshot();
+    let before_outliers = built.frozen().outlier_len();
     for i in 0..20 {
         let x = 50.0 * i as f64 % 1000.0;
-        index.insert(&[x, 2.0 * x + 10.0 + 5000.0]).unwrap(); // far off the band
+        handle.insert(&[x, 2.0 * x + 10.0 + 5000.0]).unwrap(); // far off the band
     }
-    assert_eq!(index.pending_in_margins(), 0);
-    let rebuilt = index.rebuild();
+    // No row passed the margin check: the fold sends all 20 to the
+    // outlier partition.
+    handle.fold();
+    let folded = handle.snapshot();
+    assert_eq!(folded.frozen().outlier_len(), before_outliers + 20);
+    assert_eq!(folded.frozen().primary_len(), built.frozen().primary_len());
+    handle.refit();
     assert!(
-        rebuilt.outlier_len() >= before_outliers + 20,
+        handle.snapshot().frozen().outlier_len() >= before_outliers + 20,
         "gross outliers must land in the outlier index"
     );
 }
@@ -85,19 +104,20 @@ fn posterior_update_tracks_a_drifting_stream() {
     // 2.2; after rebuild the refreshed model should sit between the two,
     // pulled towards the new evidence.
     let ds = planted(5_000, 3);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    let slope_before =
-        index.groups()[0].models[0].as_linear().expect("linear model").params.slope.abs();
+    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+    let model = handle.snapshot().frozen().groups()[0].models[0].clone();
+    let slope_before = model.as_linear().expect("linear model").params.slope.abs();
     for i in 0..5_000 {
         let x = (i as f64 * 7.7) % 1000.0;
         // Keep drifted rows inside the current margins so the posterior
         // actually sees them.
-        let model = index.groups()[0].models[0].clone();
         let drift = (0.2 * x).min(model.margin_width() * 0.45);
         let y = model.predict(x) + drift;
-        let _ = index.insert(&[x, y]).unwrap();
+        let _ = handle.insert(&[x, y]).unwrap();
     }
-    let rebuilt = index.rebuild();
+    handle.refit();
+    let snapshot = handle.snapshot();
+    let rebuilt = snapshot.frozen();
     let slope_after =
         rebuilt.groups()[0].models[0].as_linear().expect("linear model").params.slope.abs();
     assert!(slope_after != slope_before, "posterior refresh must move the model");
@@ -109,9 +129,12 @@ fn posterior_update_tracks_a_drifting_stream() {
 
 /// Property-style seeded sweep: across primary×outlier backend
 /// combinations and seeds, a mixed insert stream followed by (a) nothing,
-/// (b) `rebuild_incremental()` — the maint layer's fold, models frozen —
-/// or (c) the full `rebuild()` — the refit — must answer every query
-/// identically, and identically to a full scan over the logical table.
+/// (b) a handle `fold()` — models frozen — or (c) a handle `refit()` must
+/// answer every query identically, and identically to a full scan over
+/// the logical table. Two handles over the same build take the same ids:
+/// one is never folded (its snapshot is (a), and its refit is (c)), the
+/// other folds, with one snapshot held before the fold and one after
+/// each action.
 ///
 /// The stream reaches beyond the build range and carries enough
 /// off-band rows to step the adaptive outlier grid's resolution, so the
@@ -137,11 +160,14 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                 outlier_backend: outlier,
                 ..Default::default()
             };
-            let mut index = CoaxIndex::build(&ds, &cfg);
+            let never = IndexHandle::build(&ds, &cfg);
+            let handle = IndexHandle::build(&ds, &cfg);
+            let before = handle.snapshot();
+            let base = before.frozen();
             // A seeded mixed stream: in-band, gross-outlier, and
             // near-margin rows.
             let mut logical: Vec<Vec<f64>> = (0..ds.len() as u32).map(|r| ds.row(r)).collect();
-            let model = index.groups()[0].models[0].clone();
+            let model = base.groups()[0].models[0].clone();
             let width = model.margin_width();
             let mut rows: Vec<[f64; 2]> = (0..150)
                 .map(|i| {
@@ -172,34 +198,36 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                 [x, model.predict(x) + (10.0 + (i % 7) as f64) * width]
             }));
             for row in &rows {
-                index.insert(row).unwrap();
+                assert_eq!(never.insert(row).unwrap(), handle.insert(row).unwrap());
                 logical.push(row.to_vec());
             }
             let outlier_spec = |rows: usize, sort_dim| {
                 outlier.to_spec(rows, 2, sort_dim, cfg.outlier_cells_per_dim)
             };
-            let off_band = index.pending_len() - index.pending_in_margins();
+
+            handle.fold();
+            let folded = handle.snapshot();
+            assert_eq!(folded.pending_len(), 0);
+            assert_eq!(folded.len(), never.len());
+            // The fold sends exactly the off-band rows to the outliers.
+            let off_band = folded.frozen().outlier_len() - base.outlier_len();
             if outlier == OutlierBackend::GridFile {
                 assert_ne!(
-                    outlier_spec(index.outlier_len(), index.sort_dim()),
-                    outlier_spec(index.outlier_len() + off_band, index.sort_dim()),
+                    outlier_spec(base.outlier_len(), base.sort_dim()),
+                    outlier_spec(base.outlier_len() + off_band, base.sort_dim()),
                     "the stream must step the outlier grid (combo {combo_i}, seed {seed})"
                 );
             }
-
-            let mut folded = index.rebuild_incremental();
-            assert_eq!(folded.pending_len(), 0);
-            assert_eq!(folded.len(), index.len());
             // The fold must not have touched a model.
             assert_eq!(
-                folded.groups()[0].models[0],
-                index.groups()[0].models[0],
+                folded.frozen().groups()[0].models[0],
+                base.groups()[0].models[0],
                 "fold froze no model (combo {combo_i}, seed {seed})"
             );
             if outlier == OutlierBackend::GridFile {
                 assert_ne!(
-                    folded.outlier_overhead(),
-                    index.outlier_overhead(),
+                    folded.frozen().outlier_overhead(),
+                    base.outlier_overhead(),
                     "a stepping fold rebuilds the outlier grid (combo {combo_i}, seed {seed})"
                 );
             }
@@ -219,27 +247,32 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                     .map(|(x, k)| [x, model.predict(x) + k * width]),
             );
             for row in &more {
-                assert_eq!(index.insert(row).unwrap(), folded.insert(row).unwrap());
+                assert_eq!(never.insert(row).unwrap(), handle.insert(row).unwrap());
                 logical.push(row.to_vec());
             }
-            let off_band = folded.pending_len() - folded.pending_in_margins();
+            // The first fold's epoch, with the second stream in its overlay.
+            let folded = handle.snapshot();
+            handle.fold();
+            let refolded = handle.snapshot();
+            assert_eq!(refolded.pending_len(), 0);
+            assert_eq!(refolded.len(), never.len());
+            let off_band = refolded.frozen().outlier_len() - folded.frozen().outlier_len();
             assert_eq!(
-                outlier_spec(folded.outlier_len(), folded.sort_dim()),
-                outlier_spec(folded.outlier_len() + off_band, folded.sort_dim()),
+                outlier_spec(folded.frozen().outlier_len(), folded.frozen().sort_dim()),
+                outlier_spec(folded.frozen().outlier_len() + off_band, folded.frozen().sort_dim()),
                 "the second stream must not step the outlier grid (combo {combo_i}, seed {seed})"
             );
-            let refolded = folded.rebuild_incremental();
-            assert_eq!(refolded.pending_len(), 0);
-            assert_eq!(refolded.len(), index.len());
-            assert_eq!(refolded.groups()[0].models[0], index.groups()[0].models[0]);
+            assert_eq!(refolded.frozen().groups()[0].models[0], base.groups()[0].models[0]);
             if outlier == OutlierBackend::GridFile {
                 assert_eq!(
-                    refolded.outlier_overhead(),
-                    folded.outlier_overhead(),
+                    refolded.frozen().outlier_overhead(),
+                    folded.frozen().outlier_overhead(),
                     "an absorbing fold keeps the outlier directory (combo {combo_i}, seed {seed})"
                 );
             }
-            let refitted = index.rebuild();
+            let unfolded = never.snapshot();
+            never.refit();
+            let refitted = never.snapshot();
 
             let columns: Vec<Vec<f64>> =
                 (0..2).map(|d| logical.iter().map(|r| r[d]).collect()).collect();
@@ -281,7 +314,7 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
             for q in &queries {
                 let expected = sorted(fs.range_query(q));
                 assert_eq!(
-                    sorted(index.range_query(q)),
+                    sorted(unfolded.range_query(q)),
                     expected,
                     "never-rebuilt diverged (combo {combo_i}, seed {seed}, {q:?})"
                 );
@@ -387,26 +420,25 @@ fn handle_fold_keeps_the_directories_and_stays_exact() {
 #[test]
 fn fold_preserves_posterior_evidence_for_a_later_refit() {
     let ds = planted(5_000, 31);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    let slope_before =
-        index.groups()[0].models[0].as_linear().expect("linear model").params.slope;
+    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+    let model = handle.snapshot().frozen().groups()[0].models[0].clone();
+    let line = |index: &coax::core::CoaxIndex| {
+        index.groups()[0].models[0].as_linear().expect("linear model").params
+    };
+    let before = line(handle.snapshot().frozen());
     // Stream biased-but-in-margin rows, fold (models must stay frozen),
     // then refit: the refreshed line must reflect the pre-fold stream.
     for i in 0..4_000 {
         let x = (i as f64 * 7.7) % 1000.0;
-        let model = index.groups()[0].models[0].clone();
         let y = model.predict(x) + model.margin_width() * 0.45;
-        index.insert(&[x, y]).unwrap();
+        handle.insert(&[x, y]).unwrap();
     }
-    let folded = index.rebuild_incremental();
-    let slope_folded =
-        folded.groups()[0].models[0].as_linear().expect("linear model").params.slope;
-    assert_eq!(slope_folded, slope_before, "fold must not move the line");
-    let refitted = folded.rebuild();
-    let intercept_before =
-        index.groups()[0].models[0].as_linear().expect("linear model").params.intercept;
-    let intercept_after =
-        refitted.groups()[0].models[0].as_linear().expect("linear model").params.intercept;
+    handle.fold();
+    let slope_folded = line(handle.snapshot().frozen()).slope;
+    assert_eq!(slope_folded, before.slope, "fold must not move the line");
+    handle.refit();
+    let intercept_before = before.intercept;
+    let intercept_after = line(handle.snapshot().frozen()).intercept;
     assert!(
         intercept_after != intercept_before,
         "refit after fold must see the folded stream's evidence"
@@ -416,7 +448,7 @@ fn fold_preserves_posterior_evidence_for_a_later_refit() {
 #[test]
 fn rebuild_after_mixed_inserts_is_exact() {
     let ds = planted(8_000, 4);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
+    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
     // A mix of in-band, off-band, and boundary rows.
     let mut all_rows: Vec<Vec<f64>> = Vec::new();
     for r in 0..ds.len() as u32 {
@@ -429,10 +461,12 @@ fn rebuild_after_mixed_inserts_is_exact() {
             1 => 2.0 * x + 10.0 + 1000.0,
             _ => 2.0 * x + 10.0 - 300.0,
         };
-        index.insert(&[x, y]).unwrap();
+        handle.insert(&[x, y]).unwrap();
         all_rows.push(vec![x, y]);
     }
-    let rebuilt = index.rebuild();
+    handle.refit();
+    let snapshot = handle.snapshot();
+    let rebuilt = snapshot.frozen();
 
     // Compare against a full scan over the same logical table.
     let columns =

@@ -1,7 +1,8 @@
 //! The shared query-execution layer.
 //!
 //! Every COAX query — single, batched, via the trait, or via the
-//! part-level reporting methods — runs the same four-step sequence:
+//! part-level reporting methods — runs the same three-step sequence over
+//! a frozen epoch:
 //!
 //! 1. **translate** the user query into a [`QueryPlan`]: disjoint
 //!    navigation rectangles for the primary index (Eq. 2, multi-interval
@@ -10,10 +11,12 @@
 //! 2. **probe the primary** index with each navigation rectangle,
 //!    filtering rows against the original query;
 //! 3. **probe the outlier** index with the original query (margins mean
-//!    nothing to outliers);
-//! 4. **merge**: linearly scan the pending-insert buffer and sum the
-//!    per-part counters. Both partitions store and emit the rows' own
+//!    nothing to outliers). Both partitions store and emit the rows' own
 //!    ids, so results concatenate with no id translation.
+//!
+//! Rows inserted since the epoch was built live in the
+//! [`crate::maint::IndexHandle`]'s overlay, which the handle and its
+//! snapshots scan before this sequence runs.
 //!
 //! Keeping this sequence in one place is what lets
 //! [`CoaxIndex`] be *just another backend* behind
@@ -25,25 +28,26 @@
 //! # The batch engine
 //!
 //! A batch runs the same executor as a single query; it saves only the
-//! work a per-query loop would repeat:
+//! work a per-query loop would repeat. One engine (`run_batch`) serves
+//! every surface — a bare index, a snapshot, a sharded snapshot —
+//! materialized through `collect_batch` or streamed through
+//! `stream_batch`:
 //!
-//! 1. [`BatchPlan::new`] **deduplicates** the batch — value-equal
-//!    queries (bounds compared bitwise) collapse onto their first copy —
-//!    and translates each distinct query exactly once;
-//! 2. each distinct plan runs the single-query sequence above (primary
-//!    → outlier → pending, the code [`CoaxIndex::execute_plan`] runs,
-//!    without a per-query span), and its result is handed to every copy
-//!    of the query;
-//! 3. distinct plans are grouped into contiguous **chunks** that run on
-//!    the exec pool sized by [`ExecConfig`].
+//! 1. the batch is **deduplicated** — value-equal queries (bounds
+//!    compared bitwise) collapse onto their first copy;
+//! 2. each distinct query is answered once by the surface's own
+//!    single-query path without a per-query span (on an epoch: planned,
+//!    so translated exactly once, then executed), and its result is
+//!    handed to every copy of the query;
+//! 3. distinct queries are grouped into contiguous **chunks** that run
+//!    on the exec pool sized by [`ExecConfig`].
 //!
 //! # The pool
 //!
 //! One worker pool (`run_pool`) carries every parallel query path in the
-//! crate: [`BatchPlan::execute`] (the streaming run with a collecting
-//! sink), [`BatchPlan::execute_streaming`], the snapshot batches, the
-//! detached [`BatchStream`] (one spawned thread driving the pool), and
-//! the single-query shard fan-out of [`crate::shard`]:
+//! crate: the batch engine, scoped or on the one thread a detached
+//! [`BatchStream`] spawns, and the single-query shard fan-out of
+//! [`crate::shard`]:
 //!
 //! ```text
 //!   calling thread                          workers (std::thread::scope)
@@ -141,47 +145,23 @@ pub(crate) fn probe_primary(
     stats
 }
 
-/// Step 4 (pending part): linearly scans the buffered inserts.
-/// Returns `(examined, matched)`.
-pub(crate) fn scan_pending(
-    index: &CoaxIndex,
-    filter: &RangeQuery,
-    out: &mut Vec<RowId>,
-) -> (usize, usize) {
-    let mut examined = 0;
-    let mut matched = 0;
-    for p in &index.pending {
-        examined += 1;
-        if filter.matches(&p.values) {
-            out.push(p.id);
-            matched += 1;
-        }
-    }
-    (examined, matched)
-}
-
-/// Runs a full plan: primary probe, outlier probe, pending scan, merged
-/// per-part counters. Marks each phase on the caller's `span`, which the
-/// caller finishes.
+/// Runs a full plan: primary probe, then outlier probe, with per-part
+/// counters. Marks each phase on the caller's `span`, which the caller
+/// finishes.
 pub(crate) fn execute(
     index: &CoaxIndex,
     plan: &QueryPlan,
     out: &mut Vec<RowId>,
     span: &mut QuerySpan<'_>,
 ) -> CoaxQueryStats {
-    let mut stats =
-        CoaxQueryStats { primary: probe_primary(index, plan, out), ..Default::default() };
+    let primary = probe_primary(index, plan, out);
     span.phase(QueryPhase::PrimaryProbe);
-    stats.outliers = index.outliers.range_query_stats(plan.filter(), out);
+    let outliers = index.outliers.range_query_stats(plan.filter(), out);
     span.phase(QueryPhase::OutlierProbe);
-    let (examined, matched) = scan_pending(index, plan.filter(), out);
-    span.phase(QueryPhase::PendingScan);
-    stats.pending_examined = examined;
-    stats.pending_matches = matched;
-    stats
+    CoaxQueryStats { primary, outliers }
 }
 
-/// Steps 1–4 for one query: translates `query` (marked on `span` as
+/// Steps 1–3 for one query: translates `query` (marked on `span` as
 /// [`QueryPhase::Translate`]) and runs the plan through [`execute`].
 /// The one-query path of every entry point that opens a span.
 pub(crate) fn execute_query(
@@ -195,13 +175,23 @@ pub(crate) fn execute_query(
     execute(index, &plan, out, span)
 }
 
+/// Answers one query of a batch with no per-query span: planned (its
+/// translation recorded once) and executed — the ids, order and stats a
+/// single query returns, appended to `out`.
+pub(crate) fn answer_batched(
+    index: &CoaxIndex,
+    query: &RangeQuery,
+    out: &mut Vec<RowId>,
+) -> ScanStats {
+    execute(index, &index.plan(query), out, &mut QuerySpan::disabled()).flatten()
+}
+
 /// Streaming counterpart of [`execute`]: a [`RowCursor`] that chains the
-/// primary probe (one sub-cursor per navigation rectangle), the outlier
-/// probe, and the pending-buffer
-/// scan — in exactly the order [`execute`] appends them, with the same
-/// counters, so collecting the cursor reproduces the materialized call
-/// bit for bit. First results leave as soon as the primary backend's own
-/// cursor produces its first populated chunk.
+/// primary probe (one sub-cursor per navigation rectangle) and the
+/// outlier probe — in exactly the order [`execute`] appends them, with
+/// the same counters, so collecting the cursor reproduces the
+/// materialized call bit for bit. First results leave as soon as the
+/// primary backend's own cursor produces its first populated chunk.
 pub(crate) fn plan_cursor(index: &CoaxIndex, plan: QueryPlan) -> RowCursor<'_> {
     RowCursor::new(Box::new(PlanCursor {
         index,
@@ -210,7 +200,7 @@ pub(crate) fn plan_cursor(index: &CoaxIndex, plan: QueryPlan) -> RowCursor<'_> {
     }))
 }
 
-/// Where a [`PlanCursor`] currently is in the four-step exec sequence.
+/// Where a [`PlanCursor`] currently is in the exec sequence.
 enum PlanStage<'a> {
     /// Probing the primary with navigation rectangle `nav_idx` (the
     /// sub-cursor is created lazily so translation-pruned navs cost
@@ -218,8 +208,6 @@ enum PlanStage<'a> {
     Primary { nav_idx: usize, cursor: Option<RowCursor<'a>> },
     /// Probing the outlier index with the original filter.
     Outliers { cursor: Option<RowCursor<'a>> },
-    /// Scanning the pending-insert buffer (one final chunk).
-    Pending,
     /// Every part exhausted.
     Done,
 }
@@ -288,14 +276,7 @@ impl CursorSource for PlanCursor<'_> {
                     if forward_chunk(cur, out, stats) {
                         return true;
                     }
-                    self.stage = PlanStage::Pending;
-                }
-                PlanStage::Pending => {
-                    let (examined, matched) = scan_pending(self.index, self.plan.filter(), out);
-                    stats.scanned_pending += examined;
-                    stats.matches += matched;
                     self.stage = PlanStage::Done;
-                    return true;
                 }
                 PlanStage::Done => return false,
             }
@@ -434,21 +415,25 @@ pub(crate) fn run_pool<R: Send>(
 }
 
 /// Runs a deduplicated batch on the pool: each task answers one chunk
-/// of `chunk` consecutive distinct queries — `answer(d, ids)` appends
-/// distinct query `d`'s ids — and records it on `obs`; each result
-/// reaches every copy of its query through `sink` on the calling thread
-/// (in order of first appearance on one thread). `sink` returns `false`
-/// to cancel. Journals one `batch_pool` event.
+/// of consecutive distinct queries — `answer(query, ids)` appends a
+/// distinct query's ids — and records it on `obs`; each result reaches
+/// every copy of its query through `sink` on the calling thread (in
+/// order of first appearance on one thread). Chunks are sized for a
+/// `streaming` or a collecting `sink`, which returns `false` to cancel.
+/// Journals one `batch_pool` event.
 fn run_batch(
-    obs: &Obs,
+    queries: &[RangeQuery],
     distinct: &DistinctQueries,
-    threads: usize,
-    chunk: usize,
-    answer: impl Fn(usize, &mut Vec<RowId>) -> ScanStats + Sync,
+    config: &ExecConfig,
+    streaming: bool,
+    obs: &Obs,
+    answer: impl Fn(&RangeQuery, &mut Vec<RowId>) -> ScanStats + Sync,
     mut sink: impl FnMut(usize, QueryResult) -> bool,
 ) {
     let started = obs.timer();
-    let (n, chunk) = (distinct.len(), chunk.max(1));
+    let n = distinct.len();
+    let threads = config.resolve_threads(n);
+    let chunk = config.resolve_chunk(n, threads, streaming);
     let chunks = n.div_ceil(chunk);
     let range = |i: usize| i * chunk..((i + 1) * chunk).min(n);
     let task = |i: usize| {
@@ -456,7 +441,7 @@ fn run_batch(
         let results: Vec<QueryResult> = range(i)
             .map(|d| {
                 let mut ids = Vec::new();
-                let stats = answer(d, &mut ids);
+                let stats = answer(&queries[distinct.first(d)], &mut ids);
                 QueryResult { ids, stats }
             })
             .collect();
@@ -481,130 +466,51 @@ fn run_batch(
     });
 }
 
-/// A whole query batch, deduplicated and translated once, ready to
-/// execute any number of times.
-///
-/// Construction performs **all** per-query planning: value-equal queries
-/// (bounds compared bitwise) collapse onto their first copy, and each
-/// distinct query is translated once. Execution runs every distinct plan
-/// through the single-query executor ([`CoaxIndex::execute_plan`]'s
-/// primary → outlier → pending sequence) in chunks on the exec pool and
-/// hands each result to the query's copies. Results are identical to the
-/// sequential loop by construction.
-#[derive(Clone, Debug)]
-pub struct BatchPlan {
-    /// One plan per distinct query, in order of first appearance.
-    plans: Vec<QueryPlan>,
-    /// The batch positions each distinct plan answers.
-    distinct: DistinctQueries,
-}
-
-impl BatchPlan {
-    /// Deduplicates the batch and translates each distinct query against
-    /// `index`'s discovered correlation groups, in one pass.
-    pub fn new(index: &CoaxIndex, queries: &[RangeQuery]) -> Self {
-        let distinct = DistinctQueries::new(queries);
-        let plans =
-            (0..distinct.len()).map(|d| index.plan(&queries[distinct.first(d)])).collect();
-        Self { plans, distinct }
-    }
-
-    /// Number of queries in the batch, duplicates included.
-    pub fn len(&self) -> usize {
-        self.distinct.batch_len()
-    }
-
-    /// `true` if the batch holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The distinct queries' plans, in order of first appearance.
-    pub fn plans(&self) -> &[QueryPlan] {
-        &self.plans
-    }
-
-    /// Executes the batch against `index` under `config`, returning one
-    /// [`QueryResult`] per query in query order: the streaming run with a
-    /// collecting sink.
-    ///
-    /// `index` must be the index the batch was planned against (plans
-    /// embed its translation; executing them elsewhere answers the wrong
-    /// question).
-    pub fn execute(&self, index: &CoaxIndex, config: &ExecConfig) -> Vec<QueryResult> {
-        let mut results = vec![QueryResult::default(); self.len()];
-        self.run(index, config, false, |qi, result| results[qi] = result);
-        results
-    }
-
-    /// Streaming execution: per-query results flow to `sink` as their
-    /// chunk completes, instead of arriving all at once when the slowest
-    /// chunk finishes.
-    ///
-    /// `sink` receives `(query_index, QueryResult)` pairs: in order of
-    /// first appearance when the batch stays on the calling thread (a
-    /// query's duplicates arrive right after its first copy), chunk by
-    /// chunk in completion order when chunks fan out over the pool, whose
-    /// bounded channel lets a slow consumer apply backpressure. Every
-    /// query is delivered exactly once, each [`QueryResult`] identical to
-    /// the one [`BatchPlan::execute`] returns at that index. Chunks are
-    /// sized for latency (never the whole batch unless
-    /// [`ExecConfig::chunk_size`] says so): time-to-first-result is one
-    /// chunk's work.
-    pub fn execute_streaming(
-        &self,
-        index: &CoaxIndex,
-        config: &ExecConfig,
-        sink: &mut dyn FnMut(usize, QueryResult),
-    ) {
-        let mut ttfr = index.obs.timer();
-        self.run(index, config, true, |qi, result| {
-            index.obs.record_ttfr(ttfr.take());
-            sink(qi, result);
-        });
-    }
-
-    /// Runs every distinct plan on the pool, chunked for a streaming or
-    /// a collecting `sink`.
-    fn run(
-        &self,
-        index: &CoaxIndex,
-        config: &ExecConfig,
-        streaming: bool,
-        mut sink: impl FnMut(usize, QueryResult),
-    ) {
-        let n = self.plans.len();
-        let threads = config.resolve_threads(n);
-        let chunk = config.resolve_chunk(n, threads, streaming);
-        let answer = |d: usize, ids: &mut Vec<RowId>| {
-            execute(index, &self.plans[d], ids, &mut QuerySpan::disabled()).flatten()
-        };
-        run_batch(&index.obs, &self.distinct, threads, chunk, answer, |qi, result| {
-            sink(qi, result);
-            true
-        });
-    }
-}
-
-/// A materialized batch over a snapshot surface: deduplicated once,
-/// each distinct query answered by `answer(query, ids)` in chunks on the
-/// pool sized by `config`, one result per query in query order.
+/// A materialized batch: deduplicated once, each distinct query answered
+/// by `answer(query, ids)` in chunks on the pool sized by `config`, one
+/// result per query in query order.
 pub(crate) fn collect_batch(
     queries: &[RangeQuery],
     config: &ExecConfig,
     obs: &Obs,
     answer: impl Fn(&RangeQuery, &mut Vec<RowId>) -> ScanStats + Sync,
 ) -> Vec<QueryResult> {
-    let distinct = DistinctQueries::new(queries);
-    let threads = config.resolve_threads(distinct.len());
-    let chunk = config.resolve_chunk(distinct.len(), threads, false);
     let mut results = vec![QueryResult::default(); queries.len()];
-    let answer = |d: usize, ids: &mut Vec<RowId>| answer(&queries[distinct.first(d)], ids);
-    run_batch(obs, &distinct, threads, chunk, answer, |qi, result| {
+    let distinct = DistinctQueries::new(queries);
+    run_batch(queries, &distinct, config, false, obs, answer, |qi, result| {
         results[qi] = result;
         true
     });
     results
+}
+
+/// A streamed batch, deduplicated as `distinct`: per-query results flow
+/// to `sink` as their chunk completes, instead of arriving all at once
+/// when the slowest chunk finishes, and the first delivery records
+/// time-to-first-result on `obs`.
+///
+/// `sink` receives `(query_index, QueryResult)` pairs: in order of first
+/// appearance when the batch stays on the calling thread (a query's
+/// duplicates arrive right after its first copy), chunk by chunk in
+/// completion order when chunks fan out over the pool, whose bounded
+/// channel lets a slow consumer apply backpressure; it returns `false`
+/// to cancel. Every query is delivered exactly once, each result
+/// identical to [`collect_batch`]'s at that index. Chunks are sized for
+/// latency (never the whole batch unless [`ExecConfig::chunk_size`] says
+/// so): time-to-first-result is one chunk's work.
+pub(crate) fn stream_batch(
+    queries: &[RangeQuery],
+    distinct: &DistinctQueries,
+    config: &ExecConfig,
+    obs: &Obs,
+    answer: impl Fn(&RangeQuery, &mut Vec<RowId>) -> ScanStats + Sync,
+    mut sink: impl FnMut(usize, QueryResult) -> bool,
+) {
+    let mut ttfr = obs.timer();
+    run_batch(queries, distinct, config, true, obs, answer, |qi, result| {
+        obs.record_ttfr(ttfr.take());
+        sink(qi, result)
+    });
 }
 
 /// A live stream of batch results: an iterator over
@@ -612,34 +518,29 @@ pub(crate) fn collect_batch(
 /// through a bounded channel, as the exec pool finishes chunks.
 ///
 /// The one stream type of every snapshot surface
-/// ([`crate::maint::ReadSnapshot`], [`crate::maint::IndexHandle`],
-/// [`crate::ShardedSnapshot`], [`crate::ShardedHandle`]): one spawned
-/// thread drives the pool over the surface's `Arc`-owned state. Every
-/// query of the batch is delivered exactly once, each result identical
-/// to the materialized `batch_query` at that index; dropping the stream
-/// early cancels the remaining work.
+/// ([`crate::maint::ReadSnapshot`] and [`crate::ShardedSnapshot`]): one
+/// spawned thread runs the batch engine's streaming run over the
+/// snapshot's `Arc`-owned state. Every query of the batch is delivered exactly once, each
+/// result identical to the materialized `batch_query` at that index;
+/// dropping the stream early cancels the remaining work.
 ///
 /// # Panics
 ///
 /// [`Iterator::next`] panics if the pool died before delivering every
 /// query — results are missing, and truncating the stream quietly would
 /// break the exactly-once contract. This mirrors the scoped
-/// [`BatchPlan::execute_streaming`] surface, where a worker panic
+/// [`CoaxIndex::batch_query_streaming`] surface, where a worker panic
 /// propagates to the caller.
 #[derive(Debug)]
 pub struct BatchStream {
     rx: Receiver<(usize, QueryResult)>,
     remaining: usize,
-    /// Recorder of the spawning surface; times first delivery and tracks
-    /// channel depth.
+    /// Recorder of the spawning surface; tracks channel depth.
     obs: Obs,
-    /// Set until the first result is yielded, then taken to record
-    /// time-to-first-result (`None` when observability is off).
-    started: Option<std::time::Instant>,
 }
 
 impl BatchStream {
-    /// [`collect_batch`] on a spawned thread: the batch is deduplicated
+    /// [`stream_batch`] on a spawned thread: the batch is deduplicated
     /// here, then the thread runs it on the pool — translation happens
     /// inside the tasks, so first results do not wait for the whole batch
     /// — and sends each copy's result through a channel bounded at a
@@ -657,9 +558,7 @@ impl BatchStream {
         if !distinct.is_empty() {
             let (queries, obs) = (queries.to_vec(), obs.clone());
             std::thread::spawn(move || {
-                let answer =
-                    |d: usize, ids: &mut Vec<RowId>| answer(&queries[distinct.first(d)], ids);
-                run_batch(&obs, &distinct, threads, chunk, answer, |qi, result| {
+                stream_batch(&queries, &distinct, &config, &obs, answer, |qi, result| {
                     obs.stream_depth_add(1);
                     // A dropped BatchStream cancels the remaining work.
                     let sent = tx.send((qi, result)).is_ok();
@@ -670,7 +569,7 @@ impl BatchStream {
                 });
             });
         }
-        BatchStream { rx, remaining: queries.len(), started: obs.timer(), obs }
+        BatchStream { rx, remaining: queries.len(), obs }
     }
 
     /// Results not yet yielded.
@@ -690,7 +589,6 @@ impl Iterator for BatchStream {
             Ok(item) => {
                 self.remaining -= 1;
                 self.obs.stream_depth_sub(1);
-                self.obs.record_ttfr(self.started.take());
                 Some(item)
             }
             // The sender is gone with results still owed: the pool died

@@ -13,20 +13,20 @@
 //! paper's "works with any multidimensional index structure" claim
 //! structural for the primary too.
 //!
-//! Updates (§5, §9): inserts are margin-checked and buffered; each insert
-//! inside the margins also advances the per-model Bayesian posterior.
-//! Folding the buffer back into the structures is the job of the
-//! [`crate::maint`] lifecycle layer: wrap the index in a
-//! [`crate::maint::IndexHandle`] and let its drift monitor and policy
-//! decide between the cheap [`CoaxIndex::rebuild_incremental`] (absorb
-//! the buffer into each partition in one merge pass, models and
-//! directories frozen) and the full [`CoaxIndex::rebuild`] (refresh
-//! every model, re-split, rebuild both partitions). The two methods
-//! remain callable directly for synchronous, single-owner use.
+//! A `CoaxIndex` is a frozen epoch: built once, queried, never written.
+//! Updates (§5, §9) go through a [`crate::maint::IndexHandle`], whose
+//! overlay is the one insert buffer: each insert is margin-checked and
+//! buffered there, and each insert inside the margins advances the
+//! per-model Bayesian posteriors the index was built with. The handle's
+//! drift monitor and policy then decide between a cheap fold (the
+//! overlay absorbed into each partition in one merge pass, models and
+//! directories frozen) and a full refit (every model refreshed, every
+//! row re-split, both partitions rebuilt); either builds a successor
+//! epoch from this one.
 
 use crate::discovery::{discover, CorrelationGroup, Discovery, DiscoveryConfig};
 use crate::epsilon::EpsilonPolicy;
-use crate::exec::{self, BatchPlan, ExecConfig, QueryPlan};
+use crate::exec::{self, ExecConfig, QueryPlan};
 use crate::learn::split_rows;
 use crate::maint::MaintenancePolicy;
 use crate::model::{FdModel, SoftFdModel};
@@ -36,7 +36,8 @@ use crate::shard::ShardSpec;
 use crate::translate::translate;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 use coax_index::{
-    BackendSpec, GridFile, GridFileConfig, MultidimIndex, QueryResult, ScanStats,
+    BackendSpec, DistinctQueries, GridFile, GridFileConfig, MultidimIndex, QueryResult,
+    ScanStats,
 };
 
 /// Which conventional structure holds the outlier partition.
@@ -198,11 +199,10 @@ pub struct CoaxConfig {
     /// first indexed attribute.
     pub sort_dim: Option<usize>,
     /// Thresholds the [`crate::maint`] layer uses to decide between
-    /// folding the pending buffer and refitting the models. Carried in
+    /// folding the insert overlay and refitting the models. Carried in
     /// the build config so the factory ([`crate::IndexSpec`]) can hand
     /// out maintained indexes ([`crate::maint::IndexHandle`]) without a
-    /// second configuration channel; ignored by callers that only ever
-    /// rebuild manually.
+    /// second configuration channel; a bare [`CoaxIndex`] ignores it.
     pub maintenance: MaintenancePolicy,
     /// Batch-execution policy: worker count and chunking for
     /// `batch_query` (see [`ExecConfig`]). Defaults to the calling
@@ -255,36 +255,17 @@ pub struct CoaxQueryStats {
     pub primary: ScanStats,
     /// Work done inside the outlier index.
     pub outliers: ScanStats,
-    /// Buffered-insert rows checked linearly.
-    pub pending_examined: usize,
-    /// Matches found in the pending buffer.
-    pub pending_matches: usize,
 }
 
 impl CoaxQueryStats {
-    /// Flattens into a single [`ScanStats`] (trait-level reporting). The
-    /// pending-buffer scan lands in [`ScanStats::scanned_pending`], so a
-    /// bloated insert buffer degrades reported effectiveness (Eq. 5)
-    /// instead of hiding — the signal [`crate::maint`] watches.
+    /// Flattens into a single [`ScanStats`] (trait-level reporting).
     pub fn flatten(&self) -> ScanStats {
-        // The index partitions never scan the pending buffer: all
-        // pending work must arrive through `pending_examined`, or the
-        // flattened `scanned_pending` would double-count it.
-        debug_assert!(
-            self.primary.scanned_pending == 0 && self.outliers.scanned_pending == 0,
-            "CoaxQueryStats::flatten: partition stats carry scanned_pending \
-             (pending_examined is the only pending channel)"
-        );
-        let mut s = self.primary.merge(self.outliers);
-        s.scanned_pending += self.pending_examined;
-        s.matches += self.pending_matches;
-        s
+        self.primary.merge(self.outliers)
     }
 }
 
 /// A row inserted after the build, not yet folded into the partitions:
-/// an entry of a [`CoaxIndex`]'s pending buffer or of a
-/// [`crate::maint::IndexHandle`]'s overlay.
+/// an entry of a [`crate::maint::IndexHandle`]'s overlay.
 #[derive(Clone, Debug)]
 pub(crate) struct PendingRow {
     pub(crate) id: RowId,
@@ -296,7 +277,8 @@ pub(crate) struct PendingRow {
     pub(crate) in_margins: bool,
 }
 
-/// Error returned by [`CoaxIndex::insert`] for malformed rows.
+/// Error returned by [`crate::maint::IndexHandle::insert`] and
+/// [`crate::ShardedHandle::insert`] when a row cannot be inserted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertError {
     /// Row length differs from the index dimensionality.
@@ -326,8 +308,8 @@ impl std::fmt::Display for InsertError {
 
 impl std::error::Error for InsertError {}
 
-/// The checks every insert path runs before it allocates an id: the row
-/// has `dims` values, all finite.
+/// The checks an insert runs before it is routed or allocated an id: the
+/// row has `dims` values, all finite.
 pub(crate) fn check_row(dims: usize, row: &[Value]) -> Result<(), InsertError> {
     if row.len() != dims {
         return Err(InsertError::WrongArity { expected: dims, got: row.len() });
@@ -370,13 +352,12 @@ pub struct CoaxIndex {
     /// Sorted attribute of the primary index.
     sort_dim: Option<usize>,
     /// One posterior accumulator per *linear* model (in discovery model
-    /// order), advanced by inserts. Spline models carry `None`: their
-    /// shape is frozen between full rebuilds.
+    /// order), seeded from the primary rows at build; a handle advances
+    /// its own copy with every in-margin insert. Spline models carry
+    /// `None`: their shape is frozen between full rebuilds.
     pub(crate) posteriors: Vec<Option<BayesianLinReg>>,
-    /// Buffered inserts, scanned linearly at query time.
-    pub(crate) pending: Vec<PendingRow>,
-    /// One past the largest id this index holds or has handed out: the
-    /// id [`CoaxIndex::insert`] allocates next.
+    /// One past the largest id this index holds: seeds a handle's id
+    /// counter and bounds [`crate::maint::ReadSnapshot`]'s cut counts.
     pub(crate) next_id: u64,
     /// Observability recorder (no-op when `config.obs` is disabled).
     /// Rebuilt with the index; the underlying metric cells are
@@ -456,7 +437,6 @@ impl CoaxIndex {
             outliers,
             sort_dim,
             posteriors,
-            pending: Vec::new(),
             next_id: ids.iter().max().map_or(0, |&id| u64::from(id) + 1),
             obs: Obs::new(&config.obs),
         }
@@ -492,20 +472,8 @@ impl CoaxIndex {
         self.outliers.len()
     }
 
-    /// Buffered inserts not yet folded into the grids.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How many buffered inserts passed the margin check at insert time
-    /// (i.e. will join the primary partition on rebuild, barring a model
-    /// refresh that moves the margins).
-    pub fn pending_in_margins(&self) -> usize {
-        self.pending.iter().filter(|p| p.in_margins).count()
-    }
-
-    /// Fraction of built rows in the primary partition (Table 1's
-    /// "Primary Index Ratio"). Pending inserts are excluded.
+    /// Fraction of rows in the primary partition (Table 1's "Primary
+    /// Index Ratio").
     pub fn primary_ratio(&self) -> f64 {
         let built = self.primary_len() + self.outlier_len();
         if built == 0 {
@@ -556,22 +524,14 @@ impl CoaxIndex {
         plan
     }
 
-    /// Executes a prepared plan: primary probe + outlier probe + pending
-    /// scan, with per-part counters. [`CoaxIndex::query_detailed`]
+    /// Executes a prepared plan: primary probe + outlier probe, with
+    /// per-part counters. [`CoaxIndex::query_detailed`]
     /// answers exactly as `execute_plan(&plan(query))`.
     pub fn execute_plan(&self, plan: &QueryPlan, out: &mut Vec<RowId>) -> CoaxQueryStats {
         let mut span = self.obs.query_span();
         let stats = exec::execute(self, plan, out, &mut span);
         span.finish(&stats.flatten());
         stats
-    }
-
-    /// Deduplicates and translates a whole batch in one pass into a
-    /// reusable [`BatchPlan`] — the batch engine's step 1, exposed for
-    /// callers that execute the same batch repeatedly (the `batch` bench
-    /// times plan-once-execute-many this way).
-    pub fn batch_plan(&self, queries: &[RangeQuery]) -> BatchPlan {
-        BatchPlan::new(self, queries)
     }
 
     /// Answers a batch under an explicit [`ExecConfig`], overriding the
@@ -585,16 +545,18 @@ impl CoaxIndex {
         queries: &[RangeQuery],
         config: &ExecConfig,
     ) -> Vec<QueryResult> {
-        BatchPlan::new(self, queries).execute(self, config)
+        exec::collect_batch(queries, config, &self.obs, |query, ids| {
+            exec::answer_batched(self, query, ids)
+        })
     }
 
     /// Streaming execution of a prepared plan: the returned cursor chains
-    /// the primary probe (per navigation rectangle), the outlier probe,
-    /// and the pending scan, yielding chunks as each part produces them —
-    /// collecting it reproduces [`CoaxIndex::execute_plan`] bit for bit
-    /// (ids in the same order, [`ScanStats`] equal), but the first chunk
-    /// leaves after the primary's first populated cell instead of after
-    /// the whole four-step sequence.
+    /// the primary probe (per navigation rectangle) and the outlier
+    /// probe, yielding chunks as each part produces them — collecting it
+    /// reproduces [`CoaxIndex::execute_plan`] bit for bit (ids in the
+    /// same order, [`ScanStats`] equal), but the first chunk leaves after
+    /// the primary's first populated cell instead of after the whole
+    /// sequence.
     pub fn execute_plan_cursor(&self, plan: QueryPlan) -> coax_index::RowCursor<'_> {
         exec::plan_cursor(self, plan)
     }
@@ -603,14 +565,16 @@ impl CoaxIndex {
     /// policy: `sink` receives `(query_index, QueryResult)` pairs as
     /// chunks of the batch complete — before the whole batch has finished
     /// — each result identical to [`MultidimIndex::batch_query`]'s at
-    /// that index. See [`BatchPlan::execute_streaming`] for ordering and
-    /// backpressure semantics.
+    /// that index. Runs on the calling thread's scope: on one thread the
+    /// pairs arrive in order of first appearance (a query's duplicates
+    /// right after its first copy); across the pool, chunk by chunk in
+    /// completion order, with backpressure from the bounded channel.
     pub fn batch_query_streaming(
         &self,
         queries: &[RangeQuery],
-        mut sink: impl FnMut(usize, QueryResult),
+        sink: impl FnMut(usize, QueryResult),
     ) {
-        BatchPlan::new(self, queries).execute_streaming(self, &self.config.exec, &mut sink);
+        self.batch_query_streaming_with(queries, &self.config.exec, sink);
     }
 
     /// [`CoaxIndex::batch_query_streaming`] under an explicit
@@ -621,13 +585,19 @@ impl CoaxIndex {
         config: &ExecConfig,
         mut sink: impl FnMut(usize, QueryResult),
     ) {
-        BatchPlan::new(self, queries).execute_streaming(self, config, &mut sink);
+        let distinct = DistinctQueries::new(queries);
+        let answer =
+            |query: &RangeQuery, ids: &mut Vec<RowId>| exec::answer_batched(self, query, ids);
+        exec::stream_batch(queries, &distinct, config, &self.obs, answer, |qi, result| {
+            sink(qi, result);
+            true
+        });
     }
 
     /// Queries only the primary (soft-FD) index. Results are exact w.r.t.
-    /// the primary partition; outliers and pending rows are *not*
-    /// consulted — pair with [`CoaxIndex::query_outliers`] for full
-    /// results. Fig. 6/7 time the two parts separately.
+    /// the primary partition; outliers are *not* consulted — pair with
+    /// [`CoaxIndex::query_outliers`] for full results. Fig. 6/7 time the
+    /// two parts separately.
     ///
     /// Navigation uses multi-interval translation
     /// ([`crate::translate::translate_all`]): non-monotone spline models
@@ -655,8 +625,8 @@ impl CoaxIndex {
         self.outliers.range_query_stats(query, out)
     }
 
-    /// Full query: primary + outliers + pending buffer, with per-part
-    /// counters. Translation and execution share one query span.
+    /// Full query: primary + outliers, with per-part counters.
+    /// Translation and execution share one query span.
     pub fn query_detailed(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> CoaxQueryStats {
         let mut span = self.obs.query_span();
         let stats = exec::execute_query(self, query, out, &mut span);
@@ -664,51 +634,19 @@ impl CoaxIndex {
         stats
     }
 
-    /// Inserts a row, routing it by the margin check and advancing the
-    /// Bayesian posteriors (§5's update story). The row is buffered and
-    /// scanned linearly until [`CoaxIndex::rebuild`] folds it in; the
-    /// returned id identifies it in query results.
-    pub fn insert(&mut self, row: &[Value]) -> Result<RowId, InsertError> {
-        check_row(self.dims, row)?;
-        let id = take_id(&mut self.next_id)?;
-        let models: Vec<&FdModel> = self.discovery.all_models().collect();
-        let in_margins =
-            models.iter().all(|m| m.contains(row[m.predictor()], row[m.dependent()]));
-        if in_margins {
-            for (m, reg) in models.iter().zip(&mut self.posteriors) {
-                if let Some(reg) = reg {
-                    reg.observe(row[m.predictor()], row[m.dependent()]);
-                }
-            }
-        }
-        self.pending.push(PendingRow { id, values: row.to_vec(), in_margins });
-        Ok(id)
-    }
-
     /// The build configuration this index was constructed with.
     pub fn config(&self) -> &CoaxConfig {
         &self.config
     }
 
-    /// Rebuilds the grids, folding in the pending buffer and refreshing
-    /// every model from its Bayesian posterior (new line) and from the
-    /// full residual distribution (new margins). Group structure is kept;
-    /// run [`CoaxIndex::build`] again to re-discover from scratch.
-    ///
-    /// This is the expensive **refit** half of the [`crate::maint`]
-    /// fold/refit split: it re-derives margins from every residual and
-    /// re-splits every row. When the models have not drifted, prefer
-    /// [`CoaxIndex::rebuild_incremental`].
-    pub fn rebuild(&self) -> CoaxIndex {
-        self.refit(&[], &self.posteriors)
-    }
-
-    /// The one refit behind [`CoaxIndex::rebuild`] and the
-    /// [`crate::maint`] handle's: every model refreshed from
-    /// `posteriors` and the residuals of all rows (this index's plus
-    /// `overlay`'s, gathered once in entry order with their ids), then a
-    /// fresh build over those rows under the same ids — every row
-    /// re-split, both partitions and their directories built anew.
+    /// The refit behind [`crate::maint::IndexHandle::refit`] — the
+    /// expensive half of the fold/refit split: every model refreshed
+    /// from `posteriors` (new line) and the residuals of all rows (new
+    /// margins; this index's plus `overlay`'s, gathered once in entry
+    /// order with their ids), then a fresh build over those rows under
+    /// the same ids — every row re-split, both partitions and their
+    /// directories built anew. Group structure is kept; build again to
+    /// re-discover from scratch.
     pub(crate) fn refit(
         &self,
         overlay: &[PendingRow],
@@ -726,43 +664,32 @@ impl CoaxIndex {
         CoaxIndex::build_with_ids(&dataset, &ids, discovery, &self.config)
     }
 
-    /// Folds the pending buffer into the partition structures **without
-    /// refitting any model** — the cheap **fold** half of the
-    /// [`crate::maint`] fold/refit split.
+    /// The fold behind [`crate::maint::IndexHandle::fold`] — the cheap
+    /// half of the fold/refit split: the `overlay` rows (ids ascending)
+    /// folded into the partitions **without refitting any model**.
     ///
     /// Models, margins, and group structure are carried over verbatim, so
     /// no residual is recomputed and no row is re-checked against the
-    /// margins: built rows keep their partition, and each pending row
+    /// margins: built rows keep their partition, and each overlay row
     /// goes where its insert-time margin verdict already routed it (valid
     /// because models only move on refit). The directories are frozen
-    /// the same way: each partition absorbs its rows in one merge pass
-    /// ([`MultidimIndex::absorbed`]) instead of being re-packed. A
-    /// partition is rebuilt only when its backend cannot absorb, or when
-    /// the adaptive outlier grid would pick another resolution at the
-    /// new size. The Bayesian posteriors keep every observation
-    /// accumulated so far, so a later [`CoaxIndex::rebuild`] still refits
-    /// from the full evidence (and re-derives the directories).
+    /// the same way: each partition absorbs its rows under their own ids
+    /// in one merge pass ([`MultidimIndex::absorbed`]) instead of being
+    /// re-packed. A partition is rebuilt only when its backend cannot
+    /// absorb, or when the adaptive outlier grid would pick another
+    /// resolution at the new size. The successor carries `posteriors` —
+    /// every observation accumulated so far — so a later refit still
+    /// refits from the full evidence (and re-derives the directories).
     ///
-    /// Query results are identical to never rebuilding (same rows, same
-    /// models) — only the linear pending scan disappears, which is
-    /// exactly what [`ScanStats::scanned_pending`] stops charging.
-    pub fn rebuild_incremental(&self) -> CoaxIndex {
-        self.fold(&[], self.posteriors.clone())
-    }
-
-    /// The one fold behind [`CoaxIndex::rebuild_incremental`] and the
-    /// [`crate::maint`] handle's: this index's pending buffer plus
-    /// `overlay` (buffered rows, ids ascending), split by their
-    /// insert-time margin verdicts, each share absorbed by its partition
-    /// under its own ids. The successor carries `posteriors` as its
-    /// write-side evidence.
+    /// Query results are identical to never folding (same rows, same
+    /// models); only the overlay's linear scan disappears.
     pub(crate) fn fold(
         &self,
         overlay: &[PendingRow],
         posteriors: Vec<Option<BayesianLinReg>>,
     ) -> CoaxIndex {
         let (primary_rows, outlier_rows): (Vec<&PendingRow>, Vec<&PendingRow>) =
-            self.pending.iter().chain(overlay).partition(|r| r.in_margins);
+            overlay.iter().partition(|r| r.in_margins);
         let primary =
             absorb_or_rebuild(self.primary.as_ref(), &primary_rows, false, |ds, ids| {
                 build_primary(&self.config, &self.discovery, self.sort_dim, ds, ids)
@@ -783,7 +710,6 @@ impl CoaxIndex {
             outliers,
             sort_dim: self.sort_dim,
             posteriors,
-            pending: Vec::new(),
             next_id: overlay
                 .last()
                 .map_or(self.next_id, |r| self.next_id.max(u64::from(r.id) + 1)),
@@ -802,57 +728,35 @@ impl MultidimIndex for CoaxIndex {
     }
 
     fn len(&self) -> usize {
-        self.primary.len() + self.outliers.len() + self.pending.len()
+        self.primary.len() + self.outliers.len()
     }
 
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         self.query_detailed(query, out).flatten()
     }
 
-    /// Point lookups run the same four-step [`crate::exec`] sequence as
-    /// every other query: the degenerate rectangle goes through
-    /// [`CoaxIndex::query_detailed`], so it is translated (navigation
-    /// tightening applies to points too — a point on a dependent
-    /// attribute becomes a narrow predictor band) and executed against
-    /// primary, outliers, and the pending buffer.
-    ///
-    /// The trait default already degenerates to
-    /// [`MultidimIndex::range_query_stats`] and thus takes this path;
-    /// the override exists to make the routing explicit and keep it —
-    /// a future "cheaper" point path that probed the primary with the
-    /// raw query would skip translation and break the exec invariant. A
-    /// regression test pins `ScanStats` equality with the equivalent
-    /// degenerate-rectangle call.
-    fn point_query_stats(&self, point: &[Value], out: &mut Vec<RowId>) -> ScanStats {
-        self.query_detailed(&RangeQuery::point(point), out).flatten()
-    }
-
     /// Streaming override — the [`crate::exec`] plan cursor: the query is
     /// translated once ([`CoaxIndex::plan`]) and executed incrementally
-    /// (primary cell by cell, then outliers, then the pending buffer),
-    /// with collected results and stats identical to
+    /// (primary cell by cell, then outliers), with collected results and
+    /// stats identical to
     /// [`MultidimIndex::range_query_stats`].
     fn range_query_cursor(&self, query: &RangeQuery) -> coax_index::RowCursor<'_> {
         self.execute_plan_cursor(self.plan(query))
     }
 
     /// Batch override — the [`crate::exec`] batch engine: value-equal
-    /// queries are deduplicated and each distinct query is translated
-    /// into a [`QueryPlan`] exactly once up front ([`BatchPlan`]); every
-    /// plan then runs the single-query executor, and chunks of the batch
-    /// fan out over the worker pool configured in [`CoaxConfig::exec`].
-    /// Per-query results and stats are identical to sequential
-    /// `range_query_stats` calls.
+    /// queries are deduplicated, each distinct query is translated into a
+    /// [`QueryPlan`] exactly once and run through the single-query
+    /// executor, and chunks of the batch fan out over the worker pool
+    /// configured in [`CoaxConfig::exec`]. Per-query results and stats
+    /// are identical to sequential `range_query_stats` calls.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        BatchPlan::new(self, queries).execute(self, &self.config.exec)
+        self.batch_query_with(queries, &self.config.exec)
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
         self.primary.for_each_entry(f);
         self.outliers.for_each_entry(f);
-        for p in &self.pending {
-            f(p.id, &p.values);
-        }
     }
 
     fn memory_overhead(&self) -> usize {
@@ -1006,6 +910,7 @@ fn refresh_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maint::{IndexHandle, ReadSnapshot};
     use coax_data::synth::{
         Generator, PlantedConfig, PlantedDependent, PlantedGroup, UniformConfig,
     };
@@ -1146,50 +1051,77 @@ mod tests {
         assert_exact(&index, &ds, &queries);
     }
 
+    /// `index` behind a handle, with `row` inserted and refit into the
+    /// next epoch: the successor, which must hold `expected_len` rows and
+    /// serve `row` under the first inserted id.
+    fn insert_and_refit(index: CoaxIndex, row: &[Value], expected_len: usize) -> ReadSnapshot {
+        let first_new = index.len();
+        let handle = IndexHandle::new(index);
+        assert_eq!(handle.insert(row), Ok(first_new as RowId));
+        handle.refit();
+        let rebuilt = handle.snapshot();
+        assert_eq!(rebuilt.pending_len(), 0);
+        assert_eq!(rebuilt.frozen().len(), expected_len);
+        assert!(rebuilt
+            .frozen()
+            .range_query(&RangeQuery::point(row))
+            .iter()
+            .any(|&id| id as usize == first_new));
+        rebuilt
+    }
+
     #[test]
     fn insert_routes_and_queries_see_pending() {
         let ds = planted_dataset(5000, 12);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        let model = index.groups()[0].models[0].clone();
+        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        let model = handle.snapshot().frozen().groups()[0].models[0].clone();
         // An in-band row and a gross outlier.
         let x = 500.0;
         let in_band = vec![x, model.predict(x), 50.0];
         let off_band = vec![x, model.predict(x) + 100.0 * model.margin_width(), 50.0];
-        let id1 = index.insert(&in_band).unwrap();
-        let id2 = index.insert(&off_band).unwrap();
+        let id1 = handle.insert(&in_band).unwrap();
+        let id2 = handle.insert(&off_band).unwrap();
         assert_eq!(id1 as usize, ds.len());
-        assert_eq!(index.pending_len(), 2);
-        let hits = index.range_query(&RangeQuery::point(&in_band));
+        assert_eq!(handle.pending_len(), 2);
+        let hits = handle.range_query(&RangeQuery::point(&in_band));
         assert!(hits.contains(&id1));
-        let hits = index.range_query(&RangeQuery::point(&off_band));
+        let hits = handle.range_query(&RangeQuery::point(&off_band));
         assert!(hits.contains(&id2));
     }
 
     #[test]
     fn insert_validation() {
         let ds = planted_dataset(1000, 13);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        assert_eq!(index.insert(&[1.0]), Err(InsertError::WrongArity { expected: 3, got: 1 }));
-        assert_eq!(index.insert(&[1.0, f64::NAN, 2.0]), Err(InsertError::NonFinite));
+        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        assert_eq!(handle.insert(&[1.0]), Err(InsertError::WrongArity { expected: 3, got: 1 }));
+        assert_eq!(handle.insert(&[1.0, f64::NAN, 2.0]), Err(InsertError::NonFinite));
     }
 
     #[test]
     fn insert_refuses_once_the_id_space_is_spent() {
+        // The last built row carries the largest id but one, so the
+        // handle's counter, seeded from the index, hands out the last id.
         let ds = planted_dataset(1000, 19);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        index.next_id = u64::from(RowId::MAX);
+        let config = CoaxConfig::default();
+        let mut ids: Vec<RowId> = ds.row_ids().collect();
+        ids[ds.len() - 1] = RowId::MAX - 1;
+        let discovery = discover(&ds, &config.discovery, config.seed);
+        let index = CoaxIndex::build_with_ids(&ds, &ids, discovery, &config);
+        assert_eq!(index.next_id, u64::from(RowId::MAX));
+        let handle = IndexHandle::new(index);
         let row = [1.0, 27.0, 3.0];
-        assert_eq!(index.insert(&row), Ok(RowId::MAX));
-        assert_eq!(index.insert(&row), Err(InsertError::IdsExhausted));
-        assert_eq!(index.pending_len(), 1, "a refused insert buffers nothing");
-        assert_eq!(index.next_id, u64::from(RowId::MAX) + 1);
+        assert_eq!(handle.insert(&row), Ok(RowId::MAX));
+        assert_eq!(handle.insert(&row), Err(InsertError::IdsExhausted));
+        assert_eq!(handle.pending_len(), 1, "a refused insert buffers nothing");
+        handle.fold();
+        assert_eq!(handle.snapshot().frozen().next_id, u64::from(RowId::MAX) + 1);
     }
 
     #[test]
     fn rebuild_folds_pending_and_stays_exact() {
         let ds = planted_dataset(5000, 14);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        let model = index.groups()[0].models[0].clone();
+        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        let model = handle.snapshot().frozen().groups()[0].models[0].clone();
         // Insert 200 new in-band rows and 20 outliers.
         for i in 0..220 {
             let x = (i as f64 * 4.3) % 1000.0;
@@ -1198,14 +1130,16 @@ mod tests {
             } else {
                 model.predict(x)
             };
-            index.insert(&[x, y, 42.0]).unwrap();
+            handle.insert(&[x, y, 42.0]).unwrap();
         }
-        let rebuilt = index.rebuild();
-        assert_eq!(rebuilt.pending_len(), 0);
+        handle.refit();
+        let snapshot = handle.snapshot();
+        let rebuilt = snapshot.frozen();
+        assert_eq!(snapshot.pending_len(), 0);
         assert_eq!(rebuilt.len(), ds.len() + 220);
         // The rebuilt index answers exactly like a linear scan over the
         // reconstructed data.
-        let (all, ids) = gather(&rebuilt, std::iter::empty());
+        let (all, ids) = gather(rebuilt, std::iter::empty());
         let queries = knn_rectangle_queries(&all, 10, 40, 15);
         let fs = FullScan::build_with_ids(&all, &ids);
         for q in &queries {
@@ -1220,12 +1154,12 @@ mod tests {
     #[test]
     fn rebuild_preserves_row_ids() {
         let ds = planted_dataset(3000, 16);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
+        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
         let q = RangeQuery::point(&ds.row(77));
-        let before = index.range_query(&q);
-        index.insert(&[1.0, 1.0, 1.0]).unwrap();
-        let rebuilt = index.rebuild();
-        let after = rebuilt.range_query(&q);
+        let before = handle.snapshot().frozen().range_query(&q);
+        handle.insert(&[1.0, 1.0, 1.0]).unwrap();
+        handle.refit();
+        let after = handle.snapshot().frozen().range_query(&q);
         assert_eq!(before, after, "row ids must survive a rebuild");
     }
 
@@ -1274,15 +1208,22 @@ mod tests {
             index.primary_len()
         );
 
-        // Inserts still route through the spline's contains().
-        let mut index = index;
+        // Inserts still route through the spline's contains(): the fold
+        // sends each row where its insert-time verdict put it.
+        let (primary_len, outlier_len) = (index.primary_len(), index.outlier_len());
+        let handle = IndexHandle::new(index);
         let on_curve = vec![300.0, (300.0f64 - 500.0).powi(2) / 250.0, 5.0];
         let off_curve = vec![300.0, 1000.0, 5.0];
-        index.insert(&on_curve).unwrap();
-        index.insert(&off_curve).unwrap();
-        assert_eq!(index.pending_in_margins(), 1);
+        handle.insert(&on_curve).unwrap();
+        handle.insert(&off_curve).unwrap();
+        handle.fold();
+        let folded = handle.snapshot();
+        assert_eq!(folded.frozen().primary_len(), primary_len + 1);
+        assert_eq!(folded.frozen().outlier_len(), outlier_len + 1);
         // Rebuild keeps the frozen spline and stays exact.
-        let rebuilt = index.rebuild();
+        handle.refit();
+        let snapshot = handle.snapshot();
+        let rebuilt = snapshot.frozen();
         assert!(rebuilt.groups()[0].models[0].as_spline().is_some());
         assert!(rebuilt
             .range_query(&RangeQuery::point(&on_curve))
@@ -1322,14 +1263,7 @@ mod tests {
         assert_exact(&with_rtree, &ds, &queries);
 
         // Rebuild works through the R-tree backend too (entry iteration).
-        let mut idx = with_rtree;
-        idx.insert(&[1.0, 27.0, 3.0]).unwrap();
-        let rebuilt = idx.rebuild();
-        assert_eq!(rebuilt.len(), ds.len() + 1);
-        assert!(rebuilt
-            .range_query(&RangeQuery::point(&[1.0, 27.0, 3.0]))
-            .iter()
-            .any(|&id| id as usize == ds.len()));
+        insert_and_refit(with_rtree, &[1.0, 27.0, 3.0], ds.len() + 1);
     }
 
     #[test]
@@ -1352,18 +1286,12 @@ mod tests {
                 outlier_backend: OutlierBackend::Custom(spec),
                 ..Default::default()
             };
-            let mut index = CoaxIndex::build(&ds, &cfg);
+            let index = CoaxIndex::build(&ds, &cfg);
             assert!(index.outlier_len() > 0, "planted outliers expected");
             assert_exact(&index, &ds, &queries);
             // Rebuild must work through the trait's entry iteration for
             // whatever structure backs the outliers.
-            index.insert(&[2.0, 29.0, 4.0]).unwrap();
-            let rebuilt = index.rebuild();
-            assert_eq!(rebuilt.len(), ds.len() + 1);
-            assert!(rebuilt
-                .range_query(&RangeQuery::point(&[2.0, 29.0, 4.0]))
-                .iter()
-                .any(|&id| id as usize == ds.len()));
+            insert_and_refit(index, &[2.0, 29.0, 4.0], ds.len() + 1);
         }
     }
 
@@ -1392,19 +1320,13 @@ mod tests {
             ),
         ] {
             let cfg = CoaxConfig { primary_backend: primary, ..Default::default() };
-            let mut index = CoaxIndex::build(&ds, &cfg);
+            let index = CoaxIndex::build(&ds, &cfg);
             assert_eq!(index.primary_index().name(), name);
             assert!(index.primary_len() > 0);
             assert_exact(&index, &ds, &queries);
             // Insert + rebuild must work through the trait's entry
             // iteration for whatever structure backs the primary.
-            index.insert(&[3.0, 31.0, 5.0]).unwrap();
-            let rebuilt = index.rebuild();
-            assert_eq!(rebuilt.len(), ds.len() + 1);
-            assert!(rebuilt
-                .range_query(&RangeQuery::point(&[3.0, 31.0, 5.0]))
-                .iter()
-                .any(|&id| id as usize == ds.len()));
+            insert_and_refit(index, &[3.0, 31.0, 5.0], ds.len() + 1);
         }
     }
 
@@ -1442,18 +1364,17 @@ mod tests {
             primary_backend: PrimaryBackend::Coax(Box::default()),
             ..Default::default()
         };
-        let mut index = CoaxIndex::build(&ds, &cfg);
+        let index = CoaxIndex::build(&ds, &cfg);
         assert_eq!(index.primary_index().name(), "coax");
         let mut queries = knn_rectangle_queries(&ds, 10, 50, 45);
         queries.extend(point_queries(&ds, 10, 46));
         assert_exact(&index, &ds, &queries);
         // The composition survives inserts + rebuild.
-        index.insert(&[4.0, 33.0, 6.0]).unwrap();
-        let rebuilt = index.rebuild();
-        assert_eq!(rebuilt.len(), ds.len() + 1);
+        let snapshot = insert_and_refit(index, &[4.0, 33.0, 6.0], ds.len() + 1);
+        let rebuilt = snapshot.frozen();
         assert_eq!(rebuilt.primary_index().name(), "coax");
-        let (all, ids) = gather(&rebuilt, std::iter::empty());
-        assert_exact_over(&rebuilt, &FullScan::build_with_ids(&all, &ids), &queries);
+        let (all, ids) = gather(rebuilt, std::iter::empty());
+        assert_exact_over(rebuilt, &FullScan::build_with_ids(&all, &ids), &queries);
     }
 
     #[test]
@@ -1462,20 +1383,27 @@ mod tests {
         // translate → probe → merge sequence as the equivalent degenerate
         // rectangle — identical results *and* identical ScanStats.
         let ds = planted_dataset(10_000, 47);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        index.insert(&[5.0, 35.0, 7.0]).unwrap(); // pending rows count too
-        for r in [0u32, 123, 4567, 9999] {
-            let row = ds.row(r);
-            let mut point_out = Vec::new();
-            let point_stats = index.point_query_stats(&row, &mut point_out);
-            let mut rect_out = Vec::new();
-            let rect_stats = index.range_query_stats(&RangeQuery::point(&row), &mut rect_out);
-            assert_eq!(point_stats, rect_stats, "stats diverged on row {r}");
-            point_out.sort_unstable();
-            rect_out.sort_unstable();
-            assert_eq!(point_out, rect_out);
-            assert!(point_out.contains(&r));
-        }
+        let check = |index: &dyn MultidimIndex| {
+            for r in [0u32, 123, 4567, 9999] {
+                let row = ds.row(r);
+                let mut point_out = Vec::new();
+                let point_stats = index.point_query_stats(&row, &mut point_out);
+                let mut rect_out = Vec::new();
+                let rect_stats =
+                    index.range_query_stats(&RangeQuery::point(&row), &mut rect_out);
+                assert_eq!(point_stats, rect_stats, "stats diverged on row {r}");
+                point_out.sort_unstable();
+                rect_out.sort_unstable();
+                assert_eq!(point_out, rect_out);
+                assert!(point_out.contains(&r));
+            }
+        };
+        let index = CoaxIndex::build(&ds, &CoaxConfig::default());
+        check(&index);
+        // Overlay rows count too.
+        let handle = IndexHandle::new(index);
+        handle.insert(&[5.0, 35.0, 7.0]).unwrap();
+        check(&handle);
     }
 
     #[test]

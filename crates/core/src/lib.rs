@@ -19,34 +19,36 @@
 //!    constraints.
 //! 6. [`exec`] — the shared query-execution layer: a query becomes a
 //!    [`exec::QueryPlan`] (translate once), executed uniformly for
-//!    single and batched queries: probe primary → probe outliers →
-//!    scan pending → merge. Batches go through the batch engine — an
-//!    [`exec::BatchPlan`] deduplicates value-equal queries, translates
-//!    each distinct query once, runs every plan through the same
-//!    single-query executor, and runs chunks on the exec layer's one
+//!    single and batched queries over a frozen epoch: probe primary →
+//!    probe outliers. Every surface's batches go through one batch
+//!    engine, which deduplicates value-equal queries, answers each
+//!    distinct query once through the surface's single-query path
+//!    (translating it once), and runs chunks on the exec layer's one
 //!    worker pool sized by [`exec::ExecConfig`] — the pool every
 //!    parallel query path in the crate shares — with per-query results
-//!    and stats identical to the sequential loop. Both surfaces also
-//!    stream: the plan cursor yields results chunk by chunk, and
-//!    `batch_query_streaming` / [`exec::BatchStream`] (the one stream
-//!    type of every snapshot surface) deliver per-query results off the
-//!    pool through a bounded channel before the whole batch finishes.
+//!    and stats identical to the sequential loop. Batches also stream:
+//!    the plan cursor yields results chunk by chunk, and
+//!    `batch_query_streaming` delivers per-query results before the
+//!    whole batch finishes — scoped on a bare index, or off a detached
+//!    [`exec::BatchStream`] (the one stream type of every snapshot).
 //! 7. [`index`] — [`CoaxIndex`]: a primary index (default: the paper's
 //!    reduced-dimensionality grid file) plus an outlier index, **both**
 //!    pluggable boxed backends ([`PrimaryBackend`]/[`OutlierBackend`]),
-//!    with exact merged results and an insert path. Implements
+//!    with exact merged results — an immutable epoch with no write
+//!    path. Implements
 //!    [`coax_index::MultidimIndex`], so COAX composes like any other
 //!    backend — including COAX-over-COAX nesting.
 //! 8. [`spec`] — [`IndexSpec`]: the workspace-level factory building any
 //!    index (substrates or COAX) as a `Box<dyn MultidimIndex>`.
-//! 9. [`maint`] — the lifecycle layer: [`maint::DriftMonitor`] watches
-//!    the insert stream for correlation drift,
-//!    [`maint::MaintenancePolicy`] decides between a cheap fold
-//!    ([`CoaxIndex::rebuild_incremental`]: buffered rows merged into the
-//!    frozen directories in one pass) and a full refit
-//!    ([`CoaxIndex::rebuild`]: models and directories re-derived),
-//!    [`maint::IndexHandle`] epoch-swaps
-//!    the rebuilt index under concurrent readers, and
+//! 9. [`maint`] — the lifecycle layer and the one write path:
+//!    [`maint::IndexHandle`] buffers inserts in its overlay,
+//!    [`maint::DriftMonitor`] watches the insert stream for correlation
+//!    drift, [`maint::MaintenancePolicy`] decides between a cheap fold
+//!    ([`maint::IndexHandle::fold`]: the overlay merged into the frozen
+//!    directories in one pass) and a full refit
+//!    ([`maint::IndexHandle::refit`]: models and directories
+//!    re-derived), the handle epoch-swaps the successor index under
+//!    concurrent readers, and
 //!    [`maint::ReadSnapshot`] gives multi-query read sessions one
 //!    consistent version of it all.
 //! 10. [`theory`] — §7 + appendices: effectiveness (Eq. 5), the
@@ -93,7 +95,7 @@ pub mod translate;
 
 pub use discovery::{CorrelationGroup, Discovery, DiscoveryConfig};
 pub use epsilon::EpsilonPolicy;
-pub use exec::{BatchPlan, BatchStream, ExecConfig, QueryPlan};
+pub use exec::{BatchStream, ExecConfig, QueryPlan};
 pub use index::{
     CoaxConfig, CoaxIndex, CoaxQueryStats, InsertError, OutlierBackend, PrimaryBackend,
 };

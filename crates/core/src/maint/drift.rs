@@ -40,8 +40,7 @@ struct ModelTracker {
 /// Create it from the index whose models the inserts are checked against,
 /// feed every insert through [`DriftMonitor::observe`], and read the
 /// state back as a [`DriftReport`]. The [`super::IndexHandle`] does all
-/// three automatically; standalone (single-owner) callers can run one
-/// next to [`CoaxIndex::insert`].
+/// three on every insert.
 #[derive(Clone, Debug)]
 pub struct DriftMonitor {
     /// EWMA decay per observation.
@@ -83,9 +82,9 @@ impl DriftMonitor {
     }
 
     /// Feeds one inserted row through every tracker and returns whether
-    /// the row sits inside **all** models' margins — the same verdict
-    /// [`CoaxIndex::insert`] routes by, computed here so handle callers
-    /// check margins exactly once.
+    /// the row sits inside **all** models' margins — the verdict the
+    /// handle routes the row by, so an insert checks margins exactly
+    /// once.
     pub fn observe(&mut self, row: &[Value]) -> bool {
         let mut in_margins = true;
         for (_, trackers) in &mut self.groups {
@@ -112,7 +111,7 @@ impl DriftMonitor {
     }
 
     /// Snapshot of the drift state. `pending` is the caller's count of
-    /// not-yet-folded rows (the handle passes epoch pending + overlay).
+    /// not-yet-folded rows (the handle passes its overlay length).
     pub fn report(&self, pending: usize) -> DriftReport {
         let groups = self
             .groups

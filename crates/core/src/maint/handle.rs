@@ -1,8 +1,7 @@
 //! The epoch-swapped handle: reads concurrent with writes.
 //!
-//! A bare [`CoaxIndex`] is immutable after build except for `insert`,
-//! which needs `&mut self` — so a shared index cannot absorb writes, and
-//! a writable index cannot be shared. [`IndexHandle`] closes that gap
+//! A [`CoaxIndex`] is a frozen epoch: it has no write path, so it can be
+//! shared freely but never absorbs a row. [`IndexHandle`] gives it one
 //! with an epoch scheme:
 //!
 //! ```text
@@ -19,11 +18,12 @@
 //! * The **epoch** is a frozen `Arc<CoaxIndex>`. Readers take the read
 //!   lock just long enough to scan the overlay and clone the `Arc`; the
 //!   actual index probe runs with no lock held at all.
-//! * The **overlay** buffers rows inserted since the epoch was built
-//!   (each margin-checked against the epoch's models on the way in, so
-//!   folding needs no second pass). One read guard covers both the
-//!   overlay scan and the `Arc` clone, so every query sees a consistent
-//!   prefix of the insert history — never a torn epoch.
+//! * The **overlay** buffers rows inserted since the epoch was built —
+//!   the one insert buffer (each row margin-checked against the epoch's
+//!   models on the way in, so folding needs no second pass). One read
+//!   guard covers both the overlay scan and the `Arc` clone, so every
+//!   query sees a consistent prefix of the insert history — never a torn
+//!   epoch.
 //! * **Maintenance** (fold or refit) snapshots the epoch and the overlay
 //!   prefix, builds the successor index with **no lock held**, then takes
 //!   the write lock only for the pointer swap and overlay drain. Rows
@@ -94,6 +94,23 @@ struct InsertState {
     next_id: u64,
     posteriors: Vec<Option<BayesianLinReg>>,
     monitor: DriftMonitor,
+}
+
+impl InsertState {
+    /// Routes `row` against the current models: the drift monitor's
+    /// margin verdict, and — inside the margins — one observation per
+    /// linear model's posterior. Returns the verdict.
+    fn observe(&mut self, row: &[Value]) -> bool {
+        let in_margins = self.monitor.observe(row);
+        if in_margins {
+            for (m, reg) in self.models.discovery.all_models().zip(&mut self.posteriors) {
+                if let Some(reg) = reg {
+                    reg.observe(row[m.predictor()], row[m.dependent()]);
+                }
+            }
+        }
+        in_margins
+    }
 }
 
 /// A shared, live-maintained COAX index: concurrent readers, buffered
@@ -175,19 +192,16 @@ impl IndexHandle {
         }
     }
 
-    /// Rows buffered but not yet folded into index structures: the
-    /// epoch's own pending buffer (usually empty after the first
-    /// maintenance) plus the handle overlay. This is the count the
-    /// policy's fold trigger watches.
+    /// Rows buffered in the overlay, not yet folded into the epoch. This
+    /// is the count the policy's fold trigger watches.
     pub fn pending_len(&self) -> usize {
-        let st = read_guard(&self.state);
-        st.index.pending_len() + st.overlay.len()
+        read_guard(&self.state).overlay.len()
     }
 
-    /// Inserts a row through the handle: allocated the handle's next id,
-    /// margin-checked against the current epoch's models, observed by the
-    /// drift monitor and the Bayesian posteriors, and buffered in the
-    /// overlay — visible to every query issued after this call returns.
+    /// Inserts a row: allocated the handle's next id, margin-checked
+    /// against the current epoch's models, observed by the drift monitor
+    /// and the Bayesian posteriors, and buffered in the overlay — visible
+    /// to every query that starts after this call returns.
     pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
         self.insert_with(row, take_id)
     }
@@ -208,14 +222,7 @@ impl IndexHandle {
         let mut guard = lock_guard(&self.insert);
         let ins = &mut *guard;
         let id = alloc(&mut ins.next_id)?;
-        let in_margins = ins.monitor.observe(row);
-        if in_margins {
-            for (m, reg) in ins.models.discovery.all_models().zip(&mut ins.posteriors) {
-                if let Some(reg) = reg {
-                    reg.observe(row[m.predictor()], row[m.dependent()]);
-                }
-            }
-        }
+        let in_margins = ins.observe(row);
         // Publish to readers while still holding the insert lock: ids
         // enter the overlay in allocation order, so a reader's snapshot
         // is always a contiguous prefix of the insert history. The
@@ -245,11 +252,7 @@ impl IndexHandle {
     /// The drift monitor's current view of the insert stream.
     pub fn drift_report(&self) -> DriftReport {
         let ins = lock_guard(&self.insert);
-        let pending = {
-            let st = read_guard(&self.state);
-            st.index.pending_len() + st.overlay.len()
-        };
-        ins.monitor.report(pending)
+        ins.monitor.report(self.pending_len())
     }
 
     /// Decides via the policy and executes: the ad-hoc equivalent of one
@@ -264,20 +267,19 @@ impl IndexHandle {
         action
     }
 
-    /// Folds the buffered rows — the epoch's pending buffer plus the
-    /// overlay — into the partition structures with the models and the
-    /// directories frozen, and publishes the result as the next epoch.
-    /// It is the same fold as [`CoaxIndex::rebuild_incremental`]: each
-    /// partition absorbs its rows in one merge pass, and is rebuilt only
-    /// when its backend cannot absorb or the adaptive outlier grid steps
-    /// its resolution.
+    /// Folds the overlay rows into the partition structures with the
+    /// models and the directories frozen, and publishes the result as the
+    /// next epoch: each partition absorbs its rows in one merge pass, and
+    /// is rebuilt only when its backend cannot absorb or the adaptive
+    /// outlier grid steps its resolution.
     pub fn fold(&self) {
         self.run_maintenance(false);
     }
 
-    /// Refreshes every model from its posterior and the full residuals,
-    /// rebuilds both partitions ([`CoaxIndex::rebuild`] semantics over
-    /// epoch + overlay), and publishes the result as the next epoch.
+    /// Refreshes every model from its posterior (new line) and the full
+    /// residuals of epoch + overlay (new margins), re-splits every row,
+    /// rebuilds both partitions, and publishes the result as the next
+    /// epoch.
     pub fn refit(&self) {
         self.run_maintenance(true);
     }
@@ -297,10 +299,7 @@ impl IndexHandle {
         let folded = overlay_snapshot.len();
         let timer = self.obs.timer();
 
-        // --- 2. build the successor, no lock held -----------------------
-        // The same refit and fold as `CoaxIndex::rebuild` and
-        // `CoaxIndex::rebuild_incremental`, over the epoch's own pending
-        // buffer plus the overlay rows.
+        // --- 2. build the successor from the overlay rows, no lock held --
         let successor = Arc::new(if refit {
             base.refit(&overlay_snapshot, &posteriors)
         } else {
@@ -323,16 +322,8 @@ impl IndexHandle {
             // models set a new baseline.
             ins.posteriors = successor.posteriors.clone();
             ins.monitor = DriftMonitor::new(&successor, self.config.maintenance.ewma_alpha);
-            let ins = &mut *ins;
             for row in Arc::make_mut(&mut st.overlay).iter_mut() {
-                row.in_margins = ins.monitor.observe(&row.values);
-                if row.in_margins {
-                    for (m, reg) in ins.models.discovery.all_models().zip(&mut ins.posteriors) {
-                        if let Some(reg) = reg {
-                            reg.observe(row.values[m.predictor()], row.values[m.dependent()]);
-                        }
-                    }
-                }
+                row.in_margins = ins.observe(&row.values);
             }
         }
         // After a fold the models are identical, so everything write-side
@@ -358,13 +349,6 @@ impl IndexHandle {
                 "epoch={new_epoch} action={action} folded={folded} overlay_after={survivors}"
             )
         });
-    }
-
-    /// Streaming batch execution against one snapshot taken now: sugar
-    /// for `self.snapshot().batch_query_streaming(queries)`. See
-    /// [`ReadSnapshot::batch_query_streaming`].
-    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
-        self.snapshot().batch_query_streaming(queries)
     }
 }
 
@@ -493,11 +477,10 @@ impl ReadSnapshot {
         &self.index
     }
 
-    /// Rows the session reads from its frozen overlay + the epoch's own
-    /// pending buffer, i.e. everything charged to
+    /// Rows in the snapshot's frozen overlay, i.e. everything charged to
     /// [`ScanStats::scanned_pending`] by this snapshot's queries.
     pub fn pending_len(&self) -> usize {
-        self.index.pending_len() + self.overlay.len()
+        self.overlay.len()
     }
 
     /// Streaming batch execution against this session: returns a
@@ -551,9 +534,7 @@ impl ReadSnapshot {
     /// snapshot query returns, appended to `out`.
     pub(crate) fn answer_batched(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let matched = scan_overlay(&self.overlay, query, out);
-        let plan = self.index.plan(query);
-        let mut stats =
-            crate::exec::execute(&self.index, &plan, out, &mut QuerySpan::disabled()).flatten();
+        let mut stats = crate::exec::answer_batched(&self.index, query, out);
         stats.scanned_pending += self.overlay.len();
         stats.matches += matched;
         stats
@@ -596,8 +577,8 @@ impl MultidimIndex for ReadSnapshot {
     }
 
     /// Overlay scan first (charged to [`ScanStats::scanned_pending`]),
-    /// then the frozen epoch's four-step exec sequence — all lock-free:
-    /// the session owns both `Arc`s.
+    /// then the frozen epoch's exec sequence — all lock-free: the snapshot
+    /// owns both `Arc`s.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let span = self.index.obs.query_span();
         let matched = scan_overlay(&self.overlay, query, out);
@@ -605,9 +586,9 @@ impl MultidimIndex for ReadSnapshot {
     }
 
     /// Streaming override: the overlay chunk flows first, then the
-    /// epoch's plan cursor (primary cell by cell → outliers → epoch
-    /// pending buffer). Collected results and stats are identical to
-    /// [`ReadSnapshot`]'s `range_query_stats`.
+    /// epoch's plan cursor (primary cell by cell → outliers). Collected
+    /// results and stats are identical to [`ReadSnapshot`]'s
+    /// `range_query_stats`.
     fn range_query_cursor(&self, query: &RangeQuery) -> coax_index::RowCursor<'_> {
         coax_index::RowCursor::new(Box::new(SnapshotCursor {
             overlay: &self.overlay,
@@ -821,6 +802,7 @@ mod tests {
         );
     }
 
+    /// The one insert path refuses malformed rows with typed errors.
     #[test]
     fn insert_validation_matches_bare_index() {
         let ds = planted(1000, 6);

@@ -15,15 +15,15 @@
 //! * [`MaintenancePolicy`] + [`Maintainer`] — turn a report into the
 //!   cheapest sufficient [`MaintenanceAction`]: **fold** the buffer into
 //!   the existing structures with every model and directory frozen
-//!   ([`crate::CoaxIndex::rebuild_incremental`]: one merge pass per
-//!   partition) when the buffer is merely long, or **refit** the models
-//!   from the accumulated evidence and rebuild both partitions
-//!   ([`crate::CoaxIndex::rebuild`] semantics) when the dependency has
-//!   drifted. The policy travels in [`crate::CoaxConfig::maintenance`].
-//! * [`IndexHandle`] — the epoch swap: readers query a consistent
-//!   snapshot lock-free while a writer thread builds the successor epoch
-//!   and publishes it with a pointer swap; inserts buffer through the
-//!   handle and are visible immediately.
+//!   ([`IndexHandle::fold`]: one merge pass per partition) when the
+//!   buffer is merely long, or **refit** the models from the accumulated
+//!   evidence and rebuild both partitions ([`IndexHandle::refit`]) when
+//!   the dependency has drifted. The policy travels in
+//!   [`crate::CoaxConfig::maintenance`].
+//! * [`IndexHandle`] — the one write path and the epoch swap: inserts
+//!   buffer in the handle's overlay and are visible immediately, and
+//!   readers query a consistent snapshot lock-free while a writer thread
+//!   builds the successor epoch and publishes it with a pointer swap.
 //! * [`ReadSnapshot`] — a read session over the handle:
 //!   [`IndexHandle::snapshot`] clones the epoch `Arc` and a frozen
 //!   overlay view under one read guard, so any number of

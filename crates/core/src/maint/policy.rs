@@ -1,11 +1,11 @@
 //! Maintenance decisions: *when* to act and *how much* to pay.
 //!
 //! Two actions exist, with very different costs. **Fold**
-//! ([`crate::CoaxIndex::rebuild_incremental`]) merges the buffered
-//! inserts into the partition structures in one pass, touching neither a
-//! model nor a directory — cheap, and the right answer when the buffer
-//! is merely long. **Refit** ([`crate::CoaxIndex::rebuild`]) refreshes
-//! every model from its posterior and the full residuals, then re-splits
+//! ([`IndexHandle::fold`]) merges the overlay's buffered inserts into the
+//! partition structures in one pass, touching neither a model nor a
+//! directory — cheap, and the right answer when the buffer is merely
+//! long. **Refit** ([`IndexHandle::refit`]) refreshes every model from
+//! its posterior and the full residuals, then re-splits
 //! every row and rebuilds both partitions — expensive, and the only
 //! answer when the dependency itself has moved.
 //! [`MaintenancePolicy`] maps a [`DriftReport`] to one of them;
@@ -36,8 +36,8 @@ pub enum MaintenanceAction {
 /// hands out maintained indexes without a second configuration channel.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MaintenancePolicy {
-    /// Fold once this many rows sit in the pending/overlay buffer: each
-    /// one is a linear scan per query ([`ScanStats::scanned_pending`]).
+    /// Fold once this many rows sit in the handle's overlay: each one is
+    /// a linear scan per query ([`ScanStats::scanned_pending`]).
     ///
     /// [`ScanStats::scanned_pending`]: coax_index::ScanStats
     pub max_pending: usize,

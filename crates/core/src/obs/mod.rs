@@ -8,10 +8,9 @@
 //!   once, recorded into through cheap cloned handles (at most one
 //!   atomic add per counter record, two per histogram record).
 //! * [`QuerySpan`] — per-phase timing of one shard query (overlay scan →
-//!   translate → primary probe → outlier probe → pending-buffer scan),
-//!   opened where the query enters and recorded once when it finishes:
-//!   six clock reads and at most fifteen atomic adds per query through
-//!   a handle.
+//!   translate → primary probe → outlier probe), opened where the query
+//!   enters and recorded once when it finishes: five clock reads and at
+//!   most fifteen atomic adds per query through a handle.
 //! * [`EventJournal`] — a bounded ring of structural events: epoch
 //!   publishes, fold-vs-refit decisions with their
 //!   [`crate::maint::DriftReport`] scores, overlay copy-on-write
@@ -47,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Observability switch carried in [`crate::CoaxConfig`]. Default is
-/// **on** (a query through a handle costs six clock reads and at most
+/// **on** (a query through a handle costs five clock reads and at most
 /// fifteen atomic adds); construct with [`ObsConfig::disabled`] to
 /// compile every record call down to a single `None` check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

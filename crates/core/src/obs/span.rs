@@ -1,6 +1,5 @@
 //! Query-lifecycle spans: per-phase timing of one shard query (overlay
-//! scan → translate → primary probe → outlier probe → pending-buffer
-//! scan).
+//! scan → translate → primary probe → outlier probe).
 //!
 //! A [`QuerySpan`] is handed out by [`crate::obs::Obs::query_span`] at
 //! the entry point that first sees the query (the handle, a snapshot, or
@@ -11,8 +10,9 @@
 //! each marked phase's histogram once, the end-to-end latency (start to
 //! the last mark, so finishing reads no clock) and the query's
 //! [`ScanStats`] into the per-query counters. A query through a handle
-//! therefore reads the clock six times. When observability is off the
-//! span holds `None` — no clock reads, no atomics, nothing.
+//! therefore reads the clock five times, and one straight to a frozen
+//! `CoaxIndex`, which has no overlay to scan, four. When observability
+//! is off the span holds `None` — no clock reads, no atomics, nothing.
 
 use std::time::{Duration, Instant};
 
@@ -22,8 +22,8 @@ use super::ObsHandles;
 
 /// The phases of one query. Through a handle or snapshot the clock
 /// marks them in the order pending scan (the overlay), translate,
-/// primary probe, outlier probe, pending scan (the epoch's own pending
-/// buffer); both pending slices add up into one phase.
+/// primary probe, outlier probe; a frozen `CoaxIndex` marks no pending
+/// scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryPhase {
     /// Soft-FD query translation (Eq. 2): building the `QueryPlan`.
@@ -32,8 +32,7 @@ pub enum QueryPhase {
     PrimaryProbe,
     /// Probing the outlier partition.
     OutlierProbe,
-    /// Linear scan of the handle or snapshot overlay and of the epoch's
-    /// pending buffer.
+    /// Linear scan of the handle or snapshot overlay.
     PendingScan,
 }
 

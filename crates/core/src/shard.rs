@@ -491,12 +491,6 @@ impl ShardedHandle {
         let cut = (core.next_global.load(Ordering::Relaxed) > published).then_some(published);
         ShardedSnapshot { core: Arc::clone(core), shards, cut }
     }
-
-    /// Streaming batch execution against one cross-shard snapshot taken
-    /// now: sugar for `self.snapshot().batch_query_streaming(queries)`.
-    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
-        self.snapshot().batch_query_streaming(queries)
-    }
 }
 
 impl MultidimIndex for ShardedHandle {

@@ -1,9 +1,8 @@
 //! The batch-execution contract: `CoaxIndex::batch_query` answers each
-//! distinct query of a batch once, translating it exactly once into a
-//! `BatchPlan` and running the single-query executor, and may fan chunks
-//! out over a worker pool — and whatever the `ExecConfig`, returns
-//! per-query results and `ScanStats` identical to sequential
-//! `range_query_stats` calls. That equivalence, swept over thread
+//! distinct query of a batch once, translating it exactly once and
+//! running the single-query executor, and may fan chunks out over a
+//! worker pool — and whatever the `ExecConfig`, returns per-query results
+//! and `ScanStats` identical to sequential `range_query_stats` calls. That equivalence, swept over thread
 //! counts, chunk sizes, duplicate-heavy batches, and backend
 //! combinations, is the acceptance bar for the batch engine.
 
@@ -135,6 +134,10 @@ fn coax_batch_through_boxed_trait_object() {
     }
 }
 
+/// A custom outlier backend under the batch engine. Inserted rows live
+/// in a handle's overlay, not in the index: batch == loop over an
+/// overlay is pinned on the snapshot surfaces of
+/// `duplicate_copies_across_chunks_match_the_loop_on_every_surface`.
 #[test]
 fn batch_covers_pending_inserts_and_custom_outliers() {
     let ds = planted(5_000, 93);
@@ -142,11 +145,7 @@ fn batch_covers_pending_inserts_and_custom_outliers() {
         outlier_backend: OutlierBackend::RTree { capacity: 8 },
         ..Default::default()
     };
-    let mut index = CoaxIndex::build(&ds, &config);
-    let model = index.groups()[0].models[0].clone();
-    let x = 333.0;
-    index.insert(&[x, model.predict(x), 7.0]).unwrap();
-    index.insert(&[x, model.predict(x) + 80.0 * model.margin_width(), 7.0]).unwrap();
+    let index = CoaxIndex::build(&ds, &config);
 
     let queries = mixed_workload(&ds);
     let batched = index.batch_query(&queries);
@@ -240,7 +239,7 @@ fn batch_results_identical_across_thread_counts_and_duplicates() {
 
 /// Duplicate-heavy batches whose copies straddle chunk boundaries
 /// (`chunk_size` 3) on 1, 2 and 4 workers: the materialized batch, the
-/// streaming `BatchPlan` and a snapshot's detached stream each deliver
+/// scoped stream and a snapshot's detached stream each deliver
 /// every query exactly once, with ids (in order) and stats equal to the
 /// one-at-a-time loop — overlay rows included, and with an empty
 /// overlay too.
@@ -270,10 +269,12 @@ fn duplicate_copies_across_chunks_match_the_loop_on_every_surface() {
             index.batch_query_with(&queries, &config).into_iter().enumerate(),
         );
         let mut streamed = Vec::new();
-        index.batch_plan(&queries).execute_streaming(index, &config, &mut |qi, r| {
-            streamed.push((qi, r));
-        });
-        assert_delivered_once(&format!("execute_streaming {label}"), &index_loop, streamed);
+        index.batch_query_streaming_with(&queries, &config, |qi, r| streamed.push((qi, r)));
+        assert_delivered_once(
+            &format!("batch_query_streaming_with {label}"),
+            &index_loop,
+            streamed,
+        );
         for snapshot in [&empty_overlay, &with_overlay] {
             let snapshot_loop = loop_results(snapshot, &queries);
             let label = format!("{label}, overlay={}", snapshot.pending_len());
@@ -391,25 +392,6 @@ fn parallel_batch_contract_holds_across_backends() {
     }
 }
 
-/// A `BatchPlan` is translate-once state: executing it repeatedly, under
-/// different configs, yields identical answers every time.
-#[test]
-fn batch_plan_is_reusable_across_configs() {
-    let ds = planted(5_000, 99);
-    let index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    let queries = mixed_workload(&ds);
-    let plan = index.batch_plan(&queries);
-    assert_eq!(plan.len(), queries.len());
-    let first = plan.execute(&index, &ExecConfig::default());
-    for config in [
-        ExecConfig::default(),
-        ExecConfig { chunk_size: 1, ..ExecConfig::default() },
-        ExecConfig { batch_threads: 4, min_parallel_batch: 2, ..ExecConfig::default() },
-    ] {
-        assert_eq!(plan.execute(&index, &config), first, "{config:?}");
-    }
-}
-
 /// The config carried in `CoaxConfig::exec` (and set through
 /// `IndexSpec::with_exec`) is what the trait-level `batch_query` uses —
 /// a parallel-configured index answers exactly like a sequential one.
@@ -461,16 +443,11 @@ fn plans_are_reusable_and_report_pruning() {
 
 /// The streaming sink must deliver every query exactly once, each result
 /// identical to the materialized batch at that index — whatever thread
-/// count or chunking drives the pool, and with pending inserts in the
-/// picture.
+/// count or chunking drives the pool.
 #[test]
 fn streaming_batch_delivers_every_query_identically() {
     let ds = planted(8_000, 191);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    for i in 0..40 {
-        let x = (i as f64 * 23.7) % 1000.0;
-        index.insert(&[x, 2.0 * x + 25.0, 50.0]).unwrap();
-    }
+    let index = CoaxIndex::build(&ds, &CoaxConfig::default());
     let mut queries = mixed_workload(&ds);
     queries.extend(knn_rectangle_queries(&ds, 60, 50, 905));
     let expected = index.batch_query(&queries);
@@ -514,12 +491,7 @@ fn single_threaded_streaming_preserves_query_order() {
 #[test]
 fn plan_cursor_collects_identically_to_execute_plan() {
     let ds = planted(8_000, 193);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    for i in 0..25 {
-        let x = (i as f64 * 17.3) % 1000.0;
-        let y = if i % 7 == 0 { 2.0 * x + 600.0 } else { 2.0 * x + 25.0 };
-        index.insert(&[x, y, 10.0]).unwrap();
-    }
+    let index = CoaxIndex::build(&ds, &CoaxConfig::default());
     for q in mixed_workload(&ds) {
         let mut ids = Vec::new();
         let stats = index.range_query_stats(&q, &mut ids);

@@ -169,7 +169,6 @@ pub fn scan_columnar(
     filter: &RangeQuery,
     out: &mut Vec<RowId>,
 ) -> usize {
-    crate::kernel_span!(scan_columnar);
     let mut matched = 0;
     if e - s < SHORT_RUN {
         for i in s..e {

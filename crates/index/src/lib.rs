@@ -47,7 +47,6 @@ pub mod grid_file;
 pub mod kernel;
 pub mod pages;
 pub mod rtree;
-pub mod telemetry;
 pub mod traits;
 pub mod uniform_grid;
 

@@ -15,8 +15,8 @@ pub struct ScanStats {
     /// Rows whose values were compared against the predicate through the
     /// index structure proper.
     pub rows_examined: usize,
-    /// Rows checked linearly in a pending-insert (or epoch-overlay)
-    /// buffer, *outside* any index structure. Counted separately from
+    /// Rows checked linearly in an insert buffer (the COAX handle's
+    /// overlay), *outside* any index structure. Counted separately from
     /// [`ScanStats::rows_examined`] so reports can see a bloated buffer,
     /// but included in [`ScanStats::effectiveness`] — a pending row
     /// compared against the predicate is work wasted exactly like an
@@ -519,8 +519,8 @@ pub trait MultidimIndex: std::fmt::Debug + Send + Sync {
     /// none. Backends with a natural scan order override it:
     /// [`crate::GridFile`] yields one chunk per directory cell as its
     /// ascending odometer pass visits it, and the COAX index chains
-    /// primary, outlier, and pending-buffer cursors so first results
-    /// arrive before the outlier probe has even started.
+    /// primary and outlier cursors so first results arrive before the
+    /// outlier probe has even started.
     ///
     /// The cursor borrows `self` (not `query`), is `Send`, and may be
     /// dropped early at no cost beyond the work already performed.

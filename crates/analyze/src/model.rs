@@ -1127,19 +1127,14 @@ fn guard_scope(files: &[SourceFile], model: &WorkspaceModel, out: &mut Vec<Findi
     }
 }
 
-/// Batch/cursor/streaming surfaces of `MultidimIndex`, plus the fold's
-/// `absorbed`, whose overrides must be pinned against the reference by an
+/// Batch/cursor surfaces of `MultidimIndex`, plus the fold's `absorbed`,
+/// whose overrides must be pinned against the reference by an
 /// equivalence suite.
-const SURFACE: &[&str] = &[
-    "batch_query",
-    "range_query_cursor",
-    "range_query_filtered_cursor",
-    "batch_query_streaming",
-    "absorbed",
-];
+const SURFACE: &[&str] =
+    &["batch_query", "range_query_cursor", "range_query_filtered_cursor", "absorbed"];
 
 /// `trait-contract`: every non-test `impl MultidimIndex` that overrides
-/// a batch/cursor/streaming/absorb surface must be referenced from an
+/// a batch/cursor/absorb surface must be referenced from an
 /// equivalence test file (`…equivalence….rs` under `tests/`), which is
 /// where the house bit-identity sweeps live.
 fn trait_contract(files: &[SourceFile], model: &WorkspaceModel, out: &mut Vec<Finding>) {

@@ -9,7 +9,7 @@
 //! | `panic-free-library`  | library code returns errors; panicking APIs are explicit, documented and suppressed by name |
 //! | `nan-unsafe-cmp`      | float comparators use `f64::total_cmp`, never `partial_cmp(..).unwrap()` |
 //! | `kernel-encapsulation`| cell scans and `PageStore` slab access live in `kernel.rs`/`pages.rs` only |
-//! | `thread-discipline`   | threads are spawned only by the exec pool and the maintainer |
+//! | `thread-discipline`   | threads are spawned only by the exec pool |
 //! | `seeded-randomness`   | RNGs come from explicit seeds — no environmental entropy |
 //! | `doc-headers`         | every `pub fn` in `coax-core`'s exec/maint documents its contract |
 //! | `obs-naming`          | metric names are literal, snake_case, dot-namespaced, registered through the registry constructors |
@@ -56,7 +56,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "thread-discipline",
-        description: "std::thread::spawn/scope only in coax-core's exec.rs and maint/",
+        description: "std::thread::spawn/scope only in coax-core's exec.rs",
     },
     RuleInfo {
         name: "seeded-randomness",
@@ -92,8 +92,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "trait-contract",
-        description: "every MultidimIndex impl overriding a batch/cursor/streaming/absorb \
-             surface is referenced from an equivalence test file",
+        description: "every MultidimIndex impl overriding a batch/cursor/absorb surface is \
+             referenced from an equivalence test file",
     },
 ];
 
@@ -262,17 +262,16 @@ fn kernel_encapsulation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Files allowed to spawn threads: the exec layer's pool (which every
-/// parallel query path, the shard fan-out included, runs on) and the
-/// maintainer's background loop.
+/// The one file allowed to spawn threads: the exec layer's pool, which
+/// every parallel query path (the shard fan-out included) runs on. A
+/// `Maintainer` loops on its caller's thread and starts none.
 fn thread_allowed(path: &str) -> bool {
-    path == "crates/core/src/exec.rs" || path.contains("crates/core/src/maint/")
+    path == "crates/core/src/exec.rs"
 }
 
 /// `thread-discipline`: worker threads are owned by the exec layer's
-/// pool and the maintainer's background loop. Ad-hoc spawns elsewhere
-/// would bypass `ExecConfig` sizing and the epoch-swap shutdown
-/// protocol.
+/// pool. Ad-hoc spawns elsewhere would bypass `ExecConfig` sizing and
+/// the pool's cancellation protocol.
 fn thread_discipline(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     if thread_allowed(ctx.path) {
         return;
@@ -293,8 +292,8 @@ fn thread_discipline(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                 toks[i].line,
                 "thread-discipline",
                 format!(
-                    "`thread::{what}` outside exec.rs/maint/: thread lifecycles are owned \
-                     by the exec pool (`ExecConfig`) and the `Maintainer`"
+                    "`thread::{what}` outside exec.rs: thread lifecycles are owned by the \
+                     exec pool (`ExecConfig`)"
                 ),
             ));
         }
@@ -540,7 +539,10 @@ mod tests {
         assert_eq!(rules_hit("crates/index/src/grid_file.rs", src), vec!["thread-discipline"]);
         assert_eq!(rules_hit("crates/core/src/shard.rs", src), vec!["thread-discipline"]);
         assert!(rules_hit("crates/core/src/exec.rs", src).is_empty());
-        assert!(rules_hit("crates/core/src/maint/policy.rs", src).is_empty());
+        assert_eq!(
+            rules_hit("crates/core/src/maint/policy.rs", src),
+            vec!["thread-discipline"]
+        );
     }
 
     #[test]

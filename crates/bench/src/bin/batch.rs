@@ -29,10 +29,10 @@
 //! A final **sharded** section runs the same workload through the
 //! sharded index service (`ShardedHandle`), laddered over
 //! `COAX_BENCH_SHARDS` (comma list, default `1,4`): every shard count's
-//! batch answers are verified against the unsharded handle *and* against
-//! each other, and its merged stream against its batch (each query
-//! exactly once), before timing, so fan-out throughput is never bought
-//! with a changed answer.
+//! batch answers are verified against a one-shard service *and* against
+//! each other (at one shard, bit for bit against the bare index), and its
+//! merged stream against its batch (each query exactly once), before
+//! timing, so fan-out throughput is never bought with a changed answer.
 //!
 //! Scaled by `COAX_BENCH_ROWS` / `COAX_BENCH_REPEATS`; ladders by
 //! `COAX_BENCH_BATCH_SIZES` / `COAX_BENCH_BATCH_THREADS` (comma lists).
@@ -289,17 +289,18 @@ fn main() {
 
     // --- sharded section: the same workload through the sharded index
     // --- service, laddered over `COAX_BENCH_SHARDS`. Before any timing,
-    // --- every shard count's answers are checked against the unsharded
-    // --- handle (same row set per query, same matches/scanned_pending)
+    // --- every shard count's answers are checked against a one-shard
+    // --- service (same row set per query, same matches/scanned_pending)
     // --- and across shard counts — bit-identity is never traded for
     // --- fan-out throughput. At one shard the full results, id order
-    // --- and ScanStats included, must be bit-identical.
+    // --- and ScanStats included, must be bit-identical to the bare
+    // --- index built with the same config.
     let shard_ladder = datasets::bench_shards();
     let shard_queries =
         &workload[..sizes.iter().copied().max().unwrap_or(0).min(workload.len())];
-    let single = IndexSpec::coax(CoaxConfig::default())
-        .build_handle(&dataset)
-        .expect("coax spec yields a handle");
+    let spec = IndexSpec::coax(CoaxConfig::default());
+    let single = spec.build_service(&dataset).expect("coax spec yields a service");
+    let bare = spec.build_coax(&dataset).expect("coax spec yields an index");
     let baseline = {
         let mut results = Vec::with_capacity(shard_queries.len());
         for q in shard_queries {
@@ -344,7 +345,7 @@ fn main() {
         {
             assert_eq!(
                 &sorted_ids[qi], expect_ids,
-                "{label}: sharded rows diverged from the unsharded handle on query {qi}"
+                "{label}: sharded rows diverged from the one-shard service on query {qi}"
             );
             assert_eq!(result.stats.matches, expect_stats.matches, "{label}: query {qi}");
             assert_eq!(
@@ -352,11 +353,10 @@ fn main() {
                 "{label}: query {qi}"
             );
             if sharded.shard_count() == 1 {
-                let mut single_ids = Vec::new();
-                let single_stats =
-                    single.range_query_stats(&shard_queries[qi], &mut single_ids);
-                assert_eq!(result.ids, single_ids, "one shard must be bit-identical");
-                assert_eq!(result.stats, single_stats, "one shard must be bit-identical");
+                let mut bare_ids = Vec::new();
+                let bare_stats = bare.range_query_stats(&shard_queries[qi], &mut bare_ids);
+                assert_eq!(result.ids, bare_ids, "one shard must be bit-identical");
+                assert_eq!(result.stats, bare_stats, "one shard must be bit-identical");
             }
         }
         if let Some(prev) = &previous {

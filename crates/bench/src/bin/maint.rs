@@ -2,8 +2,9 @@
 //! the `maint` subsystem buys back.
 //!
 //! The scenario is the ROADMAP's serving story in miniature. Build a
-//! COAX index on a stationary stream prefix behind a live
-//! `IndexHandle`, then keep inserting while the planted dependency's
+//! COAX index on a stationary stream prefix behind the live index
+//! service (a one-shard `ShardedHandle`), then keep inserting while the
+//! planted dependency's
 //! intercept drifts away from the frozen models. Four phases are
 //! measured with the same dependent-attribute workload:
 //!
@@ -28,7 +29,6 @@ use coax_bench::harness::{
     fmt_ms, json_mode, maybe_write_csv, maybe_write_metrics, percentile_fields, print_table,
     time_per_query_ms, JsonReport, JsonValue, ReportRow,
 };
-use coax_core::maint::{IndexHandle, Maintainer};
 use coax_core::obs::HistogramSummary;
 use coax_core::{
     CoaxConfig, CoaxIndex, MaintenancePolicy, MetricsRegistry, ShardSpec, ShardedHandle,
@@ -36,7 +36,6 @@ use coax_core::{
 use coax_data::synth::{DriftingLinearConfig, Generator};
 use coax_data::{Dataset, RangeQuery, RowId};
 use coax_index::{FullScan, MultidimIndex, ScanStats};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Band queries on the dependent attribute — the queries translation
@@ -79,21 +78,24 @@ struct Phase {
     drift_score: f64,
     epoch: u64,
     /// Per-query latency distribution over this phase alone — the
-    /// delta of the process-wide `coax.query.latency_us` histogram
-    /// across the phase's measurement passes. Each value covers the
-    /// whole handle query: overlay scan, translation and the epoch
-    /// probe.
+    /// delta of the `coax.query.latency_us` histogram the phase's index
+    /// records into (shard 0's for the service, the unlabelled one for
+    /// the fresh build) across the phase's measurement passes. Each
+    /// value covers the whole shard query: overlay scan, translation and
+    /// the epoch probe.
     latency: HistogramSummary,
 }
 
-/// Runs `measure` bracketed by snapshots of the query-latency histogram,
-/// so each phase reports its own percentile distribution.
+/// Runs `measure` bracketed by snapshots of the query-latency histogram
+/// labelled `shard`, so each phase reports its own percentile
+/// distribution.
 fn measure_with_latency(
     index: &dyn MultidimIndex,
     queries: &[RangeQuery],
     repeats: usize,
+    shard: Option<u32>,
 ) -> (f64, ScanStats, HistogramSummary) {
-    let hist = MetricsRegistry::global().histogram("coax.query.latency_us");
+    let hist = MetricsRegistry::global().histogram_shard("coax.query.latency_us", shard);
     let before = hist.snapshot();
     let (ms, stats) = measure(index, queries, repeats);
     let latency = hist.snapshot().since(&before).summary();
@@ -102,19 +104,20 @@ fn measure_with_latency(
 
 fn phase(
     label: &'static str,
-    handle: &IndexHandle,
+    service: &ShardedHandle,
     queries: &[RangeQuery],
     repeats: usize,
 ) -> Phase {
-    let (ms, stats, latency) = measure_with_latency(handle, queries, repeats);
-    let report = handle.drift_report();
+    let (ms, stats, latency) = measure_with_latency(service, queries, repeats, Some(0));
+    let shard = service.shard_handle(0);
+    let report = shard.drift_report();
     Phase {
         label,
         ms,
         stats,
         pending: report.pending,
         drift_score: report.max_drift_score(),
-        epoch: handle.epoch(),
+        epoch: shard.epoch(),
         latency,
     }
 }
@@ -153,24 +156,25 @@ fn main() {
         ..Default::default()
     };
     let prefix: Vec<RowId> = (0..build_rows as RowId).collect();
-    let handle = Arc::new(IndexHandle::build(&full.take_rows(&prefix), &config));
+    let service = ShardedHandle::build(&full.take_rows(&prefix), &config);
 
     let mut phases = Vec::new();
-    phases.push(phase("before", &handle, &queries, repeats));
+    phases.push(phase("before", &service, &queries, repeats));
 
     for i in build_rows..rows {
-        handle.insert(&full.row(i as RowId)).expect("insert");
+        service.insert(&full.row(i as RowId)).expect("insert");
     }
-    phases.push(phase("during", &handle, &queries, repeats));
+    phases.push(phase("during", &service, &queries, repeats));
 
+    let maintainers = service.maintainers();
     let start = Instant::now();
-    let outcome = Maintainer::new(Arc::clone(&handle)).tick();
+    let outcome = maintainers[0].tick();
     let maint_ms = start.elapsed().as_secs_f64() * 1e3;
-    phases.push(phase("after", &handle, &queries, repeats));
+    phases.push(phase("after", &service, &queries, repeats));
 
     let fresh = CoaxIndex::build(&full, &config);
     let (fresh_ms, fresh_stats, fresh_latency) =
-        measure_with_latency(&fresh, &queries, repeats);
+        measure_with_latency(&fresh, &queries, repeats, None);
     phases.push(Phase {
         label: "fresh",
         ms: fresh_ms,
@@ -214,7 +218,7 @@ fn main() {
     let mut target_inserts = 0usize;
     for i in build_rows..rows {
         let row = full.row(i as RowId);
-        if sharded.route(&row) == TARGET {
+        if sharded.route(&row).expect("valid row") == TARGET {
             sharded.insert(&row).expect("insert");
             target_inserts += 1;
         }

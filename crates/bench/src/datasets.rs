@@ -51,7 +51,7 @@ pub fn bench_batch_threads() -> Vec<usize> {
 
 /// Shard counts the `batch` bench's sharded section ladders over
 /// (`COAX_BENCH_SHARDS`, default `1,4`). Every count is verified
-/// bit-identical to the unsharded baseline before timing.
+/// against the one-shard baseline before timing.
 pub fn bench_shards() -> Vec<usize> {
     env_usize_list("COAX_BENCH_SHARDS", &[1, 4])
 }

@@ -13,7 +13,7 @@
 //! The comparison loop drives the **Query API v2** surface end to end:
 //! queries come from the typed predicate builder, every backend also
 //! streams one query through its `range_query_cursor`, and the live
-//! handle finishes with a `ReadSnapshot` batch stream.
+//! service finishes with a `ShardedSnapshot` batch stream.
 //!
 //! Run with: `cargo run --release --example backend_zoo`
 //! (`COAX_ZOO_ROWS` scales the dataset; CI runs a small N.)
@@ -115,25 +115,25 @@ fn main() {
     let total_hits: usize = batched.iter().map(|r| r.ids.len()).sum();
     println!("\nbatch of {} queries through the boxed trait: {total_hits} hits", batched.len());
 
-    // And the live surface: wrap COAX in a handle, open one ReadSnapshot
-    // session, and stream a batch off it while an insert lands on the
-    // handle — the session's answers don't move.
-    let handle = IndexSpec::coax(CoaxConfig::default())
-        .build_handle(&dataset)
-        .expect("coax spec yields a handle");
-    let session = handle.snapshot();
+    // And the live surface: build COAX as the index service, open one
+    // read session, and stream a batch off it while an insert lands on
+    // the service — the session's answers don't move.
+    let service = IndexSpec::coax(CoaxConfig::default())
+        .build_service(&dataset)
+        .expect("coax spec yields a service");
+    let session = service.snapshot();
     let before = session.range_query(&probe).len();
-    handle.insert(&dataset.row(0)).expect("well-formed row");
+    service.insert(&dataset.row(0)).expect("well-formed row");
     let mut streamed_hits = 0;
     for (_, result) in session.batch_query_streaming(&queries[..8.min(queries.len())]) {
         streamed_hits += result.ids.len();
     }
     assert_eq!(session.range_query(&probe).len(), before, "session is isolated");
     println!(
-        "snapshot session (epoch {}): {streamed_hits} hits streamed while the live handle \
-         absorbed an insert ({} vs {} rows)",
-        session.epoch(),
+        "snapshot session (epochs {:?}): {streamed_hits} hits streamed while the live \
+         service absorbed an insert ({} vs {} rows)",
+        session.epochs(),
         session.len(),
-        handle.len()
+        service.len()
     );
 }

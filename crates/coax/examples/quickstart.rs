@@ -1,11 +1,11 @@
 //! Quickstart: build a COAX index on correlated data, watch it discover
 //! the soft functional dependencies, query it through the typed
 //! predicate builder, stream results through a cursor, and update it.
-//! Updates go through an `IndexHandle`.
+//! Updates go through the index service, `ShardedHandle`.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use coax::core::{CoaxConfig, CoaxIndex, IndexHandle};
+use coax::core::{CoaxConfig, CoaxIndex, ShardedHandle};
 use coax::data::synth::{AirlineConfig, Generator};
 use coax::data::{Query, RangeQuery};
 use coax::index::MultidimIndex;
@@ -97,28 +97,35 @@ fn main() {
         stats.rows_examined
     );
 
-    // 5. The built index is a frozen epoch; updates go through an
-    //    IndexHandle. An insert is routed by the margin check and
-    //    buffered in the handle's overlay, visible to queries at once; a
-    //    fold merges the overlay into the epoch with the models frozen,
-    //    and a refit refreshes the models from the insert evidence. Each
-    //    publishes a new epoch. (For concurrent inserts + reads through
-    //    ReadSnapshot views, see the streaming_maintenance example.)
-    let handle = IndexHandle::new(index);
+    // 5. The built index is a frozen epoch; updates go through the index
+    //    service, built from the dataset (one shard by default). An
+    //    insert is checked, numbered, routed by the margin check and
+    //    buffered in its shard's overlay, visible to queries at once; a
+    //    fold merges the overlay into the shard's epoch with the models
+    //    frozen, and a refit refreshes the models from the insert
+    //    evidence. Each publishes a new epoch. (For concurrent inserts,
+    //    reads and per-shard maintainers, see the streaming_maintenance
+    //    example.)
+    let service = ShardedHandle::build(&dataset, &CoaxConfig::default());
     let row = [800.0, 135.0, 107.0, 600.0, 755.0, 750.0, 3.0, 2.0];
-    let id = handle.insert(&row).expect("well-formed row");
-    let visible = handle.range_query(&RangeQuery::point(&row)).contains(&id);
-    println!("\ninserted row id {id}; pending = {}, visible = {visible}", handle.pending_len());
-    for (action, run) in
-        [("fold", IndexHandle::fold as fn(&IndexHandle)), ("refit", IndexHandle::refit)]
-    {
-        run(&handle);
-        let epoch = handle.snapshot();
+    let id = service.insert(&row).expect("well-formed row");
+    let visible = service.range_query(&RangeQuery::point(&row)).contains(&id);
+    println!(
+        "\ninserted row id {id}; pending = {}, visible = {visible}",
+        service.pending_len()
+    );
+    let report = |action: &str| {
+        let session = service.snapshot();
+        let shard = session.shard(0);
         println!(
             "after {action}: epoch {}, {} rows indexed, pending = {}",
-            epoch.epoch(),
-            epoch.frozen().len(),
-            epoch.pending_len()
+            shard.epoch(),
+            shard.frozen().len(),
+            shard.pending_len()
         );
-    }
+    };
+    service.shard_handle(0).fold();
+    report("fold");
+    service.shard_handle(0).refit();
+    report("refit");
 }

@@ -1,18 +1,19 @@
-//! Streaming maintenance: readers, a writer, and a maintainer sharing
-//! one live COAX index through an epoch-swapped `IndexHandle`.
+//! Streaming maintenance: readers, a writer, and per-shard maintainers
+//! sharing one live COAX index service (`ShardedHandle`, one shard by
+//! default) whose shards swap epochs under the readers.
 //!
-//! Three threads run concurrently against the same handle:
+//! Threads run concurrently against the same service:
 //!
 //! * a **writer** streams rows whose planted dependency drifts mid-way,
-//! * a **maintainer** polls the drift monitor and folds/refits when the
-//!   policy says so (publishing each rebuilt index as a new epoch), and
-//! * **readers** keep querying throughout — each query sees a consistent
-//!   snapshot, whatever the other two threads are doing.
+//! * one **maintainer** per shard polls that shard's drift monitor and
+//!   folds/refits when the policy says so (publishing each rebuilt index
+//!   as the shard's next epoch), and
+//! * a **reader** keeps querying throughout — each query sees a consistent
+//!   cut, whatever the other threads are doing.
 //!
 //! Run with: `cargo run --release --example streaming_maintenance`
 
-use coax::core::maint::{IndexHandle, Maintainer};
-use coax::core::{CoaxConfig, MaintenancePolicy};
+use coax::core::{CoaxConfig, MaintenanceAction, MaintenancePolicy, ShardedHandle};
 use coax::data::synth::{DriftingLinearConfig, Generator};
 use coax::data::{RangeQuery, RowId};
 use coax::index::MultidimIndex;
@@ -42,23 +43,24 @@ fn main() {
         maintenance: MaintenancePolicy { max_pending: 4_000, ..Default::default() },
         ..Default::default()
     };
-    let handle = Arc::new(IndexHandle::build(&full.take_rows(&build_rows), &config));
+    let service = ShardedHandle::build(&full.take_rows(&build_rows), &config);
     println!(
-        "built epoch 0 over {} rows ({} correlation group(s))",
-        handle.len(),
-        handle.snapshot().frozen().groups().len()
+        "built epoch 0 over {} rows in {} shard(s) ({} correlation group(s))",
+        service.len(),
+        service.shard_count(),
+        service.snapshot().shard(0).frozen().groups().len()
     );
 
     let stop = Arc::new(AtomicBool::new(false));
 
-    // --- writer: stream the remaining rows through the handle. --------
+    // --- writer: stream the remaining rows through the service. -------
     let writer = {
-        let handle = Arc::clone(&handle);
+        let service = service.clone();
         let full = full.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             for i in stream.drift_after..stream.rows {
-                handle.insert(&full.row(i as RowId)).expect("insert");
+                service.insert(&full.row(i as RowId)).expect("insert");
                 if i % 512 == 0 {
                     std::thread::sleep(Duration::from_micros(200));
                 }
@@ -67,26 +69,30 @@ fn main() {
         })
     };
 
-    // --- maintainer: poll, decide, fold/refit, publish. ---------------
-    let maintainer_thread = {
-        let maintainer = Maintainer::new(Arc::clone(&handle));
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut log = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                let outcome = maintainer.tick();
-                if outcome.action != coax::core::MaintenanceAction::None {
-                    log.push((outcome.action, outcome.epoch, outcome.report));
+    // --- maintainers: per shard, poll, decide, fold/refit, publish. ---
+    let maintainer_threads: Vec<_> = service
+        .maintainers()
+        .into_iter()
+        .enumerate()
+        .map(|(shard, maintainer)| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut log = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    let outcome = maintainer.tick();
+                    if outcome.action != MaintenanceAction::None {
+                        log.push((shard, outcome.action, outcome.epoch, outcome.report));
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
                 }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            log
+                log
+            })
         })
-    };
+        .collect();
 
     // --- reader: query continuously, verifying snapshot consistency. --
     let reader = {
-        let handle = Arc::clone(&handle);
+        let service = service.clone();
         let stop = Arc::clone(&stop);
         let dims = full.dims();
         std::thread::spawn(move || {
@@ -94,7 +100,7 @@ fn main() {
             let mut snapshots = 0usize;
             let mut last = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let n = handle.range_query(&everything).len();
+                let n = service.range_query(&everything).len();
                 assert!(n >= last, "a snapshot can never lose rows");
                 last = n;
                 snapshots += 1;
@@ -104,14 +110,15 @@ fn main() {
     };
 
     writer.join().expect("writer");
-    let actions = maintainer_thread.join().expect("maintainer");
+    let actions: Vec<_> =
+        maintainer_threads.into_iter().flat_map(|t| t.join().expect("maintainer")).collect();
     let snapshots = reader.join().expect("reader");
 
     println!("\nmaintenance log:");
-    for (action, epoch, report) in &actions {
+    for (shard, action, epoch, report) in &actions {
         println!(
-            "  epoch {epoch}: {action:?} (drift score {:.2}, outlier rate {:.3}, \
-             {} rows pending)",
+            "  shard {shard} epoch {epoch}: {action:?} (drift score {:.2}, outlier rate \
+             {:.3}, {} rows pending)",
             report.max_drift_score(),
             report.outlier_rate,
             report.pending
@@ -122,17 +129,22 @@ fn main() {
         actions.len()
     );
 
-    // Settle the tail of the stream, then show the refreshed model.
-    handle.maintain();
-    let final_index = handle.snapshot();
-    println!("final epoch {} holds {} rows ({} pending)", handle.epoch(), handle.len(), {
-        handle.pending_len()
-    });
-    if let Some(lin) = final_index.frozen().groups()[0].models[0].as_linear() {
-        println!(
-            "refreshed model: y = {:.3}x + {:.1} (margins -{:.1}/+{:.1})",
-            lin.params.slope, lin.params.intercept, lin.eps_lb, lin.eps_ub
-        );
+    // Settle the tail of the stream, then show the refreshed models.
+    service.maintain_all();
+    let final_view = service.snapshot();
+    println!(
+        "final epochs {:?} hold {} rows ({} pending)",
+        service.epochs(),
+        service.len(),
+        service.pending_len()
+    );
+    for shard in 0..service.shard_count() {
+        if let Some(lin) = final_view.shard(shard).frozen().groups()[0].models[0].as_linear() {
+            println!(
+                "shard {shard} refreshed model: y = {:.3}x + {:.1} (margins -{:.1}/+{:.1})",
+                lin.params.slope, lin.params.intercept, lin.eps_lb, lin.eps_ub
+            );
+        }
     }
-    assert_eq!(handle.len(), stream.rows);
+    assert_eq!(service.len(), stream.rows);
 }

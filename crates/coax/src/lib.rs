@@ -34,13 +34,14 @@
 //!   partition as a factory-built `Box<dyn MultidimIndex>`, and therefore
 //!   composes like any other backend. [`core::IndexSpec`] extends the
 //!   factory to cover COAX, so callers build *every* index in the
-//!   workspace the same way. The [`core::maint`] lifecycle layer keeps a
-//!   built index true under a live write stream: a drift monitor, a
-//!   fold/refit policy, the epoch-swapped [`core::maint::IndexHandle`]
-//!   for reads concurrent with writes, and
-//!   [`core::maint::ReadSnapshot`] sessions for multi-query reads that
-//!   see one consistent version (see the `streaming_maintenance`
-//!   example).
+//!   workspace the same way. The index service, [`core::ShardedHandle`]
+//!   (one shard by default), keeps a built index true under a live write
+//!   stream: it takes every insert, each of its shards runs the
+//!   [`core::maint`] lifecycle (a drift monitor, a fold/refit policy,
+//!   and the epoch-swapped [`core::maint::IndexHandle`] for reads
+//!   concurrent with writes), and [`core::ShardedSnapshot`] sessions
+//!   serve multi-query reads that see one consistent version (see the
+//!   `streaming_maintenance` example).
 //!
 //! The bench harness (`coax-bench`), the integration tests, and the
 //! examples never name concrete index types in their comparison paths:

@@ -254,26 +254,27 @@ fn obs_on_and_off_are_bit_identical() {
     }
 }
 
-/// The epoch-swap read surfaces are backends too: a directly built
-/// [`CoaxIndex`] and a [`ReadSnapshot`] taken from an [`IndexHandle`]
-/// over the same dataset answer the workload bit-identically to the
-/// factory-built boxed backend on every overridden trait surface —
-/// batch and cursor. This is the equivalence pin `trait-contract`
-/// demands for both `MultidimIndex` impls.
+/// The service's read session is a backend too: a directly built
+/// [`CoaxIndex`] and a [`ShardedSnapshot`] of the one-shard service the
+/// factory builds over the same dataset answer the workload
+/// bit-identically to the factory-built boxed backend on every
+/// overridden trait surface — batch and cursor. This is the equivalence
+/// pin `trait-contract` demands for both `MultidimIndex` impls.
 #[test]
 fn coax_index_and_read_snapshot_match_boxed_surfaces() {
-    use coax::core::{CoaxIndex, IndexHandle, ReadSnapshot};
+    use coax::core::{CoaxIndex, ShardedSnapshot};
     let dataset = OsmConfig::small(3_000, 24).generate();
     let queries = random_workload(&dataset, 0xB5);
     let config = CoaxConfig::default();
     let index: CoaxIndex = CoaxIndex::build(&dataset, &config);
-    let handle = IndexHandle::build(&dataset, &config);
-    let snapshot: ReadSnapshot = handle.snapshot();
-    let boxed = IndexSpec::coax(config).build(&dataset);
+    let spec = IndexSpec::coax(config);
+    let service = spec.build_service(&dataset).expect("coax spec yields a service");
+    let snapshot: ShardedSnapshot = service.snapshot();
+    let boxed = spec.build(&dataset);
 
     let expected = boxed.batch_query(&queries);
     assert_eq!(index.batch_query(&queries), expected, "CoaxIndex batch diverged");
-    assert_eq!(snapshot.batch_query(&queries), expected, "ReadSnapshot batch diverged");
+    assert_eq!(snapshot.batch_query(&queries), expected, "ShardedSnapshot batch diverged");
     for (q, expect) in queries.iter().zip(&expected) {
         let (ids, stats) = index.range_query_cursor(q).collect_with_stats();
         assert_eq!((ids, stats), (expect.ids.clone(), expect.stats), "CoaxIndex cursor {q:?}");
@@ -281,7 +282,7 @@ fn coax_index_and_read_snapshot_match_boxed_surfaces() {
         assert_eq!(
             (ids, stats),
             (expect.ids.clone(), expect.stats),
-            "ReadSnapshot cursor {q:?}"
+            "ShardedSnapshot cursor {q:?}"
         );
     }
 }

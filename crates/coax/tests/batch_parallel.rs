@@ -1,11 +1,10 @@
-//! The batch engine through the maintenance layer: `IndexHandle`
-//! executes a whole batch against **one** epoch snapshot, in parallel,
-//! with per-query results and `ScanStats` identical to sequential
-//! handle queries — even while a writer keeps inserting and a
+//! The batch engine through the live service: a one-shard
+//! `ShardedHandle` executes a whole batch against **one** snapshot, in
+//! parallel, with per-query results and `ScanStats` identical to
+//! sequential live queries — even while a writer keeps inserting and a
 //! maintainer keeps swapping epochs underneath.
 
-use coax::core::maint::IndexHandle;
-use coax::core::{CoaxConfig, ExecConfig};
+use coax::core::{CoaxConfig, ExecConfig, ShardedHandle};
 use coax::data::synth::{Generator, LinearPairConfig};
 use coax::data::{Dataset, RangeQuery};
 use coax::index::MultidimIndex;
@@ -43,20 +42,20 @@ fn band_queries(count: usize) -> Vec<RangeQuery> {
         .collect()
 }
 
-/// Deterministic replay: two handles over the same data, one sequential
+/// Deterministic replay: two services over the same data, one sequential
 /// and one parallel, absorb the same inserts — their batches must agree
 /// query for query, stats included, at every stage of the lifecycle.
 #[test]
 fn handle_parallel_batch_matches_sequential_handle() {
     let ds = planted(8_000, 21);
-    let sequential = IndexHandle::build(&ds, &CoaxConfig::default());
-    let parallel = IndexHandle::build(&ds, &parallel_config());
+    let sequential = ShardedHandle::build(&ds, &CoaxConfig::default());
+    let parallel = ShardedHandle::build(&ds, &parallel_config());
     let queries = band_queries(64);
 
     let assert_agree = |stage: &str| {
         let a = sequential.batch_query(&queries);
         let b = parallel.batch_query(&queries);
-        assert_eq!(a, b, "handles diverged ({stage})");
+        assert_eq!(a, b, "services diverged ({stage})");
         // And both agree with their own one-at-a-time path.
         for (q, r) in queries.iter().zip(&b) {
             let mut ids = Vec::new();
@@ -74,11 +73,11 @@ fn handle_parallel_batch_matches_sequential_handle() {
         parallel.insert(&[x, y]).unwrap();
     }
     assert_agree("with overlay");
-    sequential.fold();
-    parallel.fold();
+    sequential.shard_handle(0).fold();
+    parallel.shard_handle(0).fold();
     assert_agree("after fold");
-    sequential.refit();
-    parallel.refit();
+    sequential.shard_handle(0).refit();
+    parallel.shard_handle(0).refit();
     assert_agree("after refit");
 }
 
@@ -89,21 +88,21 @@ fn handle_parallel_batch_matches_sequential_handle() {
 #[test]
 fn parallel_batch_sees_one_snapshot_under_concurrent_writes() {
     let ds = planted(6_000, 22);
-    let handle = Arc::new(IndexHandle::build(&ds, &parallel_config()));
+    let service = ShardedHandle::build(&ds, &parallel_config());
     let stop = Arc::new(AtomicBool::new(false));
     let total_inserts = 2_000usize;
 
     std::thread::scope(|scope| {
         // Writer: steady in-band inserts, folding now and then.
         {
-            let handle = Arc::clone(&handle);
+            let service = service.clone();
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
                 for i in 0..total_inserts {
                     let x = (i as f64 * 7.3) % 1000.0;
-                    handle.insert(&[x, 2.0 * x + 10.0]).unwrap();
+                    service.insert(&[x, 2.0 * x + 10.0]).unwrap();
                     if i % 512 == 511 {
-                        handle.fold();
+                        service.shard_handle(0).fold();
                     }
                 }
                 stop.store(true, Ordering::Release);
@@ -114,7 +113,7 @@ fn parallel_batch_sees_one_snapshot_under_concurrent_writes() {
         let everything = vec![RangeQuery::unbounded(2); 16];
         let mut last_len = ds.len();
         while !stop.load(Ordering::Acquire) {
-            let results = handle.batch_query(&everything);
+            let results = service.batch_query(&everything);
             let len = results[0].ids.len();
             for r in &results {
                 assert_eq!(r.ids.len(), len, "torn snapshot inside one batch");
@@ -125,6 +124,6 @@ fn parallel_batch_sees_one_snapshot_under_concurrent_writes() {
             last_len = len;
         }
     });
-    let final_len = handle.batch_query(&[RangeQuery::unbounded(2)])[0].ids.len();
+    let final_len = service.batch_query(&[RangeQuery::unbounded(2)])[0].ids.len();
     assert_eq!(final_len, ds.len() + total_inserts);
 }

@@ -4,12 +4,12 @@
 //! The paper benchmarks single-threaded (§8.1.1), but a production index
 //! must at minimum support shared read access; the frozen structures are
 //! immutable after build, so for them this is a compile-time guarantee
-//! plus a smoke test. The maint layer's `IndexHandle` goes further —
+//! plus a smoke test. The index service (`ShardedHandle`) goes further —
 //! readers concurrent with inserts *and* epoch swaps — so it gets a
 //! dedicated torn-epoch hunt below.
 
-use coax::core::maint::{IndexHandle, Maintainer};
-use coax::core::{CoaxConfig, CoaxIndex, MaintenancePolicy};
+use coax::core::maint::IndexHandle;
+use coax::core::{CoaxConfig, CoaxIndex, MaintenancePolicy, ShardedHandle};
 use coax::data::synth::{AirlineConfig, Generator, LinearPairConfig};
 use coax::data::workload::knn_rectangle_queries;
 use coax::data::{RangeQuery, RowId};
@@ -28,6 +28,7 @@ fn all_indexes_are_send_and_sync() {
     assert_send_sync::<RTree>();
     assert_send_sync::<FullScan>();
     assert_send_sync::<IndexHandle>();
+    assert_send_sync::<ShardedHandle>();
     assert_send_sync::<coax::data::Dataset>();
 }
 
@@ -70,9 +71,9 @@ fn concurrent_readers_agree_with_serial_execution() {
     }
 }
 
-/// Torn-epoch hunt: readers hammer an `IndexHandle` while one thread
-/// streams inserts (drifting mid-stream, so refits fire) and a
-/// `Maintainer` thread folds/refits concurrently. Because the handle
+/// Torn-epoch hunt: readers hammer a one-shard service while one thread
+/// streams inserts (drifting mid-stream, so refits fire) and the shard's
+/// `Maintainer` thread folds/refits concurrently. Because the service
 /// allocates ids sequentially and publishes each insert before returning,
 /// every reader snapshot must be a *contiguous prefix* of the insert
 /// history: an unbounded query returning ids `{0..k}` exactly, with `k`
@@ -104,19 +105,19 @@ fn index_handle_readers_never_observe_a_torn_epoch() {
         },
         ..Default::default()
     };
-    let handle = Arc::new(IndexHandle::build(&dataset, &config));
+    let service = ShardedHandle::build(&dataset, &config);
     let stop = Arc::new(AtomicBool::new(false));
 
     // Writer: stationary for the first half, drifted afterwards (the
     // drift makes the maintainer's decide() escalate fold → refit).
     let writer = {
-        let handle = Arc::clone(&handle);
+        let service = service.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             for i in 0..STREAM {
                 let x = (i as f64 * 7.31) % 1000.0;
                 let drift = if i < STREAM / 2 { 0.0 } else { 60.0 };
-                let id = handle.insert(&[x, 2.0 * x + 10.0 + drift]).expect("insert");
+                let id = service.insert(&[x, 2.0 * x + 10.0 + drift]).expect("insert");
                 assert_eq!(id as usize, BUILD + i, "sequential id allocation");
                 // Stretch the write window so readers and maintainer get
                 // real overlap with the insert stream.
@@ -127,14 +128,19 @@ fn index_handle_readers_never_observe_a_torn_epoch() {
             stop.store(true, Ordering::Relaxed);
         })
     };
-    let maintainer = {
-        let maintainer = Maintainer::new(Arc::clone(&handle));
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || maintainer.run(&stop, std::time::Duration::from_millis(1)))
-    };
+    let maintainers: Vec<_> = service
+        .maintainers()
+        .into_iter()
+        .map(|maintainer| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                maintainer.run(&stop, std::time::Duration::from_millis(1))
+            })
+        })
+        .collect();
     let readers: Vec<_> = (0..3)
         .map(|_| {
-            let handle = Arc::clone(&handle);
+            let service = service.clone();
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let everything = RangeQuery::unbounded(2);
@@ -142,7 +148,7 @@ fn index_handle_readers_never_observe_a_torn_epoch() {
                 let mut snapshots = 0usize;
                 loop {
                     let done = stop.load(Ordering::Relaxed);
-                    let mut ids = handle.range_query(&everything);
+                    let mut ids = service.range_query(&everything);
                     ids.sort_unstable();
                     assert!(ids.len() >= last_len, "result set shrank: torn epoch");
                     assert_eq!(
@@ -162,7 +168,8 @@ fn index_handle_readers_never_observe_a_torn_epoch() {
         .collect();
 
     writer.join().expect("writer panicked");
-    let actions = maintainer.join().expect("maintainer panicked");
+    let actions: usize =
+        maintainers.into_iter().map(|m| m.join().expect("maintainer panicked")).sum();
     for r in readers {
         let snapshots = r.join().expect("reader observed a torn epoch");
         assert!(snapshots > 0, "reader must have observed at least one snapshot");
@@ -170,8 +177,9 @@ fn index_handle_readers_never_observe_a_torn_epoch() {
     assert!(actions >= 2, "maintenance must have run during the barrage, got {actions}");
 
     // Final state: everything inserted exactly once, and the epoch moved.
-    let mut ids = handle.range_query(&RangeQuery::unbounded(2));
+    let mut ids = service.range_query(&RangeQuery::unbounded(2));
     ids.sort_unstable();
     assert_eq!(ids, (0..(BUILD + STREAM) as RowId).collect::<Vec<_>>());
-    assert!(handle.epoch() >= 2, "expected several epoch swaps, got {}", handle.epoch());
+    let epoch = service.shard_handle(0).epoch();
+    assert!(epoch >= 2, "expected several epoch swaps, got {epoch}");
 }

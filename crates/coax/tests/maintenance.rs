@@ -1,15 +1,14 @@
 //! End-to-end test of the live-maintenance subsystem: a seeded
 //! correlation-drift scenario driven through the full loop —
 //! `DriftMonitor` detects, `MaintenancePolicy`/`Maintainer` choose refit,
-//! `IndexHandle` readers stay exact throughout, and post-refit
+//! readers of the live service stay exact throughout, and post-refit
 //! effectiveness recovers to a fresh build's level.
 
-use coax::core::maint::{IndexHandle, Maintainer, MaintenanceAction};
-use coax::core::{CoaxConfig, CoaxIndex, MaintenancePolicy};
+use coax::core::maint::MaintenanceAction;
+use coax::core::{CoaxConfig, CoaxIndex, MaintenancePolicy, ShardedHandle};
 use coax::data::synth::{DriftingLinearConfig, Generator};
 use coax::data::{Dataset, RangeQuery, RowId};
 use coax::index::{FullScan, MultidimIndex, ScanStats};
-use std::sync::Arc;
 
 fn sorted(mut v: Vec<RowId>) -> Vec<RowId> {
     v.sort_unstable();
@@ -77,21 +76,24 @@ fn drift_scenario_detect_refit_recover() {
         },
         ..Default::default()
     };
-    let handle = Arc::new(IndexHandle::build(&build_ds, &config));
-    assert!(!handle.snapshot().frozen().groups().is_empty(), "dependency must be discovered");
+    let service = ShardedHandle::build(&build_ds, &config);
+    assert!(
+        !service.snapshot().shard(0).frozen().groups().is_empty(),
+        "dependency must be discovered"
+    );
 
     // --- stream the drifting suffix, asserting reader exactness at
     // --- checkpoints against a full scan of everything inserted so far.
     let mut checkpoints_checked = 0;
     for i in stream.drift_after..stream.rows {
-        let id = handle.insert(&full.row(i as RowId)).expect("insert");
-        assert_eq!(id as usize, i, "handle ids follow stream order");
+        let id = service.insert(&full.row(i as RowId)).expect("insert");
+        assert_eq!(id as usize, i, "service ids follow stream order");
         if (i + 1) % 4000 == 0 {
             let seen: Vec<RowId> = (0..=i as RowId).collect();
             let fs = FullScan::build(&full.take_rows(&seen));
             for q in dependent_band_queries(&full, 6, 40.0) {
                 assert_eq!(
-                    sorted(handle.range_query(&q)),
+                    sorted(service.range_query(&q)),
                     sorted(fs.range_query(&q)),
                     "reader diverged at row {i} on {q:?}"
                 );
@@ -102,7 +104,7 @@ fn drift_scenario_detect_refit_recover() {
     assert_eq!(checkpoints_checked, 3);
 
     // --- the monitor saw the drift.
-    let report = handle.drift_report();
+    let report = service.shard_handle(0).drift_report();
     assert!(
         report.max_drift_score() >= config.maintenance.drift_threshold,
         "drift score {} must cross the threshold {}",
@@ -113,24 +115,24 @@ fn drift_scenario_detect_refit_recover() {
 
     // --- effectiveness during drift (stale margins + bloated buffer).
     let queries = dependent_band_queries(&full, 15, 40.0);
-    let eff_during = effectiveness(&*handle, &queries);
+    let eff_during = effectiveness(&service, &queries);
 
     // --- the maintainer chooses refit and publishes a new epoch.
-    let outcome = Maintainer::new(Arc::clone(&handle)).tick();
+    let outcome = service.maintainers()[0].tick();
     assert_eq!(outcome.action, MaintenanceAction::Refit, "drift demands a refit, not a fold");
     assert_eq!(outcome.epoch, 1);
-    assert_eq!(handle.pending_len(), 0);
+    assert_eq!(service.pending_len(), 0);
 
     // --- readers are still exact against the full logical table.
     let fs = FullScan::build(&full);
     for q in &queries {
-        assert_eq!(sorted(handle.range_query(q)), sorted(fs.range_query(q)));
+        assert_eq!(sorted(service.range_query(q)), sorted(fs.range_query(q)));
     }
 
     // --- and effectiveness recovered to a fresh build's level.
     let fresh = CoaxIndex::build(&full, &config);
     let eff_fresh = effectiveness(&fresh, &queries);
-    let eff_after = effectiveness(&*handle, &queries);
+    let eff_after = effectiveness(&service, &queries);
     assert!(
         eff_after > eff_during,
         "refit must improve effectiveness: during={eff_during:.4} after={eff_after:.4}"
@@ -161,13 +163,13 @@ fn stationary_stream_folds_but_never_refits() {
         maintenance: MaintenancePolicy { max_pending: 1500, ..Default::default() },
         ..Default::default()
     };
-    let handle = Arc::new(IndexHandle::build(&full.take_rows(&build_rows), &config));
-    let model_before = handle.snapshot().frozen().groups()[0].models[0].clone();
-    let maintainer = Maintainer::new(Arc::clone(&handle));
+    let service = ShardedHandle::build(&full.take_rows(&build_rows), &config);
+    let model_before = service.snapshot().shard(0).frozen().groups()[0].models[0].clone();
+    let maintainers = service.maintainers();
     let mut folds = 0;
     for i in 8_000..12_000 {
-        handle.insert(&full.row(i)).expect("insert");
-        let outcome = maintainer.tick();
+        service.insert(&full.row(i)).expect("insert");
+        let outcome = maintainers[0].tick();
         match outcome.action {
             MaintenanceAction::None => {}
             MaintenanceAction::Fold => folds += 1,
@@ -178,11 +180,11 @@ fn stationary_stream_folds_but_never_refits() {
     }
     assert!(folds >= 2, "the fold trigger must have fired, got {folds}");
     assert_eq!(
-        handle.snapshot().frozen().groups()[0].models[0],
+        service.snapshot().shard(0).frozen().groups()[0].models[0],
         model_before,
         "folds froze every model"
     );
     // Everything inserted is still there, exactly once.
-    let all = sorted(handle.range_query(&RangeQuery::unbounded(full.dims())));
+    let all = sorted(service.range_query(&RangeQuery::unbounded(full.dims())));
     assert_eq!(all, (0..12_000).collect::<Vec<RowId>>());
 }

@@ -1,27 +1,28 @@
 //! Cross-shard equivalence: the sharded service answers exactly like a
-//! single handle over the same rows.
+//! one-shard service over the same rows.
 //!
 //! The acceptance bar of the sharded index service: for every
 //! combination of shard count {1, 2, 7} × primary backend × outlier
 //! backend × hash/range shard key, and on every query surface (point,
 //! range, batch, streaming, cursor), [`ShardedHandle`] returns the same
-//! row set as one unsharded [`IndexHandle`] over the same dataset.
+//! row set as a one-shard [`ShardedHandle`] fed the same inserts.
 //!
 //! The stats contract (documented on `coax::core::shard`): `matches` and
-//! `scanned_pending` always equal the unsharded handle's — the same rows
+//! `scanned_pending` always equal the one-shard service's — the same rows
 //! match and every buffered row is scanned exactly once, wherever it
-//! lives. At one shard the **entire** result is bit-identical — ids, id
-//! order, and the full [`ScanStats`] — because a single-shard service is
-//! the unsharded layout over the same ids. And across the
-//! sharded service's own surfaces (handle vs snapshot vs batch vs
-//! stream vs cursor, sequential or parallel fan-out) everything is
-//! bit-identical: ids, order, stats.
+//! lives. At one shard, before any insert, the **entire** result is
+//! bit-identical to a bare [`CoaxIndex`] built with the same config —
+//! ids, id order, and the full [`ScanStats`] — because a one-shard
+//! service is that index over the same ids. And across the sharded
+//! service's own surfaces (live vs snapshot vs batch vs stream vs
+//! cursor, sequential or parallel fan-out) everything is bit-identical:
+//! ids, order, stats.
 //!
 //! All assertions run before any timing anywhere in the workspace cares;
 //! every dataset and workload is seeded.
 
 use coax::core::{
-    CoaxConfig, ExecConfig, IndexHandle, OutlierBackend, PrimaryBackend, ShardKey, ShardSpec,
+    CoaxConfig, CoaxIndex, ExecConfig, OutlierBackend, PrimaryBackend, ShardKey, ShardSpec,
     ShardedHandle,
 };
 use coax::data::synth::{Generator, LinearPairConfig};
@@ -86,11 +87,11 @@ fn sweep_configs() -> Vec<(usize, CoaxConfig)> {
     out
 }
 
-/// Asserts the sharded service agrees with the unsharded `single` handle
-/// on every surface, under the module-level stats contract.
+/// Asserts the sharded service agrees with the one-shard `single`
+/// service on every surface, under the module-level stats contract.
 fn assert_sharded_matches_single(
     sharded: &ShardedHandle,
-    single: &IndexHandle,
+    single: &ShardedHandle,
     queries: &[RangeQuery],
     label: &str,
 ) {
@@ -115,8 +116,8 @@ fn assert_sharded_matches_single(
             "{label}: scanned_pending on {q:?}"
         );
         if one_shard {
-            // A single-shard service is the unsharded layout over the
-            // same ids: everything is bit-identical.
+            // Two one-shard services fed the same inserts hold the same
+            // layout over the same ids: everything is bit-identical.
             assert_eq!(ids, expect_ids, "{label}: one-shard id order on {q:?}");
             assert_eq!(stats, expect, "{label}: one-shard stats on {q:?}");
         }
@@ -165,10 +166,23 @@ fn sharded_equals_single_across_the_sweep() {
         );
         let mut single_config = config.clone();
         single_config.shard = ShardSpec::default();
-        let single = IndexHandle::build(&ds, &single_config);
+        let single = ShardedHandle::build(&ds, &single_config);
         let sharded = ShardedHandle::build(&ds, &config);
         assert_eq!(sharded.shard_count(), shards.max(1), "{label}");
         assert_sharded_matches_single(&sharded, &single, &queries, &label);
+        if shards == 1 {
+            // The N = 1 anchor: before any insert, a one-shard service is
+            // the bare index over the same ids — ids, order and stats.
+            let bare = CoaxIndex::build(&ds, &single_config);
+            for q in &queries {
+                let mut ids = Vec::new();
+                let stats = sharded.range_query_stats(q, &mut ids);
+                let mut expect_ids = Vec::new();
+                let expect = bare.range_query_stats(q, &mut expect_ids);
+                assert_eq!(ids, expect_ids, "{label}: one-shard vs bare id order on {q:?}");
+                assert_eq!(stats, expect, "{label}: one-shard vs bare stats on {q:?}");
+            }
+        }
     }
 }
 
@@ -206,7 +220,7 @@ fn parallel_fan_out_is_bit_identical_to_sequential() {
 }
 
 /// Equivalence survives the write path: inserts routed through the
-/// sharded service and the same inserts applied to the single handle,
+/// sharded service and the same inserts applied to a one-shard service,
 /// then folds and refits on both sides, stay in agreement.
 #[test]
 fn sharded_equals_single_after_inserts_and_maintenance() {
@@ -217,12 +231,12 @@ fn sharded_equals_single_after_inserts_and_maintenance() {
         let config = CoaxConfig { shard: ShardSpec { shards: 3, key }, ..Default::default() };
         let mut single_config = config.clone();
         single_config.shard = ShardSpec::default();
-        let single = IndexHandle::build(&ds, &single_config);
+        let single = ShardedHandle::build(&ds, &single_config);
         let sharded = ShardedHandle::build(&ds, &config);
 
         // Identical insert stream on both sides: global ids must match
-        // one for one (the sharded service allocates densely in call
-        // order, exactly like the unsharded handle).
+        // one for one (the service allocates densely in call order,
+        // whatever its shard count).
         for i in 0..300u32 {
             let x = (f64::from(i) * 7.3) % 1000.0;
             let row = [x, 2.0 * x + 10.0 + f64::from(i % 13)];
@@ -233,12 +247,12 @@ fn sharded_equals_single_after_inserts_and_maintenance() {
         assert_sharded_matches_single(&sharded, &single, &queries, &format!("{label} +rows"));
 
         // Fold everywhere, then refit everywhere; answers must not move.
-        single.fold();
+        single.shard_handle(0).fold();
         for s in 0..sharded.shard_count() {
             sharded.shard_handle(s).fold();
         }
         assert_sharded_matches_single(&sharded, &single, &queries, &format!("{label} +fold"));
-        single.refit();
+        single.shard_handle(0).refit();
         for s in 0..sharded.shard_count() {
             sharded.shard_handle(s).refit();
         }
@@ -249,8 +263,8 @@ fn sharded_equals_single_after_inserts_and_maintenance() {
 /// Snapshot isolation on the sharded service: a [`ShardedSnapshot`]
 /// pinned before a batch of inserts keeps answering bit-identically from
 /// the frozen epoch set — and agrees with a snapshot of the pre-insert
-/// unsharded handle under the module-level stats contract — while the
-/// live handles see the new rows. This is the equivalence pin
+/// one-shard service under the module-level stats contract — while the
+/// live services see the new rows. This is the equivalence pin
 /// `trait-contract` demands for the `ShardedSnapshot` impl.
 #[test]
 fn sharded_snapshot_is_frozen_and_equivalent() {
@@ -260,7 +274,7 @@ fn sharded_snapshot_is_frozen_and_equivalent() {
     let config = CoaxConfig { shard: ShardSpec::hash(3, 0), ..Default::default() };
     let mut single_config = config.clone();
     single_config.shard = ShardSpec::default();
-    let single = IndexHandle::build(&ds, &single_config);
+    let single = ShardedHandle::build(&ds, &single_config);
     let sharded = ShardedHandle::build(&ds, &config);
 
     let frozen: ShardedSnapshot = sharded.snapshot();

@@ -59,7 +59,7 @@ fn drifted_rows_for_shard(
         let x = (k as f64 * 0.37) % 1000.0;
         k += 1;
         let row = vec![x, 2.0 * x + 10.0 + 420.0];
-        if sharded.route(&row) == shard {
+        if sharded.route(&row).expect("valid row") == shard {
             rows.push(row);
         }
     }
@@ -78,7 +78,7 @@ fn online_rows_avoiding_shard(
         let x = (k as f64 * 1.91) % 1000.0;
         k += 1;
         let row = vec![x, 2.0 * x + 10.0];
-        if sharded.route(&row) != shard {
+        if sharded.route(&row).expect("valid row") != shard {
             rows.push(row);
         }
     }

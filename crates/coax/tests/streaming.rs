@@ -3,7 +3,7 @@
 //!
 //! Sweeps assert that for **every** factory-built backend — the five
 //! substrates, COAX under each primary × outlier combination, nested
-//! COAX, and the live handle/snapshot surface — collecting a
+//! COAX, and the live service/snapshot surface — collecting a
 //! [`MultidimIndex::range_query_cursor`] reproduces the materialized
 //! call bit for bit (ids in the same order, `ScanStats` equal), and that
 //! the streaming batch surfaces deliver every query exactly once with
@@ -11,7 +11,7 @@
 //! bar of the Query API v2 redesign.
 
 use coax::core::{
-    CoaxConfig, ExecConfig, IndexHandle, IndexSpec, OutlierBackend, PrimaryBackend,
+    CoaxConfig, ExecConfig, IndexSpec, OutlierBackend, PrimaryBackend, ShardedHandle,
 };
 use coax::data::synth::{AirlineConfig, Generator, OsmConfig};
 use coax::data::workload::{knn_rectangle_queries, partial_queries, point_queries};
@@ -123,30 +123,30 @@ fn cursor_iterator_side_and_early_drop() {
     assert_eq!(index.range_query(&q), materialized);
 }
 
-/// The handle and its snapshot stream the same answers the materialized
-/// handle paths give — overlay rows included.
+/// The live service and its snapshot stream the same answers the
+/// materialized live path gives — overlay rows included.
 #[test]
 fn handle_and_snapshot_cursors_cover_the_overlay() {
     let dataset = AirlineConfig::small(5_000, 30).generate();
-    let handle = IndexHandle::build(&dataset, &CoaxConfig::default());
+    let service = ShardedHandle::build(&dataset, &CoaxConfig::default());
     for i in 0..60 {
         let mut row = dataset.row(i * 7);
         row[0] += 0.25;
-        handle.insert(&row).unwrap();
+        service.insert(&row).unwrap();
     }
     let queries = random_workload(&dataset, 0xC1);
-    let snapshot = handle.snapshot();
+    let snapshot = service.snapshot();
     for q in &queries {
         let mut ids = Vec::new();
-        let stats = handle.range_query_stats(q, &mut ids);
+        let stats = service.range_query_stats(q, &mut ids);
 
-        // The handle's cursor is a one-query snapshot (default adapter).
-        let (h_ids, h_stats) = handle.range_query_cursor(q).collect_with_stats();
-        assert_eq!(h_ids, ids, "handle cursor diverged on {q:?}");
-        assert_eq!(h_stats, stats, "handle cursor stats diverged on {q:?}");
+        // The live cursor is one materialized query (default adapter).
+        let (h_ids, h_stats) = service.range_query_cursor(q).collect_with_stats();
+        assert_eq!(h_ids, ids, "service cursor diverged on {q:?}");
+        assert_eq!(h_stats, stats, "service cursor stats diverged on {q:?}");
 
-        // The snapshot's cursor streams: overlay chunk first, then the
-        // epoch plan cursor.
+        // The snapshot's cursor streams: the shard's overlay chunk
+        // first, then its epoch plan cursor.
         let (s_ids, s_stats) = snapshot.range_query_cursor(q).collect_with_stats();
         assert_eq!(s_ids, ids, "snapshot cursor diverged on {q:?}");
         assert_eq!(s_stats, stats, "snapshot cursor stats diverged on {q:?}");
@@ -155,25 +155,29 @@ fn handle_and_snapshot_cursors_cover_the_overlay() {
 
 /// The snapshot's `BatchStream` delivers every query exactly once, each
 /// result identical to the materialized snapshot batch — across worker
-/// configurations.
+/// configurations (one service per configuration, fed the same rows).
 #[test]
 fn batch_stream_matches_materialized_batch() {
     let dataset = OsmConfig::small(5_000, 31).generate();
-    let handle = IndexHandle::build(&dataset, &CoaxConfig::default());
-    for i in 0..30 {
-        let row = dataset.row(i * 11);
-        handle.insert(&row).unwrap();
-    }
+    let service = |exec: ExecConfig| {
+        let service =
+            ShardedHandle::build(&dataset, &CoaxConfig { exec, ..Default::default() });
+        for i in 0..30 {
+            service.insert(&dataset.row(i * 11)).unwrap();
+        }
+        service
+    };
+    let live = service(ExecConfig::default());
     let mut queries = random_workload(&dataset, 0xC2);
     queries.extend(knn_rectangle_queries(&dataset, 40, 40, 0xC3));
-    let snapshot = handle.snapshot();
+    let snapshot = live.snapshot();
     let expected = snapshot.batch_query(&queries);
 
     for threads in [1usize, 2, 4] {
         let config =
             ExecConfig { batch_threads: threads, min_parallel_batch: 2, chunk_size: 0 };
         let mut received: Vec<Option<QueryResult>> = vec![None; queries.len()];
-        let stream = snapshot.batch_query_streaming_with(&queries, config);
+        let stream = service(config).snapshot().batch_query_streaming(&queries);
         assert_eq!(stream.remaining(), queries.len());
         for (qi, result) in stream {
             assert!(
@@ -190,10 +194,10 @@ fn batch_stream_matches_materialized_batch() {
         }
     }
 
-    // A fresh snapshot of the handle (equal, nothing inserted since)
+    // A fresh snapshot of the service (equal, nothing inserted since)
     // streams the same results.
     let mut from_handle: Vec<Option<QueryResult>> = vec![None; queries.len()];
-    for (qi, result) in handle.snapshot().batch_query_streaming(&queries) {
+    for (qi, result) in live.snapshot().batch_query_streaming(&queries) {
         from_handle[qi] = Some(result);
     }
     for (qi, slot) in from_handle.iter().enumerate() {
@@ -206,13 +210,11 @@ fn batch_stream_matches_materialized_batch() {
 #[test]
 fn batch_stream_early_drop_cancels() {
     let dataset = AirlineConfig::small(4_000, 32).generate();
-    let handle = IndexHandle::build(&dataset, &CoaxConfig::default());
+    let exec = ExecConfig { batch_threads: 2, min_parallel_batch: 2, ..Default::default() };
+    let service = ShardedHandle::build(&dataset, &CoaxConfig { exec, ..Default::default() });
     let queries = knn_rectangle_queries(&dataset, 64, 40, 0xC4);
-    let snapshot = handle.snapshot();
-    let mut stream = snapshot.batch_query_streaming_with(
-        &queries,
-        ExecConfig { batch_threads: 2, min_parallel_batch: 2, ..Default::default() },
-    );
+    let snapshot = service.snapshot();
+    let mut stream = snapshot.batch_query_streaming(&queries);
     let first = stream.next().expect("at least one result");
     assert!(first.0 < queries.len());
     drop(stream);

@@ -1,11 +1,13 @@
 //! Integration tests for the update path (§5's Bayesian update story +
-//! §9 future work), which runs through an `IndexHandle`: insert →
-//! overlay queries → fold/refit → model refresh, plus the
-//! maintenance-equivalence property behind the fold/refit split: a
-//! handle's `fold()` and `refit()` must answer every query exactly like
-//! a never-folded handle holding the same rows.
+//! §9 future work), which runs through the index service (a one-shard
+//! `ShardedHandle`): insert → overlay queries → fold/refit → model
+//! refresh, plus the maintenance-equivalence property behind the
+//! fold/refit split: a shard's `fold()` and `refit()` must answer every
+//! query exactly like a never-folded service holding the same rows.
 
-use coax::core::{CoaxConfig, IndexHandle, OutlierBackend, PrimaryBackend};
+use coax::core::{
+    CoaxConfig, CoaxIndex, OutlierBackend, PrimaryBackend, ShardedHandle, ShardedSnapshot,
+};
 use coax::data::synth::{
     Generator, LinearPairConfig, PlantedConfig, PlantedDependent, PlantedGroup,
 };
@@ -31,12 +33,17 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v
 }
 
+/// The frozen epoch of a one-shard service's snapshot.
+fn frozen(snap: &ShardedSnapshot) -> &CoaxIndex {
+    snap.shard(0).frozen()
+}
+
 #[test]
 fn inserted_rows_are_visible_before_and_after_rebuild() {
     let ds = planted(10_000, 1);
-    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-    let built = handle.snapshot();
-    assert!(!built.frozen().groups().is_empty());
+    let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+    let built = service.snapshot();
+    assert!(!frozen(&built).groups().is_empty());
 
     let rows: Vec<Vec<f64>> = (0..50)
         .map(|i| {
@@ -46,54 +53,54 @@ fn inserted_rows_are_visible_before_and_after_rebuild() {
         .collect();
     let mut ids = Vec::new();
     for row in &rows {
-        ids.push(handle.insert(row).unwrap());
+        ids.push(service.insert(row).unwrap());
     }
-    assert_eq!(handle.pending_len(), 50);
+    assert_eq!(service.pending_len(), 50);
     for (row, id) in rows.iter().zip(&ids) {
-        assert!(handle.range_query(&RangeQuery::point(row)).contains(id));
+        assert!(service.range_query(&RangeQuery::point(row)).contains(id));
     }
 
     // The fold routes each row by its insert-time verdict: on-line rows
     // route to the primary.
-    handle.fold();
-    let folded = handle.snapshot();
-    assert_eq!(folded.pending_len(), 0);
+    service.shard_handle(0).fold();
+    let folded = service.snapshot();
+    assert_eq!(folded.shard(0).pending_len(), 0);
     assert_eq!(
-        folded.frozen().primary_len(),
-        built.frozen().primary_len() + 50,
+        frozen(&folded).primary_len(),
+        frozen(&built).primary_len() + 50,
         "on-line rows route to primary"
     );
-    assert_eq!(folded.frozen().outlier_len(), built.frozen().outlier_len());
+    assert_eq!(frozen(&folded).outlier_len(), frozen(&built).outlier_len());
 
-    handle.refit();
-    let rebuilt = handle.snapshot();
-    assert_eq!(rebuilt.pending_len(), 0);
+    service.shard_handle(0).refit();
+    let rebuilt = service.snapshot();
+    assert_eq!(rebuilt.shard(0).pending_len(), 0);
     for (row, id) in rows.iter().zip(&ids) {
-        assert!(folded.frozen().range_query(&RangeQuery::point(row)).contains(id));
-        assert!(rebuilt.frozen().range_query(&RangeQuery::point(row)).contains(id));
+        assert!(frozen(&folded).range_query(&RangeQuery::point(row)).contains(id));
+        assert!(frozen(&rebuilt).range_query(&RangeQuery::point(row)).contains(id));
     }
-    assert_eq!(rebuilt.frozen().primary_len() + rebuilt.frozen().outlier_len(), ds.len() + 50);
+    assert_eq!(frozen(&rebuilt).primary_len() + frozen(&rebuilt).outlier_len(), ds.len() + 50);
 }
 
 #[test]
 fn outlier_inserts_route_to_outlier_partition() {
     let ds = planted(10_000, 2);
-    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-    let built = handle.snapshot();
-    let before_outliers = built.frozen().outlier_len();
+    let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+    let built = service.snapshot();
+    let before_outliers = frozen(&built).outlier_len();
     for i in 0..20 {
         let x = 50.0 * i as f64 % 1000.0;
-        handle.insert(&[x, 2.0 * x + 10.0 + 5000.0]).unwrap(); // far off the band
+        service.insert(&[x, 2.0 * x + 10.0 + 5000.0]).unwrap(); // far off the band
     }
     // No row passed the margin check: the fold sends all 20 to the
     // outlier partition.
-    handle.fold();
-    let folded = handle.snapshot();
-    assert_eq!(folded.frozen().outlier_len(), before_outliers + 20);
-    assert_eq!(folded.frozen().primary_len(), built.frozen().primary_len());
-    handle.refit();
+    service.shard_handle(0).fold();
+    let folded = service.snapshot();
+    assert_eq!(frozen(&folded).outlier_len(), before_outliers + 20);
+    assert_eq!(frozen(&folded).primary_len(), frozen(&built).primary_len());
+    service.shard_handle(0).refit();
     assert!(
-        handle.snapshot().frozen().outlier_len() >= before_outliers + 20,
+        frozen(&service.snapshot()).outlier_len() >= before_outliers + 20,
         "gross outliers must land in the outlier index"
     );
 }
@@ -104,8 +111,8 @@ fn posterior_update_tracks_a_drifting_stream() {
     // 2.2; after rebuild the refreshed model should sit between the two,
     // pulled towards the new evidence.
     let ds = planted(5_000, 3);
-    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-    let model = handle.snapshot().frozen().groups()[0].models[0].clone();
+    let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+    let model = frozen(&service.snapshot()).groups()[0].models[0].clone();
     let slope_before = model.as_linear().expect("linear model").params.slope.abs();
     for i in 0..5_000 {
         let x = (i as f64 * 7.7) % 1000.0;
@@ -113,11 +120,11 @@ fn posterior_update_tracks_a_drifting_stream() {
         // actually sees them.
         let drift = (0.2 * x).min(model.margin_width() * 0.45);
         let y = model.predict(x) + drift;
-        let _ = handle.insert(&[x, y]).unwrap();
+        let _ = service.insert(&[x, y]).unwrap();
     }
-    handle.refit();
-    let snapshot = handle.snapshot();
-    let rebuilt = snapshot.frozen();
+    service.shard_handle(0).refit();
+    let snapshot = service.snapshot();
+    let rebuilt = frozen(&snapshot);
     let slope_after =
         rebuilt.groups()[0].models[0].as_linear().expect("linear model").params.slope.abs();
     assert!(slope_after != slope_before, "posterior refresh must move the model");
@@ -129,12 +136,12 @@ fn posterior_update_tracks_a_drifting_stream() {
 
 /// Property-style seeded sweep: across primary×outlier backend
 /// combinations and seeds, a mixed insert stream followed by (a) nothing,
-/// (b) a handle `fold()` — models frozen — or (c) a handle `refit()` must
+/// (b) a shard `fold()` — models frozen — or (c) a shard `refit()` must
 /// answer every query identically, and identically to a full scan over
-/// the logical table. Two handles over the same build take the same ids:
-/// one is never folded (its snapshot is (a), and its refit is (c)), the
-/// other folds, with one snapshot held before the fold and one after
-/// each action.
+/// the logical table. Two one-shard services over the same build take
+/// the same ids: one is never folded (its snapshot is (a), and its refit
+/// is (c)), the other folds, with one snapshot held before the fold and
+/// one after each action.
 ///
 /// The stream reaches beyond the build range and carries enough
 /// off-band rows to step the adaptive outlier grid's resolution, so the
@@ -160,10 +167,10 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                 outlier_backend: outlier,
                 ..Default::default()
             };
-            let never = IndexHandle::build(&ds, &cfg);
-            let handle = IndexHandle::build(&ds, &cfg);
-            let before = handle.snapshot();
-            let base = before.frozen();
+            let never = ShardedHandle::build(&ds, &cfg);
+            let service = ShardedHandle::build(&ds, &cfg);
+            let before = service.snapshot();
+            let base = frozen(&before);
             // A seeded mixed stream: in-band, gross-outlier, and
             // near-margin rows.
             let mut logical: Vec<Vec<f64>> = (0..ds.len() as u32).map(|r| ds.row(r)).collect();
@@ -198,19 +205,19 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                 [x, model.predict(x) + (10.0 + (i % 7) as f64) * width]
             }));
             for row in &rows {
-                assert_eq!(never.insert(row).unwrap(), handle.insert(row).unwrap());
+                assert_eq!(never.insert(row).unwrap(), service.insert(row).unwrap());
                 logical.push(row.to_vec());
             }
             let outlier_spec = |rows: usize, sort_dim| {
                 outlier.to_spec(rows, 2, sort_dim, cfg.outlier_cells_per_dim)
             };
 
-            handle.fold();
-            let folded = handle.snapshot();
-            assert_eq!(folded.pending_len(), 0);
+            service.shard_handle(0).fold();
+            let folded = service.snapshot();
+            assert_eq!(folded.shard(0).pending_len(), 0);
             assert_eq!(folded.len(), never.len());
             // The fold sends exactly the off-band rows to the outliers.
-            let off_band = folded.frozen().outlier_len() - base.outlier_len();
+            let off_band = frozen(&folded).outlier_len() - base.outlier_len();
             if outlier == OutlierBackend::GridFile {
                 assert_ne!(
                     outlier_spec(base.outlier_len(), base.sort_dim()),
@@ -220,13 +227,13 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
             }
             // The fold must not have touched a model.
             assert_eq!(
-                folded.frozen().groups()[0].models[0],
+                frozen(&folded).groups()[0].models[0],
                 base.groups()[0].models[0],
                 "fold froze no model (combo {combo_i}, seed {seed})"
             );
             if outlier == OutlierBackend::GridFile {
                 assert_ne!(
-                    folded.frozen().outlier_overhead(),
+                    frozen(&folded).outlier_overhead(),
                     base.outlier_overhead(),
                     "a stepping fold rebuilds the outlier grid (combo {combo_i}, seed {seed})"
                 );
@@ -247,31 +254,32 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                     .map(|(x, k)| [x, model.predict(x) + k * width]),
             );
             for row in &more {
-                assert_eq!(never.insert(row).unwrap(), handle.insert(row).unwrap());
+                assert_eq!(never.insert(row).unwrap(), service.insert(row).unwrap());
                 logical.push(row.to_vec());
             }
             // The first fold's epoch, with the second stream in its overlay.
-            let folded = handle.snapshot();
-            handle.fold();
-            let refolded = handle.snapshot();
-            assert_eq!(refolded.pending_len(), 0);
+            let folded = service.snapshot();
+            service.shard_handle(0).fold();
+            let refolded = service.snapshot();
+            assert_eq!(refolded.shard(0).pending_len(), 0);
             assert_eq!(refolded.len(), never.len());
-            let off_band = refolded.frozen().outlier_len() - folded.frozen().outlier_len();
+            let (once, twice) = (frozen(&folded), frozen(&refolded));
+            let off_band = twice.outlier_len() - once.outlier_len();
             assert_eq!(
-                outlier_spec(folded.frozen().outlier_len(), folded.frozen().sort_dim()),
-                outlier_spec(folded.frozen().outlier_len() + off_band, folded.frozen().sort_dim()),
+                outlier_spec(once.outlier_len(), once.sort_dim()),
+                outlier_spec(once.outlier_len() + off_band, once.sort_dim()),
                 "the second stream must not step the outlier grid (combo {combo_i}, seed {seed})"
             );
-            assert_eq!(refolded.frozen().groups()[0].models[0], base.groups()[0].models[0]);
+            assert_eq!(twice.groups()[0].models[0], base.groups()[0].models[0]);
             if outlier == OutlierBackend::GridFile {
                 assert_eq!(
-                    refolded.frozen().outlier_overhead(),
-                    folded.frozen().outlier_overhead(),
+                    twice.outlier_overhead(),
+                    once.outlier_overhead(),
                     "an absorbing fold keeps the outlier directory (combo {combo_i}, seed {seed})"
                 );
             }
             let unfolded = never.snapshot();
-            never.refit();
+            never.shard_handle(0).refit();
             let refitted = never.snapshot();
 
             let columns: Vec<Vec<f64>> =
@@ -338,7 +346,7 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
     }
 }
 
-/// A handle fold with no resolution step absorbs into the frozen
+/// A shard fold with no resolution step absorbs into the frozen
 /// directories: both partitions' overheads stay the previous epoch's,
 /// and every answer stays exact — rows beyond the build range on the
 /// primary grid's gridded attribute included.
@@ -361,12 +369,12 @@ fn handle_fold_keeps_the_directories_and_stays_exact() {
     }
     .generate();
     let cfg = CoaxConfig::default();
-    let handle = IndexHandle::build(&ds, &cfg);
-    let before = handle.snapshot();
-    let frozen = before.frozen();
+    let service = ShardedHandle::build(&ds, &cfg);
+    let before = service.snapshot();
+    let built = frozen(&before);
     // x → y is learned; the primary grids the independent z and sorts x.
-    assert_eq!(frozen.indexed_dims(), vec![0, 2]);
-    let model = frozen.groups()[0].models[0].clone();
+    assert_eq!(built.indexed_dims(), vec![0, 2]);
+    let model = built.groups()[0].models[0].clone();
 
     let mut logical: Vec<Vec<f64>> = (0..ds.len() as u32).map(|r| ds.row(r)).collect();
     let mut off_band = 0;
@@ -380,25 +388,25 @@ fn handle_fold_keeps_the_directories_and_stays_exact() {
         } else {
             model.predict(x)
         };
-        handle.insert(&[x, y, z]).unwrap();
+        service.insert(&[x, y, z]).unwrap();
         logical.push(vec![x, y, z]);
     }
     let spec = |rows| {
-        cfg.outlier_backend.to_spec(rows, 3, frozen.sort_dim(), cfg.outlier_cells_per_dim)
+        cfg.outlier_backend.to_spec(rows, 3, built.sort_dim(), cfg.outlier_cells_per_dim)
     };
     assert_eq!(
-        spec(frozen.outlier_len()),
-        spec(frozen.outlier_len() + off_band),
+        spec(built.outlier_len()),
+        spec(built.outlier_len() + off_band),
         "the stream must not step the outlier grid"
     );
 
-    handle.fold();
-    let after = handle.snapshot();
-    assert_eq!(after.epoch(), before.epoch() + 1);
-    assert_eq!(after.pending_len(), 0);
-    assert_eq!(after.frozen().outlier_len(), frozen.outlier_len() + off_band);
-    assert_eq!(after.frozen().primary_overhead(), frozen.primary_overhead());
-    assert_eq!(after.frozen().outlier_overhead(), frozen.outlier_overhead());
+    service.shard_handle(0).fold();
+    let after = service.snapshot();
+    assert_eq!(after.shard(0).epoch(), before.shard(0).epoch() + 1);
+    assert_eq!(after.shard(0).pending_len(), 0);
+    assert_eq!(frozen(&after).outlier_len(), built.outlier_len() + off_band);
+    assert_eq!(frozen(&after).primary_overhead(), built.primary_overhead());
+    assert_eq!(frozen(&after).outlier_overhead(), built.outlier_overhead());
 
     let columns: Vec<Vec<f64>> =
         (0..3).map(|d| logical.iter().map(|r| r[d]).collect()).collect();
@@ -411,7 +419,7 @@ fn handle_fold_keeps_the_directories_and_stays_exact() {
         queries.push(q);
     }
     for q in &queries {
-        assert_eq!(sorted(handle.range_query(q)), sorted(fs.range_query(q)), "{q:?}");
+        assert_eq!(sorted(service.range_query(q)), sorted(fs.range_query(q)), "{q:?}");
     }
 }
 
@@ -420,25 +428,25 @@ fn handle_fold_keeps_the_directories_and_stays_exact() {
 #[test]
 fn fold_preserves_posterior_evidence_for_a_later_refit() {
     let ds = planted(5_000, 31);
-    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-    let model = handle.snapshot().frozen().groups()[0].models[0].clone();
-    let line = |index: &coax::core::CoaxIndex| {
-        index.groups()[0].models[0].as_linear().expect("linear model").params
+    let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+    let model = frozen(&service.snapshot()).groups()[0].models[0].clone();
+    let line = |snap: &ShardedSnapshot| {
+        frozen(snap).groups()[0].models[0].as_linear().expect("linear model").params
     };
-    let before = line(handle.snapshot().frozen());
+    let before = line(&service.snapshot());
     // Stream biased-but-in-margin rows, fold (models must stay frozen),
     // then refit: the refreshed line must reflect the pre-fold stream.
     for i in 0..4_000 {
         let x = (i as f64 * 7.7) % 1000.0;
         let y = model.predict(x) + model.margin_width() * 0.45;
-        handle.insert(&[x, y]).unwrap();
+        service.insert(&[x, y]).unwrap();
     }
-    handle.fold();
-    let slope_folded = line(handle.snapshot().frozen()).slope;
+    service.shard_handle(0).fold();
+    let slope_folded = line(&service.snapshot()).slope;
     assert_eq!(slope_folded, before.slope, "fold must not move the line");
-    handle.refit();
+    service.shard_handle(0).refit();
     let intercept_before = before.intercept;
-    let intercept_after = line(handle.snapshot().frozen()).intercept;
+    let intercept_after = line(&service.snapshot()).intercept;
     assert!(
         intercept_after != intercept_before,
         "refit after fold must see the folded stream's evidence"
@@ -448,7 +456,7 @@ fn fold_preserves_posterior_evidence_for_a_later_refit() {
 #[test]
 fn rebuild_after_mixed_inserts_is_exact() {
     let ds = planted(8_000, 4);
-    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+    let service = ShardedHandle::build(&ds, &CoaxConfig::default());
     // A mix of in-band, off-band, and boundary rows.
     let mut all_rows: Vec<Vec<f64>> = Vec::new();
     for r in 0..ds.len() as u32 {
@@ -461,12 +469,12 @@ fn rebuild_after_mixed_inserts_is_exact() {
             1 => 2.0 * x + 10.0 + 1000.0,
             _ => 2.0 * x + 10.0 - 300.0,
         };
-        handle.insert(&[x, y]).unwrap();
+        service.insert(&[x, y]).unwrap();
         all_rows.push(vec![x, y]);
     }
-    handle.refit();
-    let snapshot = handle.snapshot();
-    let rebuilt = snapshot.frozen();
+    service.shard_handle(0).refit();
+    let snapshot = service.snapshot();
+    let rebuilt = frozen(&snapshot);
 
     // Compare against a full scan over the same logical table.
     let columns =

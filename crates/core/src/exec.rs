@@ -14,9 +14,9 @@
 //!    nothing to outliers). Both partitions store and emit the rows' own
 //!    ids, so results concatenate with no id translation.
 //!
-//! Rows inserted since the epoch was built live in the
-//! [`crate::maint::IndexHandle`]'s overlay, which the handle and its
-//! snapshots scan before this sequence runs.
+//! Rows inserted since the epoch was built live in the overlay of its
+//! shard ([`crate::maint::IndexHandle`]), which the shard's live read and
+//! its snapshot view scan before this sequence runs.
 //!
 //! Keeping this sequence in one place is what lets
 //! [`CoaxIndex`] be *just another backend* behind
@@ -517,12 +517,12 @@ pub(crate) fn stream_batch(
 /// `(query_index, QueryResult)` pairs arriving in completion order,
 /// through a bounded channel, as the exec pool finishes chunks.
 ///
-/// The one stream type of every snapshot surface
-/// ([`crate::maint::ReadSnapshot`] and [`crate::ShardedSnapshot`]): one
-/// spawned thread runs the batch engine's streaming run over the
-/// snapshot's `Arc`-owned state. Every query of the batch is delivered exactly once, each
-/// result identical to the materialized `batch_query` at that index;
-/// dropping the stream early cancels the remaining work.
+/// The stream type of the service's read session
+/// ([`crate::ShardedSnapshot`]): one spawned thread runs the batch
+/// engine's streaming run over the snapshot's `Arc`-owned state. Every
+/// query of the batch is delivered exactly once, each result identical
+/// to the materialized `batch_query` at that index; dropping the stream
+/// early cancels the remaining work.
 ///
 /// # Panics
 ///

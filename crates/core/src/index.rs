@@ -14,15 +14,16 @@
 //! structural for the primary too.
 //!
 //! A `CoaxIndex` is a frozen epoch: built once, queried, never written.
-//! Updates (§5, §9) go through a [`crate::maint::IndexHandle`], whose
-//! overlay is the one insert buffer: each insert is margin-checked and
-//! buffered there, and each insert inside the margins advances the
-//! per-model Bayesian posteriors the index was built with. The handle's
-//! drift monitor and policy then decide between a cheap fold (the
-//! overlay absorbed into each partition in one merge pass, models and
-//! directories frozen) and a full refit (every model refreshed, every
-//! row re-split, both partitions rebuilt); either builds a successor
-//! epoch from this one.
+//! Updates (§5, §9) go through the index service
+//! ([`crate::ShardedHandle`]), which routes each insert to one shard
+//! ([`crate::maint::IndexHandle`]) whose overlay is that shard's insert
+//! buffer: each insert is margin-checked and buffered there, and each
+//! insert inside the margins advances the per-model Bayesian posteriors
+//! the index was built with. The shard's drift monitor and policy then
+//! decide between a cheap fold (the overlay absorbed into each partition
+//! in one merge pass, models and directories frozen) and a full refit
+//! (every model refreshed, every row re-split, both partitions rebuilt);
+//! either builds a successor epoch from this one.
 
 use crate::discovery::{discover, CorrelationGroup, Discovery, DiscoveryConfig};
 use crate::epsilon::EpsilonPolicy;
@@ -199,18 +200,17 @@ pub struct CoaxConfig {
     /// first indexed attribute.
     pub sort_dim: Option<usize>,
     /// Thresholds the [`crate::maint`] layer uses to decide between
-    /// folding the insert overlay and refitting the models. Carried in
-    /// the build config so the factory ([`crate::IndexSpec`]) can hand
-    /// out maintained indexes ([`crate::maint::IndexHandle`]) without a
+    /// folding a shard's insert overlay and refitting its models. Carried
+    /// in the build config so the factory ([`crate::IndexSpec`]) can hand
+    /// out the maintained service ([`crate::ShardedHandle`]) without a
     /// second configuration channel; a bare [`CoaxIndex`] ignores it.
     pub maintenance: MaintenancePolicy,
     /// Batch-execution policy: worker count and chunking for
     /// `batch_query` (see [`ExecConfig`]). Defaults to the calling
     /// thread; [`ExecConfig::parallel`] fans batches out over every
-    /// core. Like `maintenance`, carried in the
-    /// build config so the factory and the [`crate::maint::IndexHandle`]
-    /// pick it up with no second channel; override per call with
-    /// [`CoaxIndex::batch_query_with`].
+    /// core. Like `maintenance`, carried in the build config so the
+    /// factory and the [`crate::ShardedHandle`] pick it up with no second
+    /// channel; override per call with [`CoaxIndex::batch_query_with`].
     pub exec: ExecConfig,
     /// Runtime observability: metric/span/journal recording (see
     /// [`crate::obs`]). Default **on**; [`ObsConfig::disabled`] turns
@@ -218,12 +218,11 @@ pub struct CoaxConfig {
     /// results — the equivalence suite pins obs-on output bit-identical
     /// to obs-off.
     pub obs: ObsConfig,
-    /// Row partitioning across independent [`crate::maint::IndexHandle`]
-    /// shards (see [`crate::shard::ShardedHandle`]). Consumed by the
-    /// factory ([`crate::IndexSpec::build`]) and by
-    /// [`crate::shard::ShardedHandle::build`]; a bare [`CoaxIndex`] or
-    /// single `IndexHandle` ignores it. Default is one shard
-    /// (unsharded).
+    /// Row partitioning across the service's independent
+    /// [`crate::maint::IndexHandle`] shards (see
+    /// [`crate::shard::ShardedHandle`]). Consumed by the factory
+    /// ([`crate::IndexSpec`]) and by [`crate::shard::ShardedHandle::build`];
+    /// a bare [`CoaxIndex`] ignores it. Default is one shard.
     pub shard: ShardSpec,
     /// Seed for the sampling inside discovery.
     pub seed: u64,
@@ -277,8 +276,8 @@ pub(crate) struct PendingRow {
     pub(crate) in_margins: bool,
 }
 
-/// Error returned by [`crate::maint::IndexHandle::insert`] and
-/// [`crate::ShardedHandle::insert`] when a row cannot be inserted.
+/// Error returned by [`crate::ShardedHandle::insert`] (and
+/// [`crate::ShardedHandle::route`]) when a row cannot be inserted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertError {
     /// Row length differs from the index dimensionality.
@@ -320,15 +319,6 @@ pub(crate) fn check_row(dims: usize, row: &[Value]) -> Result<(), InsertError> {
     Ok(())
 }
 
-/// Hands out `*next` as a row id and advances the counter, or refuses
-/// with [`InsertError::IdsExhausted`] once it no longer fits a [`RowId`]
-/// (the counter then stays put).
-pub(crate) fn take_id(next: &mut u64) -> Result<RowId, InsertError> {
-    let id = RowId::try_from(*next).map_err(|_| InsertError::IdsExhausted)?;
-    *next += 1;
-    Ok(id)
-}
-
 /// The correlation-aware index: learned soft-FD primary + outlier index.
 ///
 /// **Both** partitions are held as factory-built `Box<dyn MultidimIndex>`
@@ -352,12 +342,12 @@ pub struct CoaxIndex {
     /// Sorted attribute of the primary index.
     sort_dim: Option<usize>,
     /// One posterior accumulator per *linear* model (in discovery model
-    /// order), seeded from the primary rows at build; a handle advances
+    /// order), seeded from the primary rows at build; a shard advances
     /// its own copy with every in-margin insert. Spline models carry
     /// `None`: their shape is frozen between full rebuilds.
     pub(crate) posteriors: Vec<Option<BayesianLinReg>>,
-    /// One past the largest id this index holds: seeds a handle's id
-    /// counter and bounds [`crate::maint::ReadSnapshot`]'s cut counts.
+    /// One past the largest id this index holds: bounds
+    /// [`crate::maint::ReadSnapshot`]'s cut counts.
     pub(crate) next_id: u64,
     /// Observability recorder (no-op when `config.obs` is disabled).
     /// Rebuilt with the index; the underlying metric cells are
@@ -910,7 +900,7 @@ fn refresh_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maint::{IndexHandle, ReadSnapshot};
+    use crate::{ShardedHandle, ShardedSnapshot};
     use coax_data::synth::{
         Generator, PlantedConfig, PlantedDependent, PlantedGroup, UniformConfig,
     };
@@ -1051,18 +1041,25 @@ mod tests {
         assert_exact(&index, &ds, &queries);
     }
 
-    /// `index` behind a handle, with `row` inserted and refit into the
-    /// next epoch: the successor, which must hold `expected_len` rows and
-    /// serve `row` under the first inserted id.
-    fn insert_and_refit(index: CoaxIndex, row: &[Value], expected_len: usize) -> ReadSnapshot {
-        let first_new = index.len();
-        let handle = IndexHandle::new(index);
-        assert_eq!(handle.insert(row), Ok(first_new as RowId));
-        handle.refit();
-        let rebuilt = handle.snapshot();
-        assert_eq!(rebuilt.pending_len(), 0);
-        assert_eq!(rebuilt.frozen().len(), expected_len);
+    /// A one-shard service over `ds` under `config`, with `row` inserted
+    /// and refit into the next epoch: a snapshot of the successor, which
+    /// must hold `expected_len` rows and serve `row` under the first
+    /// inserted id.
+    fn insert_and_refit(
+        ds: &Dataset,
+        config: &CoaxConfig,
+        row: &[Value],
+        expected_len: usize,
+    ) -> ShardedSnapshot {
+        let first_new = ds.len();
+        let service = ShardedHandle::build(ds, config);
+        assert_eq!(service.insert(row), Ok(first_new as RowId));
+        service.shard_handle(0).refit();
+        let rebuilt = service.snapshot();
+        assert_eq!(rebuilt.shard(0).pending_len(), 0);
+        assert_eq!(rebuilt.shard(0).frozen().len(), expected_len);
         assert!(rebuilt
+            .shard(0)
             .frozen()
             .range_query(&RangeQuery::point(row))
             .iter()
@@ -1073,55 +1070,38 @@ mod tests {
     #[test]
     fn insert_routes_and_queries_see_pending() {
         let ds = planted_dataset(5000, 12);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-        let model = handle.snapshot().frozen().groups()[0].models[0].clone();
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        let model = service.snapshot().shard(0).frozen().groups()[0].models[0].clone();
         // An in-band row and a gross outlier.
         let x = 500.0;
         let in_band = vec![x, model.predict(x), 50.0];
         let off_band = vec![x, model.predict(x) + 100.0 * model.margin_width(), 50.0];
-        let id1 = handle.insert(&in_band).unwrap();
-        let id2 = handle.insert(&off_band).unwrap();
+        let id1 = service.insert(&in_band).unwrap();
+        let id2 = service.insert(&off_band).unwrap();
         assert_eq!(id1 as usize, ds.len());
-        assert_eq!(handle.pending_len(), 2);
-        let hits = handle.range_query(&RangeQuery::point(&in_band));
+        assert_eq!(service.pending_len(), 2);
+        let hits = service.range_query(&RangeQuery::point(&in_band));
         assert!(hits.contains(&id1));
-        let hits = handle.range_query(&RangeQuery::point(&off_band));
+        let hits = service.range_query(&RangeQuery::point(&off_band));
         assert!(hits.contains(&id2));
     }
 
     #[test]
     fn insert_validation() {
         let ds = planted_dataset(1000, 13);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-        assert_eq!(handle.insert(&[1.0]), Err(InsertError::WrongArity { expected: 3, got: 1 }));
-        assert_eq!(handle.insert(&[1.0, f64::NAN, 2.0]), Err(InsertError::NonFinite));
-    }
-
-    #[test]
-    fn insert_refuses_once_the_id_space_is_spent() {
-        // The last built row carries the largest id but one, so the
-        // handle's counter, seeded from the index, hands out the last id.
-        let ds = planted_dataset(1000, 19);
-        let config = CoaxConfig::default();
-        let mut ids: Vec<RowId> = ds.row_ids().collect();
-        ids[ds.len() - 1] = RowId::MAX - 1;
-        let discovery = discover(&ds, &config.discovery, config.seed);
-        let index = CoaxIndex::build_with_ids(&ds, &ids, discovery, &config);
-        assert_eq!(index.next_id, u64::from(RowId::MAX));
-        let handle = IndexHandle::new(index);
-        let row = [1.0, 27.0, 3.0];
-        assert_eq!(handle.insert(&row), Ok(RowId::MAX));
-        assert_eq!(handle.insert(&row), Err(InsertError::IdsExhausted));
-        assert_eq!(handle.pending_len(), 1, "a refused insert buffers nothing");
-        handle.fold();
-        assert_eq!(handle.snapshot().frozen().next_id, u64::from(RowId::MAX) + 1);
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        assert_eq!(
+            service.insert(&[1.0]),
+            Err(InsertError::WrongArity { expected: 3, got: 1 })
+        );
+        assert_eq!(service.insert(&[1.0, f64::NAN, 2.0]), Err(InsertError::NonFinite));
     }
 
     #[test]
     fn rebuild_folds_pending_and_stays_exact() {
         let ds = planted_dataset(5000, 14);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-        let model = handle.snapshot().frozen().groups()[0].models[0].clone();
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        let model = service.snapshot().shard(0).frozen().groups()[0].models[0].clone();
         // Insert 200 new in-band rows and 20 outliers.
         for i in 0..220 {
             let x = (i as f64 * 4.3) % 1000.0;
@@ -1130,12 +1110,12 @@ mod tests {
             } else {
                 model.predict(x)
             };
-            handle.insert(&[x, y, 42.0]).unwrap();
+            service.insert(&[x, y, 42.0]).unwrap();
         }
-        handle.refit();
-        let snapshot = handle.snapshot();
-        let rebuilt = snapshot.frozen();
-        assert_eq!(snapshot.pending_len(), 0);
+        service.shard_handle(0).refit();
+        let snapshot = service.snapshot();
+        let rebuilt = snapshot.shard(0).frozen();
+        assert_eq!(snapshot.shard(0).pending_len(), 0);
         assert_eq!(rebuilt.len(), ds.len() + 220);
         // The rebuilt index answers exactly like a linear scan over the
         // reconstructed data.
@@ -1154,12 +1134,12 @@ mod tests {
     #[test]
     fn rebuild_preserves_row_ids() {
         let ds = planted_dataset(3000, 16);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
         let q = RangeQuery::point(&ds.row(77));
-        let before = handle.snapshot().frozen().range_query(&q);
-        handle.insert(&[1.0, 1.0, 1.0]).unwrap();
-        handle.refit();
-        let after = handle.snapshot().frozen().range_query(&q);
+        let before = service.snapshot().shard(0).frozen().range_query(&q);
+        service.insert(&[1.0, 1.0, 1.0]).unwrap();
+        service.shard_handle(0).refit();
+        let after = service.snapshot().shard(0).frozen().range_query(&q);
         assert_eq!(before, after, "row ids must survive a rebuild");
     }
 
@@ -1211,19 +1191,19 @@ mod tests {
         // Inserts still route through the spline's contains(): the fold
         // sends each row where its insert-time verdict put it.
         let (primary_len, outlier_len) = (index.primary_len(), index.outlier_len());
-        let handle = IndexHandle::new(index);
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
         let on_curve = vec![300.0, (300.0f64 - 500.0).powi(2) / 250.0, 5.0];
         let off_curve = vec![300.0, 1000.0, 5.0];
-        handle.insert(&on_curve).unwrap();
-        handle.insert(&off_curve).unwrap();
-        handle.fold();
-        let folded = handle.snapshot();
-        assert_eq!(folded.frozen().primary_len(), primary_len + 1);
-        assert_eq!(folded.frozen().outlier_len(), outlier_len + 1);
+        service.insert(&on_curve).unwrap();
+        service.insert(&off_curve).unwrap();
+        service.shard_handle(0).fold();
+        let folded = service.snapshot();
+        assert_eq!(folded.shard(0).frozen().primary_len(), primary_len + 1);
+        assert_eq!(folded.shard(0).frozen().outlier_len(), outlier_len + 1);
         // Rebuild keeps the frozen spline and stays exact.
-        handle.refit();
-        let snapshot = handle.snapshot();
-        let rebuilt = snapshot.frozen();
+        service.shard_handle(0).refit();
+        let snapshot = service.snapshot();
+        let rebuilt = snapshot.shard(0).frozen();
         assert!(rebuilt.groups()[0].models[0].as_spline().is_some());
         assert!(rebuilt
             .range_query(&RangeQuery::point(&on_curve))
@@ -1263,7 +1243,7 @@ mod tests {
         assert_exact(&with_rtree, &ds, &queries);
 
         // Rebuild works through the R-tree backend too (entry iteration).
-        insert_and_refit(with_rtree, &[1.0, 27.0, 3.0], ds.len() + 1);
+        insert_and_refit(&ds, &rtree_cfg, &[1.0, 27.0, 3.0], ds.len() + 1);
     }
 
     #[test]
@@ -1291,7 +1271,7 @@ mod tests {
             assert_exact(&index, &ds, &queries);
             // Rebuild must work through the trait's entry iteration for
             // whatever structure backs the outliers.
-            insert_and_refit(index, &[2.0, 29.0, 4.0], ds.len() + 1);
+            insert_and_refit(&ds, &cfg, &[2.0, 29.0, 4.0], ds.len() + 1);
         }
     }
 
@@ -1326,7 +1306,7 @@ mod tests {
             assert_exact(&index, &ds, &queries);
             // Insert + rebuild must work through the trait's entry
             // iteration for whatever structure backs the primary.
-            insert_and_refit(index, &[3.0, 31.0, 5.0], ds.len() + 1);
+            insert_and_refit(&ds, &cfg, &[3.0, 31.0, 5.0], ds.len() + 1);
         }
     }
 
@@ -1370,8 +1350,8 @@ mod tests {
         queries.extend(point_queries(&ds, 10, 46));
         assert_exact(&index, &ds, &queries);
         // The composition survives inserts + rebuild.
-        let snapshot = insert_and_refit(index, &[4.0, 33.0, 6.0], ds.len() + 1);
-        let rebuilt = snapshot.frozen();
+        let snapshot = insert_and_refit(&ds, &cfg, &[4.0, 33.0, 6.0], ds.len() + 1);
+        let rebuilt = snapshot.shard(0).frozen();
         assert_eq!(rebuilt.primary_index().name(), "coax");
         let (all, ids) = gather(rebuilt, std::iter::empty());
         assert_exact_over(rebuilt, &FullScan::build_with_ids(&all, &ids), &queries);
@@ -1401,9 +1381,9 @@ mod tests {
         let index = CoaxIndex::build(&ds, &CoaxConfig::default());
         check(&index);
         // Overlay rows count too.
-        let handle = IndexHandle::new(index);
-        handle.insert(&[5.0, 35.0, 7.0]).unwrap();
-        check(&handle);
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        service.insert(&[5.0, 35.0, 7.0]).unwrap();
+        check(&service);
     }
 
     #[test]

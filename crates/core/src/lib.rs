@@ -40,17 +40,16 @@
 //!    backend — including COAX-over-COAX nesting.
 //! 8. [`spec`] — [`IndexSpec`]: the workspace-level factory building any
 //!    index (substrates or COAX) as a `Box<dyn MultidimIndex>`.
-//! 9. [`maint`] — the lifecycle layer and the one write path:
-//!    [`maint::IndexHandle`] buffers inserts in its overlay,
-//!    [`maint::DriftMonitor`] watches the insert stream for correlation
+//! 9. [`maint`] — the lifecycle layer of one shard:
+//!    [`maint::IndexHandle`] buffers the shard's inserts in its overlay,
+//!    [`maint::DriftMonitor`] watches its insert stream for correlation
 //!    drift, [`maint::MaintenancePolicy`] decides between a cheap fold
 //!    ([`maint::IndexHandle::fold`]: the overlay merged into the frozen
 //!    directories in one pass) and a full refit
 //!    ([`maint::IndexHandle::refit`]: models and directories
 //!    re-derived), the handle epoch-swaps the successor index under
-//!    concurrent readers, and
-//!    [`maint::ReadSnapshot`] gives multi-query read sessions one
-//!    consistent version of it all.
+//!    concurrent readers, and [`maint::ReadSnapshot`] freezes one
+//!    consistent version of the shard for a read session.
 //! 10. [`theory`] — §7 + appendices: effectiveness (Eq. 5), the
 //!     Centre-Sequence Model, and Monte-Carlo validation of Theorems
 //!     7.1–7.4.
@@ -62,17 +61,18 @@
 //!     overlay copy-on-write). Configured by [`obs::ObsConfig`] in
 //!     [`CoaxConfig`]; zero-overhead when off and never perturbs
 //!     results.
-//! 12. [`shard`] — the sharded index service:
-//!     [`shard::ShardedHandle`] partitions rows across N independent
-//!     [`maint::IndexHandle`] shards on a correlation-aware shard key
-//!     ([`shard::ShardSpec`] in [`CoaxConfig`]), fans single / batch /
-//!     streaming queries out across them, and merges results and
-//!     [`coax_index::ScanStats`] exactly as the unsharded path reports
-//!     them. Every shard stores its rows under their global ids, so no
-//!     layer translates an id between insert and result. Each shard
-//!     keeps its own epoch and maintenance loop — a refit on one shard
-//!     never stalls the other N−1 — and [`shard::ShardedSnapshot`] gives
-//!     cross-shard read sessions without a global lock, cut at the
+//! 12. [`shard`] — the index service and its one write path:
+//!     [`shard::ShardedHandle`] partitions rows across N ≥ 1 independent
+//!     [`maint::IndexHandle`] shards (one by default) on a
+//!     correlation-aware shard key ([`shard::ShardSpec`] in
+//!     [`CoaxConfig`]), validates, routes and numbers every insert, fans
+//!     single / batch / streaming queries out across the shards, and
+//!     merges results and [`coax_index::ScanStats`] in shard order.
+//!     Every shard stores its rows under their global ids, so no layer
+//!     translates an id between insert and result. Each shard keeps its
+//!     own epoch and maintenance loop — a refit on one shard never stalls
+//!     the other N−1 — and [`shard::ShardedSnapshot`], the one read
+//!     session, reads every shard without a global lock, cut at the
 //!     publish watermark so every read is a dense prefix of the ids.
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,9 @@
 //! *watched*. [`DriftMonitor`] does the watching: per-model EWMAs of the
 //! margin-normalised insert residuals plus an EWMA of the outlier-routing
 //! rate, summarised on demand as a [`DriftReport`] that
-//! [`super::MaintenancePolicy`] turns into a fold/refit decision.
+//! [`super::MaintenancePolicy`] turns into a fold/refit decision. Every
+//! shard of the index service ([`crate::ShardedHandle`]) runs its own
+//! monitor over the inserts routed to it.
 
 use crate::index::CoaxIndex;
 use crate::model::FdModel;
@@ -39,8 +41,8 @@ struct ModelTracker {
 ///
 /// Create it from the index whose models the inserts are checked against,
 /// feed every insert through [`DriftMonitor::observe`], and read the
-/// state back as a [`DriftReport`]. The [`super::IndexHandle`] does all
-/// three on every insert.
+/// state back as a [`DriftReport`]. A shard ([`super::IndexHandle`]) does
+/// all three on every insert routed to it.
 #[derive(Clone, Debug)]
 pub struct DriftMonitor {
     /// EWMA decay per observation.

@@ -1,8 +1,9 @@
-//! The epoch-swapped handle: reads concurrent with writes.
+//! The epoch-swapped shard: reads concurrent with writes.
 //!
 //! A [`CoaxIndex`] is a frozen epoch: it has no write path, so it can be
-//! shared freely but never absorbs a row. [`IndexHandle`] gives it one
-//! with an epoch scheme:
+//! shared freely but never absorbs a row. [`IndexHandle`] is one shard of
+//! the index service ([`crate::ShardedHandle`]), and gives its epoch a
+//! write path with an epoch scheme:
 //!
 //! ```text
 //!             readers                         writer thread
@@ -30,18 +31,19 @@
 //!   inserted while the build ran simply stay in the overlay, re-routed
 //!   against the new epoch's models at publish.
 //!
-//! Deciding *when* to fold or refit is [`super::MaintenancePolicy`]'s
-//! job, fed by the [`super::DriftMonitor`] the handle advances on every
-//! insert; [`super::Maintainer`] runs that loop from a writer thread.
+//! The service builds every handle, validates and routes each insert to
+//! one, and draws the row's id. Deciding *when* a shard folds or refits
+//! is [`super::MaintenancePolicy`]'s job, fed by the
+//! [`super::DriftMonitor`] the handle advances on every insert;
+//! [`super::Maintainer`] runs that loop against one shard.
 
 use super::drift::{DriftMonitor, DriftReport};
 use super::policy::{MaintenanceAction, MaintenancePolicy};
-use crate::exec::BatchStream;
-use crate::index::{check_row, take_id, CoaxConfig, CoaxIndex, InsertError, PendingRow};
+use crate::index::{CoaxConfig, CoaxIndex, InsertError, PendingRow};
 use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::regression::BayesianLinReg;
-use coax_data::{Dataset, RangeQuery, RowId, Value};
-use coax_index::{MultidimIndex, QueryResult, ScanStats};
+use coax_data::{RangeQuery, RowId, Value};
+use coax_index::{MultidimIndex, ScanStats};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Acquires a read guard, propagating a poisoned-lock panic.
@@ -83,15 +85,13 @@ struct EpochState {
     overlay: Arc<Vec<PendingRow>>,
 }
 
-/// Write-side bookkeeping, touched briefly per insert: id allocation,
-/// Bayesian posteriors, and the drift monitor — all tracking the models
-/// of the *current* epoch (`models` is swapped at publish under this same
-/// lock, so an insert can never check against a stale epoch).
+/// Write-side bookkeeping, touched briefly per insert: the Bayesian
+/// posteriors and the drift monitor, both tracking the models of the
+/// *current* epoch (`models` is swapped at publish under this same lock,
+/// so an insert can never check against a stale epoch).
 #[derive(Debug)]
 struct InsertState {
     models: Arc<CoaxIndex>,
-    /// The id [`IndexHandle::insert`] allocates next.
-    next_id: u64,
     posteriors: Vec<Option<BayesianLinReg>>,
     monitor: DriftMonitor,
 }
@@ -113,18 +113,17 @@ impl InsertState {
     }
 }
 
-/// A shared, live-maintained COAX index: concurrent readers, buffered
-/// inserts, and background fold/refit that swaps epochs under readers'
-/// feet without ever tearing a result.
+/// One shard of the index service ([`crate::ShardedHandle`]): a
+/// live-maintained COAX epoch with concurrent readers, buffered inserts,
+/// and fold/refit that swaps epochs under readers' feet without ever
+/// tearing a result.
 ///
-/// Implements [`MultidimIndex`], so a handle drops into every spec-driven
-/// comparison path (bench harness, equivalence suites) like any frozen
-/// index — queries just also see the insert overlay, charged to
-/// [`ScanStats::scanned_pending`].
+/// Only the service builds handles and inserts into them; reach one
+/// through [`crate::ShardedHandle::shard_handle`] to maintain or inspect
+/// that shard.
 #[derive(Debug)]
 pub struct IndexHandle {
     config: CoaxConfig,
-    dims: usize,
     state: RwLock<EpochState>,
     insert: Mutex<InsertState>,
     /// Serialises epoch builds (fold/refit); never held by readers or
@@ -138,32 +137,24 @@ pub struct IndexHandle {
 impl IndexHandle {
     /// Wraps an already-built index. The maintenance policy is taken from
     /// the index's own [`CoaxConfig::maintenance`].
-    pub fn new(index: CoaxIndex) -> Self {
+    pub(crate) fn new(index: CoaxIndex) -> Self {
         let config = index.config().clone();
-        let dims = index.dims();
         let monitor = DriftMonitor::new(&index, config.maintenance.ewma_alpha);
         let posteriors = index.posteriors.clone();
-        let next_id = index.next_id;
         let index = Arc::new(index);
         let obs = Obs::new(&config.obs);
         obs.set_overlay_rows(0);
         Self {
             config,
-            dims,
             state: RwLock::new(EpochState {
                 epoch: 0,
                 index: Arc::clone(&index),
                 overlay: Arc::new(Vec::new()),
             }),
-            insert: Mutex::new(InsertState { models: index, next_id, posteriors, monitor }),
+            insert: Mutex::new(InsertState { models: index, posteriors, monitor }),
             maint: Mutex::new(()),
             obs,
         }
-    }
-
-    /// Builds a COAX index over `dataset` and wraps it.
-    pub fn build(dataset: &Dataset, config: &CoaxConfig) -> Self {
-        Self::new(CoaxIndex::build(dataset, config))
     }
 
     /// The maintenance policy in force (from the build config).
@@ -176,14 +167,12 @@ impl IndexHandle {
         read_guard(&self.state).epoch
     }
 
-    /// Opens a **read session**: one consistent [`ReadSnapshot`] taken
-    /// under a single read guard — the epoch `Arc` and the frozen
-    /// overlay view are cloned together, so they can never tear. Any
-    /// number of point/range/batch/cursor queries against the snapshot
-    /// see exactly this version of the data, however many inserts,
-    /// folds, or refits publish concurrently; the handle's own query
-    /// methods are each a one-query session through this call.
-    pub fn snapshot(&self) -> ReadSnapshot {
+    /// Captures this shard for a read session: one consistent
+    /// [`ReadSnapshot`] taken under a single read guard — the epoch `Arc`
+    /// and the frozen overlay view are cloned together, so they can never
+    /// tear, and stay put however many inserts, folds, or refits publish
+    /// concurrently.
+    pub(crate) fn snapshot(&self) -> ReadSnapshot {
         let st = read_guard(&self.state);
         ReadSnapshot {
             epoch: st.epoch,
@@ -198,31 +187,23 @@ impl IndexHandle {
         read_guard(&self.state).overlay.len()
     }
 
-    /// Inserts a row: allocated the handle's next id, margin-checked
-    /// against the current epoch's models, observed by the drift monitor
-    /// and the Bayesian posteriors, and buffered in the overlay — visible
-    /// to every query that starts after this call returns.
-    pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
-        self.insert_with(row, take_id)
-    }
-
-    /// [`IndexHandle::insert`] with the row's id drawn by `alloc` under
-    /// the insert lock (`alloc` receives the handle's own counter). The
-    /// overlay is pushed under the same lock, so its ids ascend in
-    /// allocation order whoever allocates them; a sharded service hands
-    /// out its global ids this way. A refused allocation leaves the
-    /// handle untouched.
+    /// Inserts a row the service validated, under the id `alloc` draws:
+    /// margin-checked against the current epoch's models, observed by the
+    /// drift monitor and the Bayesian posteriors, and buffered in the
+    /// overlay — visible to every query that starts after this call
+    /// returns. `alloc` runs under the insert lock and the overlay is
+    /// pushed under the same lock, so the overlay's ids ascend in
+    /// allocation order. A refused allocation leaves the handle
+    /// untouched.
     pub(crate) fn insert_with(
         &self,
         row: &[Value],
-        alloc: impl FnOnce(&mut u64) -> Result<RowId, InsertError>,
+        alloc: impl FnOnce() -> Result<RowId, InsertError>,
     ) -> Result<RowId, InsertError> {
-        check_row(self.dims, row)?;
         let timer = self.obs.timer();
         let mut guard = lock_guard(&self.insert);
-        let ins = &mut *guard;
-        let id = alloc(&mut ins.next_id)?;
-        let in_margins = ins.observe(row);
+        let id = alloc()?;
+        let in_margins = guard.observe(row);
         // Publish to readers while still holding the insert lock: ids
         // enter the overlay in allocation order, so a reader's snapshot
         // is always a contiguous prefix of the insert history. The
@@ -350,76 +331,50 @@ impl IndexHandle {
             )
         });
     }
-}
 
-impl MultidimIndex for IndexHandle {
-    fn name(&self) -> &str {
-        "coax-handle"
-    }
-
-    fn dims(&self) -> usize {
-        self.dims
-    }
-
-    fn len(&self) -> usize {
+    /// Rows the shard serves: the epoch's plus the overlay's.
+    pub fn len(&self) -> usize {
         let st = read_guard(&self.state);
         st.index.len() + st.overlay.len()
     }
 
-    /// A one-query read session, borrowed inline: the overlay is scanned
-    /// under the read guard (the overlay `Arc` is never retained, so
-    /// concurrent inserts keep their in-place `make_mut` fast path) and
-    /// the epoch `Arc` is cloned for the lock-free probe — exactly what
-    /// [`ReadSnapshot`] would answer, without making every point query
-    /// trigger copy-on-write for the writer. Multi-query consumers that
-    /// need *one* version across queries take the snapshot themselves.
-    fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+    /// Whether the shard serves no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The shard's live one-query read: the overlay is scanned under the
+    /// read guard (the overlay `Arc` is never retained, so concurrent
+    /// inserts keep their in-place `make_mut` fast path) and the epoch
+    /// `Arc` is cloned for the lock-free probe — exactly what a
+    /// [`ReadSnapshot`] would answer, without making every query trigger
+    /// copy-on-write for the writer. Overlay rows are charged to
+    /// [`ScanStats::scanned_pending`].
+    pub fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let span = self.obs.query_span();
-        let (index, scanned, matched) = {
+        let (index, overlay) = {
             let st = read_guard(&self.state);
-            let matched = scan_overlay(&st.overlay, query, out);
-            (Arc::clone(&st.index), st.overlay.len(), matched)
+            (Arc::clone(&st.index), scan_overlay(&st.overlay, query, out))
         };
-        query_epoch(&index, span, scanned, matched, query, out)
-    }
-
-    /// One snapshot for the whole batch: every query in the batch sees
-    /// the same epoch and the same overlay prefix (see
-    /// [`ReadSnapshot::batch_query`]).
-    fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        self.snapshot().batch_query(queries)
-    }
-
-    fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
-        self.snapshot().for_each_entry(f)
-    }
-
-    fn memory_overhead(&self) -> usize {
-        self.snapshot().memory_overhead()
+        query_epoch(&index, span, overlay, query, out)
     }
 }
 
-/// One consistent read session over a live [`IndexHandle`]: a frozen
-/// epoch index plus the frozen overlay view that was current when
-/// [`IndexHandle::snapshot`] ran, both cloned under a single read guard.
+/// One shard's frozen view inside a [`crate::ShardedSnapshot`]: the
+/// epoch index plus the overlay view that was current when the session
+/// captured the shard, both cloned under a single read guard.
 ///
-/// Every query issued through a snapshot — point, range, batch, cursor,
-/// or streaming — sees exactly this version, while inserts keep landing
-/// and fold/refit keep publishing new epochs on the live handle: the
-/// epoch `Arc` pins the structures and the overlay `Arc` pins the
-/// buffered rows (inserts copy-on-write around open snapshots). That is
-/// snapshot isolation for multi-query read transactions, at a cost paid
-/// by the holder and the writer: the epoch's memory stays alive for the
+/// The epoch `Arc` pins the structures and the overlay `Arc` pins the
+/// buffered rows (inserts copy-on-write around open snapshots), so the
+/// view stays put while inserts keep landing and fold/refit keep
+/// publishing new epochs on the live shard. The cost is paid by the
+/// holder and the writer: the epoch's memory stays alive for the
 /// session's lifetime, and while a session is open each concurrent
 /// insert's `make_mut` copies the overlay (bounded by the maintenance
 /// policy's pending cap) instead of pushing in place — sessions are
-/// meant to be opened, used, and dropped, not parked. The handle's own
-/// one-query methods scan the overlay under the read guard without
-/// retaining it, so plain reads never trigger that copy.
-///
-/// Implements [`MultidimIndex`], so a session drops into every
-/// spec-driven comparison path; it is also `Clone` (cheap — two `Arc`s)
-/// and `Send + Sync`, so one session can fan out across reader threads.
+/// meant to be opened, used, and dropped, not parked. A shard's live
+/// read scans the overlay under the read guard without retaining it, so
+/// plain reads never trigger that copy.
 #[derive(Clone, Debug)]
 pub struct ReadSnapshot {
     epoch: u64,
@@ -427,92 +382,60 @@ pub struct ReadSnapshot {
     overlay: Arc<Vec<PendingRow>>,
 }
 
-/// Appends the overlay rows matching `query` to `out`, returning how
-/// many matched — the one overlay scan every snapshot query path runs
-/// first, so their results agree id for id.
-fn scan_overlay(overlay: &[PendingRow], query: &RangeQuery, out: &mut Vec<RowId>) -> usize {
-    let mut matched = 0;
-    for r in overlay {
-        if query.matches(&r.values) {
-            out.push(r.id);
-            matched += 1;
-        }
+/// Appends the overlay rows matching `query` to `out` — the one overlay
+/// scan every read path runs before the epoch's, so their results agree
+/// id for id. Every overlay row is charged to
+/// [`ScanStats::scanned_pending`].
+fn scan_overlay(overlay: &[PendingRow], query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+    let start = out.len();
+    out.extend(overlay.iter().filter(|r| query.matches(&r.values)).map(|r| r.id));
+    ScanStats {
+        scanned_pending: overlay.len(),
+        matches: out.len() - start,
+        ..ScanStats::default()
     }
-    matched
 }
 
-/// The epoch half of a one-query session whose overlay (`scanned` rows,
-/// `matched` of them into `out`) was just scanned under `span`: marks
-/// the overlay scan, translates and executes against `index`, charges
-/// the overlay to the stats, and finishes the span with the stats the
-/// caller receives.
+/// The epoch half of a one-query read whose `overlay` was just scanned
+/// under `span`: marks the overlay scan, translates and executes against
+/// `index`, adds the overlay's stats, and finishes the span with the
+/// stats the caller receives.
 fn query_epoch(
     index: &CoaxIndex,
     mut span: QuerySpan<'_>,
-    scanned: usize,
-    matched: usize,
+    overlay: ScanStats,
     query: &RangeQuery,
     out: &mut Vec<RowId>,
 ) -> ScanStats {
     span.phase(QueryPhase::PendingScan);
-    let mut stats = crate::exec::execute_query(index, query, out, &mut span).flatten();
-    stats.scanned_pending += scanned;
-    stats.matches += matched;
+    let stats =
+        overlay.merge(crate::exec::execute_query(index, query, out, &mut span).flatten());
     span.finish(&stats);
     stats
 }
 
 impl ReadSnapshot {
-    /// The epoch this session reads (as [`IndexHandle::epoch`] reported
-    /// when the snapshot was taken).
+    /// The epoch this view reads (as [`IndexHandle::epoch`] reported
+    /// when the shard was captured).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// The frozen epoch index, for model/structure inspection
-    /// (`groups()`, `primary_ratio()`, …). Rows in the snapshot's
-    /// overlay are **not** in it — query through the snapshot itself for
+    /// (`groups()`, `primary_ratio()`, …). Rows in the view's overlay are
+    /// **not** in it — query through the [`crate::ShardedSnapshot`] for
     /// full results.
     pub fn frozen(&self) -> &CoaxIndex {
         &self.index
     }
 
-    /// Rows in the snapshot's frozen overlay, i.e. everything charged to
-    /// [`ScanStats::scanned_pending`] by this snapshot's queries.
+    /// Rows in the view's frozen overlay, i.e. everything its queries
+    /// charge to [`ScanStats::scanned_pending`].
     pub fn pending_len(&self) -> usize {
         self.overlay.len()
     }
 
-    /// Streaming batch execution against this session: returns a
-    /// [`BatchStream`] yielding `(query_index, QueryResult)` pairs in
-    /// completion order, off the exec pool driven by one detached thread
-    /// through a bounded channel — results flow before the whole batch
-    /// finishes, and every result is identical to
-    /// [`ReadSnapshot::batch_query`]'s at that index. Dropping the stream
-    /// cancels the remaining work.
-    ///
-    /// The pool is sized by the epoch's
-    /// [`crate::index::CoaxConfig::exec`] policy; use
-    /// [`ReadSnapshot::batch_query_streaming_with`] to override it per
-    /// call.
-    pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
-        self.batch_query_streaming_with(queries, self.index.config().exec)
-    }
-
-    /// [`ReadSnapshot::batch_query_streaming`] under an explicit
-    /// [`crate::ExecConfig`].
-    pub fn batch_query_streaming_with(
-        &self,
-        queries: &[RangeQuery],
-        config: crate::ExecConfig,
-    ) -> BatchStream {
-        let session = self.clone();
-        BatchStream::spawn(queries, config, self.index.obs.clone(), move |query, ids| {
-            session.answer_batched(query, ids)
-        })
-    }
-
-    /// Rows of this session whose ids lie below `cut`. The overlay's ids
+    /// Rows of this view whose ids lie below `cut`. The overlay's ids
     /// ascend, so its share is one binary search; the epoch counts whole
     /// unless it may hold an id at or above the cut (a fold published a
     /// row whose insert had not yet passed the cut), and is then counted
@@ -529,104 +452,48 @@ impl ReadSnapshot {
         epoch + self.overlay.partition_point(|r| below(r.id))
     }
 
-    /// Answers one query of a batch with no per-query span: the overlay
-    /// matches, then the epoch's plan — the ids, order and stats a single
-    /// snapshot query returns, appended to `out`.
-    pub(crate) fn answer_batched(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        let matched = scan_overlay(&self.overlay, query, out);
-        let mut stats = crate::exec::answer_batched(&self.index, query, out);
-        stats.scanned_pending += self.overlay.len();
-        stats.matches += matched;
-        stats
-    }
-}
-
-/// The incremental snapshot scan behind
-/// [`ReadSnapshot`]'s `range_query_cursor`: one overlay chunk first,
-/// then the epoch's plan-cursor chunks.
-struct SnapshotCursor<'a> {
-    overlay: &'a [PendingRow],
-    query: RangeQuery,
-    inner: coax_index::RowCursor<'a>,
-    overlay_done: bool,
-}
-
-impl coax_index::CursorSource for SnapshotCursor<'_> {
-    fn next_chunk(&mut self, out: &mut Vec<RowId>, stats: &mut ScanStats) -> bool {
-        if !self.overlay_done {
-            self.overlay_done = true;
-            stats.matches += scan_overlay(self.overlay, &self.query, out);
-            stats.scanned_pending += self.overlay.len();
-            return true;
-        }
-        crate::exec::forward_chunk(&mut self.inner, out, stats)
-    }
-}
-
-impl MultidimIndex for ReadSnapshot {
-    fn name(&self) -> &str {
-        "coax-snapshot"
-    }
-
-    fn dims(&self) -> usize {
-        self.index.dims()
-    }
-
-    fn len(&self) -> usize {
-        self.index.len() + self.overlay.len()
-    }
-
-    /// Overlay scan first (charged to [`ScanStats::scanned_pending`]),
-    /// then the frozen epoch's exec sequence — all lock-free: the snapshot
+    /// One query against this view under its own span: the overlay scan,
+    /// then the frozen epoch's exec sequence — lock-free, since the view
     /// owns both `Arc`s.
-    fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+    pub(crate) fn range_query_stats(
+        &self,
+        query: &RangeQuery,
+        out: &mut Vec<RowId>,
+    ) -> ScanStats {
         let span = self.index.obs.query_span();
-        let matched = scan_overlay(&self.overlay, query, out);
-        query_epoch(&self.index, span, self.overlay.len(), matched, query, out)
+        let overlay = scan_overlay(&self.overlay, query, out);
+        query_epoch(&self.index, span, overlay, query, out)
     }
 
-    /// Streaming override: the overlay chunk flows first, then the
-    /// epoch's plan cursor (primary cell by cell → outliers). Collected
-    /// results and stats are identical to [`ReadSnapshot`]'s
-    /// `range_query_stats`.
-    fn range_query_cursor(&self, query: &RangeQuery) -> coax_index::RowCursor<'_> {
-        coax_index::RowCursor::new(Box::new(SnapshotCursor {
-            overlay: &self.overlay,
-            query: query.clone(),
-            inner: self.index.range_query_cursor(query),
-            overlay_done: false,
-        }))
+    /// The overlay rows matching `query`, appended to `out`: the chunk a
+    /// cursor yields for this view before the epoch's plan cursor.
+    pub(crate) fn overlay_chunk(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+        scan_overlay(&self.overlay, query, out)
     }
 
-    /// One session, whole batch: deduplicated once, each distinct query
-    /// answered as a single snapshot query would be (overlay, then the
-    /// frozen epoch's single-query executor, translated once), in chunks
-    /// on the exec pool sized by the epoch's
-    /// [`crate::index::CoaxConfig::exec`]. Per-query results and stats
-    /// are identical to one-at-a-time snapshot queries.
-    fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
-        let config = self.index.config().exec;
-        crate::exec::collect_batch(queries, &config, &self.index.obs, |query, ids| {
-            self.answer_batched(query, ids)
-        })
+    /// Answers one query of a batch with no per-query span: the overlay
+    /// matches, then the epoch's plan — the ids, order and stats
+    /// [`ReadSnapshot::range_query_stats`] returns, appended to `out`.
+    pub(crate) fn answer_batched(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
+        let overlay = scan_overlay(&self.overlay, query, out);
+        overlay.merge(crate::exec::answer_batched(&self.index, query, out))
     }
 
-    fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
+    /// Every row of this view: the epoch's entries, then the overlay's.
+    pub(crate) fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
         self.index.for_each_entry(f);
         for r in self.overlay.iter() {
             f(r.id, &r.values);
         }
-    }
-
-    fn memory_overhead(&self) -> usize {
-        self.index.memory_overhead()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedHandle;
     use coax_data::synth::{Generator, LinearPairConfig};
+    use coax_data::Dataset;
     use coax_index::FullScan;
 
     fn planted(rows: usize, seed: u64) -> Dataset {
@@ -647,14 +514,22 @@ mod tests {
         v
     }
 
+    /// The shard's live read of `query`.
+    fn live(handle: &IndexHandle, query: &RangeQuery) -> Vec<RowId> {
+        let mut out = Vec::new();
+        handle.range_query_stats(query, &mut out);
+        out
+    }
+
     #[test]
     fn handle_queries_match_bare_index() {
         let ds = planted(6000, 1);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        let handle = service.shard_handle(0);
         let bare = CoaxIndex::build(&ds, &CoaxConfig::default());
         let mut q = RangeQuery::unbounded(2);
         q.constrain(1, 500.0, 700.0);
-        assert_eq!(sorted(handle.range_query(&q)), sorted(bare.range_query(&q)));
+        assert_eq!(sorted(live(handle, &q)), sorted(bare.range_query(&q)));
         assert_eq!(handle.len(), bare.len());
         assert_eq!(handle.epoch(), 0);
     }
@@ -662,33 +537,35 @@ mod tests {
     #[test]
     fn inserts_are_visible_immediately_and_after_each_maintenance() {
         let ds = planted(5000, 2);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        let handle = service.shard_handle(0);
         let row = vec![123.0, 2.0 * 123.0 + 10.0];
-        let id = handle.insert(&row).unwrap();
+        let id = service.insert(&row).unwrap();
         assert_eq!(id as usize, ds.len());
         let probe = RangeQuery::point(&row);
-        assert!(handle.range_query(&probe).contains(&id), "visible pre-maintenance");
+        assert!(live(handle, &probe).contains(&id), "visible pre-maintenance");
 
         handle.fold();
         assert_eq!(handle.epoch(), 1);
         assert_eq!(handle.pending_len(), 0);
-        assert!(handle.range_query(&probe).contains(&id), "visible post-fold");
+        assert!(live(handle, &probe).contains(&id), "visible post-fold");
 
         handle.refit();
         assert_eq!(handle.epoch(), 2);
-        assert!(handle.range_query(&probe).contains(&id), "visible post-refit");
+        assert!(live(handle, &probe).contains(&id), "visible post-refit");
         assert_eq!(handle.len(), ds.len() + 1);
     }
 
     #[test]
     fn fold_and_refit_agree_with_full_scan() {
         let ds = planted(4000, 3);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        let handle = service.shard_handle(0);
         let mut rows: Vec<Vec<f64>> = (0..ds.len() as RowId).map(|r| ds.row(r)).collect();
         for i in 0..300 {
             let x = (i as f64 * 13.7) % 1000.0;
             let y = if i % 9 == 0 { 2.0 * x + 900.0 } else { 2.0 * x + 10.0 };
-            handle.insert(&[x, y]).unwrap();
+            service.insert(&[x, y]).unwrap();
             rows.push(vec![x, y]);
         }
         let logical = Dataset::new(
@@ -706,10 +583,10 @@ mod tests {
         for (label, action) in
             [("fold", IndexHandle::fold as fn(&IndexHandle)), ("refit", IndexHandle::refit)]
         {
-            action(&handle);
+            action(handle);
             for q in &queries {
                 assert_eq!(
-                    sorted(handle.range_query(q)),
+                    sorted(live(handle, q)),
                     sorted(fs.range_query(q)),
                     "{label} diverged on {q:?}"
                 );
@@ -720,10 +597,11 @@ mod tests {
     #[test]
     fn overlay_scan_is_charged_to_scanned_pending() {
         let ds = planted(3000, 4);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        let handle = service.shard_handle(0);
         for i in 0..50 {
             let x = i as f64 * 2.0;
-            handle.insert(&[x, 2.0 * x + 10.0]).unwrap();
+            service.insert(&[x, 2.0 * x + 10.0]).unwrap();
         }
         let mut out = Vec::new();
         let stats = handle.range_query_stats(&RangeQuery::unbounded(2), &mut out);
@@ -744,13 +622,14 @@ mod tests {
             maintenance: MaintenancePolicy { max_pending: 32, ..Default::default() },
             ..Default::default()
         };
-        let handle = IndexHandle::build(&ds, &config);
+        let service = ShardedHandle::build(&ds, &config);
+        let handle = service.shard_handle(0);
         for i in 0..31 {
             let x = i as f64;
-            handle.insert(&[x, 2.0 * x + 10.0]).unwrap();
+            service.insert(&[x, 2.0 * x + 10.0]).unwrap();
         }
         assert_eq!(handle.maintain(), MaintenanceAction::None);
-        handle.insert(&[31.0, 72.0]).unwrap();
+        service.insert(&[31.0, 72.0]).unwrap();
         assert_eq!(handle.maintain(), MaintenanceAction::Fold);
         assert_eq!(handle.epoch(), 1);
         assert_eq!(handle.pending_len(), 0);
@@ -774,15 +653,16 @@ mod tests {
             },
             ..Default::default()
         };
-        let handle = IndexHandle::build(&ds, &config);
-        let model = handle.snapshot().frozen().groups()[0].models[0].clone();
+        let service = ShardedHandle::build(&ds, &config);
+        let handle = service.shard_handle(0);
+        let model = service.snapshot().shard(0).frozen().groups()[0].models[0].clone();
         let mut folds = 0;
         let mut refit_at = None;
         for i in 0..600 {
             let x = (i as f64 * 7.3) % 1000.0;
             // Persistently biased but in-margin: pure drift, no outliers.
             let y = model.predict(x) + 0.8 * model.margin_width() / 2.0;
-            handle.insert(&[x, y]).unwrap();
+            service.insert(&[x, y]).unwrap();
             match handle.maintain() {
                 MaintenanceAction::None => {}
                 MaintenanceAction::Fold => folds += 1,
@@ -802,33 +682,13 @@ mod tests {
         );
     }
 
-    /// The one insert path refuses malformed rows with typed errors.
-    #[test]
-    fn insert_validation_matches_bare_index() {
-        let ds = planted(1000, 6);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-        assert_eq!(handle.insert(&[1.0]), Err(InsertError::WrongArity { expected: 2, got: 1 }));
-        assert_eq!(handle.insert(&[1.0, f64::NAN]), Err(InsertError::NonFinite));
-    }
-
-    #[test]
-    fn insert_refuses_once_the_id_space_is_spent() {
-        let ds = planted(1000, 9);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-        lock_guard(&handle.insert).next_id = u64::from(RowId::MAX);
-        assert_eq!(handle.insert(&[1.0, 12.0]), Ok(RowId::MAX));
-        assert_eq!(handle.insert(&[2.0, 14.0]), Err(InsertError::IdsExhausted));
-        assert_eq!(handle.pending_len(), 1, "a refused insert buffers nothing");
-        assert_eq!(lock_guard(&handle.insert).next_id, u64::from(RowId::MAX) + 1);
-    }
-
     #[test]
     fn batch_query_sees_one_snapshot() {
         let ds = planted(2000, 7);
-        let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-        handle.insert(&[500.0, 1010.0]).unwrap();
+        let service = ShardedHandle::build(&ds, &CoaxConfig::default());
+        service.insert(&[500.0, 1010.0]).unwrap();
         let queries = vec![RangeQuery::unbounded(2); 3];
-        let results = handle.batch_query(&queries);
+        let results = service.batch_query(&queries);
         for r in &results {
             assert_eq!(r.ids.len(), 2001);
             assert_eq!(r.stats.scanned_pending, 1);

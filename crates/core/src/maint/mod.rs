@@ -20,27 +20,28 @@
 //!   evidence and rebuild both partitions ([`IndexHandle::refit`]) when
 //!   the dependency has drifted. The policy travels in
 //!   [`crate::CoaxConfig::maintenance`].
-//! * [`IndexHandle`] — the one write path and the epoch swap: inserts
-//!   buffer in the handle's overlay and are visible immediately, and
-//!   readers query a consistent snapshot lock-free while a writer thread
-//!   builds the successor epoch and publishes it with a pointer swap.
-//! * [`ReadSnapshot`] — a read session over the handle:
-//!   [`IndexHandle::snapshot`] clones the epoch `Arc` and a frozen
-//!   overlay view under one read guard, so any number of
+//! * [`IndexHandle`] — one shard of the index service
+//!   ([`crate::ShardedHandle`]) and its epoch swap: the service routes
+//!   each insert to one shard, where it buffers in the overlay and is
+//!   visible immediately, and readers query lock-free while a writer
+//!   thread builds the successor epoch and publishes it with a pointer
+//!   swap.
+//! * [`ReadSnapshot`] — one shard's frozen view inside the service's
+//!   read session ([`crate::ShardedSnapshot`]): the epoch `Arc` and a
+//!   frozen overlay view cloned under one read guard, so any number of
 //!   point/range/batch/cursor/streaming queries see a single consistent
 //!   version while inserts and fold/refit proceed concurrently (snapshot
 //!   isolation for multi-query read transactions).
 //!
 //! ```no_run
-//! use coax_core::maint::{IndexHandle, Maintainer};
-//! use coax_core::CoaxConfig;
-//! use std::sync::Arc;
+//! use coax_core::{CoaxConfig, ShardedHandle};
 //!
 //! # let dataset = coax_data::Dataset::new(vec![vec![], vec![]]);
-//! let handle = Arc::new(IndexHandle::build(&dataset, &CoaxConfig::default()));
-//! handle.insert(&[1.0, 2.0]).unwrap();      // buffered, immediately visible
-//! let report = handle.drift_report();       // what the stream looks like
-//! let action = handle.maintain();           // fold/refit if the policy says so
+//! let service = ShardedHandle::build(&dataset, &CoaxConfig::default()); // one shard
+//! service.insert(&[1.0, 2.0]).unwrap();     // buffered, immediately visible
+//! let shard = service.shard_handle(0);
+//! let report = shard.drift_report();        // what the stream looks like
+//! let action = shard.maintain();            // fold/refit if the policy says so
 //! # let _ = (report, action);
 //! ```
 

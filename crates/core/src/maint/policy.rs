@@ -9,7 +9,8 @@
 //! every row and rebuilds both partitions — expensive, and the only
 //! answer when the dependency itself has moved.
 //! [`MaintenancePolicy`] maps a [`DriftReport`] to one of them;
-//! [`Maintainer`] runs the loop against an [`IndexHandle`].
+//! [`Maintainer`] runs the loop against one shard ([`IndexHandle`]) of
+//! the index service.
 
 use super::drift::DriftReport;
 use super::handle::IndexHandle;
@@ -99,32 +100,38 @@ pub struct MaintenanceOutcome {
     pub epoch: u64,
 }
 
-/// The maintenance loop: poll the handle's drift monitor, let the policy
-/// decide, execute, publish.
+/// The maintenance loop of one shard: poll the shard's drift monitor,
+/// let the policy decide, execute, publish.
 ///
 /// The maintainer owns no state of its own — everything lives in the
-/// [`IndexHandle`], so any number of maintainers (or ad-hoc
+/// shard's [`IndexHandle`], so any number of maintainers (or ad-hoc
 /// [`IndexHandle::maintain`] calls) can coexist; epoch builds are
-/// serialised inside the handle. Run it from a dedicated writer thread:
+/// serialised inside the handle. Take one per shard from
+/// [`crate::ShardedHandle::maintainers`] and run each on a dedicated
+/// writer thread:
 ///
 /// ```no_run
-/// use coax_core::maint::{IndexHandle, Maintainer};
-/// use coax_core::CoaxConfig;
+/// use coax_core::{CoaxConfig, ShardedHandle};
 /// use std::sync::atomic::AtomicBool;
 /// use std::sync::Arc;
 /// use std::time::Duration;
 ///
 /// # let dataset = coax_data::Dataset::new(vec![vec![], vec![]]);
-/// let handle = Arc::new(IndexHandle::build(&dataset, &CoaxConfig::default()));
+/// let service = ShardedHandle::build(&dataset, &CoaxConfig::default());
 /// let stop = Arc::new(AtomicBool::new(false));
-/// let maintainer = Maintainer::new(Arc::clone(&handle));
-/// let worker = {
-///     let stop = Arc::clone(&stop);
-///     std::thread::spawn(move || maintainer.run(&stop, Duration::from_millis(10)))
-/// };
-/// // ... readers query `handle`, writers insert through it ...
+/// let workers: Vec<_> = service
+///     .maintainers()
+///     .into_iter()
+///     .map(|maintainer| {
+///         let stop = Arc::clone(&stop);
+///         std::thread::spawn(move || maintainer.run(&stop, Duration::from_millis(10)))
+///     })
+///     .collect();
+/// // ... readers query `service`, writers insert through it ...
 /// stop.store(true, std::sync::atomic::Ordering::Relaxed);
-/// worker.join().unwrap();
+/// for worker in workers {
+///     worker.join().unwrap();
+/// }
 /// ```
 #[derive(Clone, Debug)]
 pub struct Maintainer {
@@ -132,7 +139,7 @@ pub struct Maintainer {
 }
 
 impl Maintainer {
-    /// A maintainer driving `handle` under the handle's own policy.
+    /// A maintainer driving the shard `handle` under its own policy.
     pub fn new(handle: Arc<IndexHandle>) -> Self {
         Self { handle }
     }

@@ -10,14 +10,15 @@
 //! * [`QuerySpan`] — per-phase timing of one shard query (overlay scan →
 //!   translate → primary probe → outlier probe), opened where the query
 //!   enters and recorded once when it finishes: five clock reads and at
-//!   most fifteen atomic adds per query through a handle.
+//!   most fifteen atomic adds per shard query.
 //! * [`EventJournal`] — a bounded ring of structural events: epoch
 //!   publishes, fold-vs-refit decisions with their
 //!   [`crate::maint::DriftReport`] scores, overlay copy-on-write
 //!   promotions, batch-pool completions.
 //!
-//! Recording goes through an [`Obs`] recorder carried by `CoaxIndex`
-//! and `IndexHandle` (configured via [`ObsConfig`] in
+//! Recording goes through an [`Obs`] recorder carried by `CoaxIndex`,
+//! each `IndexHandle` shard and the `ShardedHandle` service (configured
+//! via [`ObsConfig`] in
 //! [`crate::CoaxConfig`]). A disabled recorder is a `None` — every
 //! record call is one branch, no clock reads, no atomics — and
 //! instrumentation never touches query results: the equivalence suite
@@ -46,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Observability switch carried in [`crate::CoaxConfig`]. Default is
-/// **on** (a query through a handle costs five clock reads and at most
+/// **on** (a query on one shard costs five clock reads and at most
 /// fifteen atomic adds); construct with [`ObsConfig::disabled`] to
 /// compile every record call down to a single `None` check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,9 +56,11 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// Shard label for every metric, span and journal event this
     /// recorder emits. `None` (the default) records into the unlabelled
-    /// process-wide series; [`crate::shard::ShardedHandle`] sets
-    /// `Some(k)` on shard `k`'s recorder so per-shard latency and epoch
-    /// series stay separable in the export.
+    /// process-wide series. [`crate::shard::ShardedHandle`] labels shard
+    /// `s`'s recorder `shard.unwrap_or(0) + s` (saturating), so
+    /// per-shard latency and epoch series stay separable in the export:
+    /// an unlabelled service's shards record under 0 to N−1, and a
+    /// labelled one-shard service under its own label.
     pub shard: Option<u32>,
 }
 
@@ -163,9 +166,9 @@ impl ObsHandles {
     }
 }
 
-/// The recorder carried by `CoaxIndex` / `IndexHandle`: a cheap-clone
-/// handle bundle when enabled, a `None` when off. Every method below is
-/// a no-op on a disabled recorder.
+/// The recorder carried by `CoaxIndex`, `IndexHandle` and the service: a
+/// cheap-clone handle bundle when enabled, a `None` when off. Every
+/// method below is a no-op on a disabled recorder.
 #[derive(Clone, Debug, Default)]
 pub struct Obs {
     inner: Option<Arc<ObsHandles>>,

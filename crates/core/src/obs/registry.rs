@@ -2,8 +2,8 @@
 //! latency histograms.
 //!
 //! Registration happens once per name (re-registering returns a handle
-//! to the existing cell, so every `IndexHandle` / `CoaxIndex` built in
-//! the process shares one set of cells); the returned handles are
+//! to the existing cell, so every shard / `CoaxIndex` built in the
+//! process shares one set of cells); the returned handles are
 //! cheap `Arc` clones carried into hot paths, where a counter record is
 //! at most one atomic add and a histogram record two. Metric names
 //! follow the grammar enforced by the `obs-naming` static-analysis
@@ -11,11 +11,11 @@
 //! segments (`coax.query.latency_us`).
 //!
 //! Every metric may additionally carry one optional `shard` label
-//! ([`MetricsRegistry::counter_shard`] and friends): a sharded index
-//! service registers one cell per `(name, shard)` pair so per-shard
-//! latency and epoch series stay separable in the export, while the
-//! unlabelled series (`shard == None`) remains the process-wide
-//! aggregate every unsharded handle records into.
+//! ([`MetricsRegistry::counter_shard`] and friends): the index service
+//! registers one cell per `(name, shard)` pair so per-shard latency and
+//! epoch series stay separable in the export, while the unlabelled
+//! series (`shard == None`) is what a bare `CoaxIndex` and an unlabelled
+//! service's own batch recorder write.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -1,9 +1,12 @@
-//! The sharded index service: rows partitioned across N independent
+//! The index service: rows partitioned across N ≥ 1 independent
 //! [`IndexHandle`] shards, queries fanned out and merged.
 //!
-//! A single [`IndexHandle`] serialises every insert behind one overlay
-//! lock and every fold/refit behind one publish point. Sharding removes
-//! that ceiling by partitioning rows on one **shard key** attribute:
+//! [`ShardedHandle`] is the one live service and [`ShardedSnapshot`] its
+//! one read session, whatever the shard count; the default
+//! [`ShardSpec`] is one shard. One [`IndexHandle`] serialises every
+//! insert behind one overlay lock and every fold/refit behind one
+//! publish point. More shards remove that ceiling by partitioning rows on
+//! one **shard key** attribute:
 //!
 //! ```text
 //!                    ShardedHandle
@@ -56,13 +59,14 @@
 //! Results concatenate in **shard order** (shard 0's ids first), with
 //! each shard's internal order preserved; aggregated [`ScanStats`] are
 //! the componentwise [`ScanStats::merge`] of the per-shard stats in the
-//! same order. `matches` and `scanned_pending` therefore always equal
-//! the unsharded handle's (the same rows match and every buffered row is
+//! same order. `matches` and `scanned_pending` therefore equal a
+//! one-shard service's (the same rows match and every buffered row is
 //! scanned exactly once, wherever it lives), while `cells_visited` /
-//! `rows_examined` coincide bit-for-bit at one shard and may differ at
-//! N > 1 (N smaller directories are probed instead of one big one).
-//! Every query surface of the sharded service — single, batch,
-//! streaming, cursor, handle or snapshot — reports **identical** ids and
+//! `rows_examined` may differ at N > 1 (N smaller directories are probed
+//! instead of one big one); at one shard, before any insert, ids, order
+//! and stats are bit-identical to a bare [`CoaxIndex`] built with the
+//! same config. Every query surface of the service — single, batch,
+//! streaming, cursor, live or snapshot — reports **identical** ids and
 //! stats for the same version of the data, whatever the thread count
 //! (pinned by the cross-shard equivalence suite).
 //!
@@ -108,15 +112,15 @@ pub enum ShardKey {
     },
 }
 
-/// Row-partitioning policy carried in [`CoaxConfig::shard`] — the
-/// factory ([`crate::IndexSpec::build`]) builds a [`ShardedHandle`]
-/// when `shards > 1`, a plain index otherwise.
+/// Row-partitioning policy carried in [`CoaxConfig::shard`]: how many
+/// shards [`ShardedHandle`] builds and how rows route to them. The
+/// boxed factory path ([`crate::IndexSpec::build`]) builds the service
+/// when `shards > 1` and a frozen [`CoaxIndex`] otherwise.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// Number of shards; `0` and `1` both mean unsharded layout (a
-    /// single-shard [`ShardedHandle`] is still buildable and is
-    /// bit-identical to the unsharded handle — the equivalence suite's
-    /// anchor case).
+    /// Number of shards; `0` and `1` both mean one shard (the default),
+    /// which before any insert answers bit-identically to a bare
+    /// [`CoaxIndex`] — the equivalence suite's anchor case.
     pub shards: usize,
     /// Shard-key selection and routing policy.
     pub key: ShardKey,
@@ -308,15 +312,17 @@ impl Drop for PublishTicket<'_> {
     }
 }
 
-/// A sharded, live-maintained COAX index service: rows partitioned
-/// across N independent [`IndexHandle`] shards, single/batch/streaming
+/// The live-maintained COAX index service: rows partitioned across
+/// N ≥ 1 independent [`IndexHandle`] shards, single/batch/streaming
 /// queries fanned out and merged back under the module-level stats
-/// contract, inserts routed by the shard key, and maintenance running
-/// per shard so a refit never stalls the other N−1.
+/// contract, inserts validated, routed by the shard key and given their
+/// ids, and maintenance running per shard so a refit never stalls the
+/// other N−1.
 ///
 /// Implements [`MultidimIndex`], so it slots behind the factory and
-/// every spec-driven comparison path exactly like the unsharded handle.
-/// Cheap to clone (one `Arc`).
+/// every spec-driven comparison path like any frozen index — queries
+/// just also see the shards' insert overlays, charged to
+/// [`ScanStats::scanned_pending`]. Cheap to clone (one `Arc`).
 #[derive(Clone, Debug)]
 pub struct ShardedHandle {
     core: Arc<ShardState>,
@@ -372,10 +378,12 @@ impl ShardedHandle {
             .map(|(s, rows)| {
                 let mut shard_config = config.clone();
                 // The shard is a leaf: no nested sharding, shard-labelled
-                // observability, and the inner batch engine stays on its
-                // calling thread — the service's pool fans out instead.
+                // observability (labels count up from the config's own,
+                // 0 when unlabelled), and the inner batch engine stays on
+                // its calling thread — the service's pool fans out instead.
                 shard_config.shard = ShardSpec::default();
-                shard_config.obs = config.obs.for_shard(s as u32);
+                let label = config.obs.shard.unwrap_or(0).saturating_add(s as u32);
+                shard_config.obs = config.obs.for_shard(label);
                 shard_config.exec.batch_threads = 1;
                 Arc::new(IndexHandle::new(CoaxIndex::build_with_ids(
                     &dataset.take_rows(rows),
@@ -409,10 +417,12 @@ impl ShardedHandle {
         self.core.key_dim
     }
 
-    /// The shard `row` routes to.
-    pub fn route(&self, row: &[Value]) -> usize {
-        debug_assert_eq!(row.len(), self.core.dims);
-        self.core.router.route(row)
+    /// The shard `row` routes to, after the checks an insert runs: a row
+    /// that is not `dims` finite values is refused with the
+    /// [`InsertError`] [`ShardedHandle::insert`] returns for it.
+    pub fn route(&self, row: &[Value]) -> Result<usize, InsertError> {
+        check_row(self.core.dims, row)?;
+        Ok(self.core.router.route(row))
     }
 
     /// Shard `s`'s live handle — hang a per-shard [`Maintainer`] off it,
@@ -455,10 +465,9 @@ impl ShardedHandle {
     /// [`InsertError::IdsExhausted`].
     pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
         let core = &*self.core;
-        // Routing reads the key attribute: validate first.
-        check_row(core.dims, row)?;
+        let shard = self.route(row)?;
         let mut ticket = None;
-        let result = core.handles[core.router.route(row)].insert_with(row, |_| {
+        let result = core.handles[shard].insert_with(row, || {
             let gid = core.next_global.fetch_add(1, Ordering::Relaxed);
             ticket = Some(PublishTicket { watermark: &core.published, gid });
             RowId::try_from(gid).map_err(|_| InsertError::IdsExhausted)
@@ -538,13 +547,13 @@ impl MultidimIndex for ShardedHandle {
         self.snapshot().for_each_entry(f)
     }
 
-    /// Per-shard directory and model overhead.
+    /// Per-shard directory and model overhead of the current epochs.
     fn memory_overhead(&self) -> usize {
-        self.core.handles.iter().map(|h| h.memory_overhead()).sum()
+        self.snapshot().memory_overhead()
     }
 }
 
-/// One consistent cross-shard read session: a vector of per-shard
+/// The service's one read session: a vector of per-shard
 /// [`ReadSnapshot`]s taken in one pass, cut at the publish watermark
 /// loaded before the capture. Every query through it — point, range,
 /// batch, cursor, streaming — sees exactly the captured per-shard
@@ -610,12 +619,10 @@ impl MultidimIndex for ShardedSnapshot {
     }
 
     /// Rows below the cut: each shard's captured rows whose ids lie
-    /// below it.
+    /// below it (every captured row when the session carries no cut).
     fn len(&self) -> usize {
-        match self.cut {
-            None => self.shards.iter().map(|s| s.len()).sum(),
-            Some(cut) => self.shards.iter().map(|s| s.len_below(cut)).sum(),
-        }
+        let cut = self.cut.unwrap_or(u64::MAX);
+        self.shards.iter().map(|s| s.len_below(cut)).sum()
     }
 
     /// Fan-out over the frozen per-shard snapshots, merge, cut — same
@@ -625,8 +632,9 @@ impl MultidimIndex for ShardedSnapshot {
             .query_shards(self.cut, out, |s, ids| self.shards[s].range_query_stats(query, ids))
     }
 
-    /// Streaming override: one merged cursor chaining the shards'
-    /// snapshot cursors in shard order, each chunk cut as it flows.
+    /// Streaming override: one merged cursor chaining each shard's
+    /// overlay chunk and epoch plan cursor in shard order, each chunk cut
+    /// as it flows.
     /// Collected ids, order, and stats are identical to
     /// [`ShardedSnapshot::range_query_stats`].
     fn range_query_cursor(&self, query: &RangeQuery) -> RowCursor<'_> {
@@ -634,7 +642,7 @@ impl MultidimIndex for ShardedSnapshot {
             session: self,
             query: query.clone(),
             shard: 0,
-            current: None,
+            epoch: None,
         }))
     }
 
@@ -660,45 +668,45 @@ impl MultidimIndex for ShardedSnapshot {
     }
 
     fn memory_overhead(&self) -> usize {
-        self.shards.iter().map(|s| s.memory_overhead()).sum()
+        self.shards.iter().map(|s| s.frozen().memory_overhead()).sum()
     }
 }
 
 /// The incremental scan behind [`ShardedSnapshot::range_query_cursor`]:
-/// shard 0's snapshot cursor chunk by chunk, then shard 1's, …, each
-/// chunk cut at the session's watermark.
+/// per shard in shard order, the overlay chunk and then the epoch's plan
+/// cursor chunk by chunk, each chunk cut at the session's watermark.
 struct ShardedCursor<'a> {
     session: &'a ShardedSnapshot,
     query: RangeQuery,
     shard: usize,
-    current: Option<RowCursor<'a>>,
+    /// The current shard's epoch cursor, opened with its overlay chunk.
+    epoch: Option<RowCursor<'a>>,
 }
 
 impl CursorSource for ShardedCursor<'_> {
     fn next_chunk(&mut self, out: &mut Vec<RowId>, stats: &mut ScanStats) -> bool {
         let session = self.session;
-        loop {
-            if self.shard >= session.shards.len() {
-                return false;
-            }
-            let cur = match &mut self.current {
-                Some(cur) => cur,
-                None => {
-                    self.current =
-                        Some(session.shards[self.shard].range_query_cursor(&self.query));
-                    continue;
-                }
-            };
+        while let Some(snap) = session.shards.get(self.shard) {
             let start = out.len();
-            if exec::forward_chunk(cur, out, stats) {
-                if let Some(cut) = session.cut {
-                    drop_unpublished(cut, out, start, stats);
+            match &mut self.epoch {
+                None => {
+                    *stats = stats.merge(snap.overlay_chunk(&self.query, out));
+                    self.epoch = Some(snap.frozen().range_query_cursor(&self.query));
                 }
-                return true;
+                Some(cur) => {
+                    if !exec::forward_chunk(cur, out, stats) {
+                        self.epoch = None;
+                        self.shard += 1;
+                        continue;
+                    }
+                }
             }
-            self.current = None;
-            self.shard += 1;
+            if let Some(cut) = session.cut {
+                drop_unpublished(cut, out, start, stats);
+            }
+            return true;
         }
+        false
     }
 }
 
@@ -782,7 +790,7 @@ mod tests {
         let id = sharded.insert(&row).expect("valid row");
         assert_eq!(id as usize, ds.len());
         assert!(sharded.point_query(&row).contains(&id));
-        // Validation mirrors the unsharded handle, before id allocation.
+        // Validation runs before routing and id allocation.
         assert_eq!(
             sharded.insert(&[1.0]),
             Err(InsertError::WrongArity { expected: 2, got: 1 })
@@ -811,6 +819,57 @@ mod tests {
         assert_eq!(sharded.len(), max as usize + 1);
         assert_eq!(sharded.pending_len(), 1, "a refused insert buffers nothing");
         assert!(sharded.point_query(&row).contains(&RowId::MAX));
+    }
+
+    #[test]
+    fn route_refuses_bad_rows_and_names_the_shard_an_insert_grows() {
+        let ds = planted(1500, 19);
+        let sharded = ShardedHandle::build(
+            &ds,
+            &CoaxConfig { shard: ShardSpec::hash(3, 0), ..Default::default() },
+        );
+        assert_eq!(sharded.route(&[1.0]), Err(InsertError::WrongArity { expected: 2, got: 1 }));
+        assert_eq!(
+            sharded.route(&[1.0, 2.0, 3.0]),
+            Err(InsertError::WrongArity { expected: 2, got: 3 })
+        );
+        assert_eq!(sharded.route(&[f64::NAN, 12.0]), Err(InsertError::NonFinite));
+        assert_eq!(sharded.route(&[1.0, f64::INFINITY]), Err(InsertError::NonFinite));
+        for i in 0..12 {
+            let x = (i * 83 % 1000) as f64;
+            let row = [x, 2.0 * x + 10.0];
+            let shard = sharded.route(&row).expect("valid row");
+            let lens = |s: &ShardedHandle| -> Vec<usize> {
+                (0..3).map(|t| s.shard_handle(t).len()).collect()
+            };
+            let mut expected = lens(&sharded);
+            expected[shard] += 1;
+            sharded.insert(&row).expect("valid row");
+            assert_eq!(lens(&sharded), expected, "row {i} routed to shard {shard}");
+        }
+    }
+
+    #[test]
+    fn shard_labels_count_up_from_the_configured_label() {
+        use crate::obs::{MetricsRegistry, ObsConfig};
+        const N: u64 = 9;
+        let ds = planted(1000, 20);
+        let sharded = ShardedHandle::build(
+            &ds,
+            &CoaxConfig {
+                shard: ShardSpec::hash(2, 0),
+                obs: ObsConfig::default().for_shard(9_000),
+                ..Default::default()
+            },
+        );
+        let registry = MetricsRegistry::global();
+        let count = |label| registry.counter_shard("coax.query.count", Some(label)).get();
+        let before = (count(9_000), count(9_001));
+        for r in 0..N as RowId {
+            sharded.point_query(&ds.row(r));
+        }
+        // Every live query visits both shards: N spans under each label.
+        assert_eq!((count(9_000), count(9_001)), (before.0 + N, before.1 + N));
     }
 
     #[test]
@@ -926,7 +985,9 @@ mod tests {
             loop {
                 let finished = done.load(Ordering::Acquire) == WRITERS;
                 let snap = sharded.snapshot();
-                let key = ((0..3).map(|s| snap.shard(s).len()).collect(), snap.len());
+                let captured =
+                    |s: usize| snap.shard(s).frozen().len() + snap.shard(s).pending_len();
+                let key = ((0..3).map(captured).collect(), snap.len());
                 if taken.last().is_none_or(|(last, _)| *last != key) {
                     taken.push((key, snap));
                 }

@@ -12,7 +12,6 @@
 
 use crate::discovery::{discover, Discovery};
 use crate::index::{CoaxConfig, CoaxIndex, PrimaryBackend};
-use crate::maint::IndexHandle;
 use crate::shard::ShardedHandle;
 use coax_data::Dataset;
 use coax_index::{BackendSpec, MultidimIndex};
@@ -53,7 +52,7 @@ impl IndexSpec {
     /// This spec with the given batch-execution policy
     /// ([`CoaxConfig::exec`]) — the factory-level parallelism knob: the
     /// built index's `batch_query` fans out accordingly, and so does a
-    /// live handle from [`IndexSpec::build_handle`]. Substrate specs
+    /// live service from [`IndexSpec::build_service`]. Substrate specs
     /// have no batch engine and are returned unchanged.
     pub fn with_exec(mut self, exec: crate::ExecConfig) -> Self {
         if let IndexSpec::Coax { config, .. } = &mut self {
@@ -90,19 +89,19 @@ impl IndexSpec {
         }
     }
 
-    /// Builds the sharded service if this spec describes a COAX config
-    /// with more than one shard — the concrete-typed counterpart of
-    /// [`IndexSpec::build`]'s sharded path, for callers that need the
-    /// shard API (per-shard maintainers, cross-shard snapshots, routing).
-    pub fn build_sharded(&self, dataset: &Dataset) -> Option<ShardedHandle> {
+    /// Builds the live-maintained index service if this spec describes a
+    /// COAX index, with as many shards as its [`CoaxConfig::shard`] asks
+    /// for (one by default) and the [`CoaxConfig::maintenance`] policy it
+    /// carries — the factory's entry to inserts, per-shard maintainers,
+    /// read sessions and routing. Substrate specs have no insert path and
+    /// return `None`.
+    pub fn build_service(&self, dataset: &Dataset) -> Option<ShardedHandle> {
         match self {
-            IndexSpec::Coax { config, discovery } if config.shard.count() > 1 => {
-                Some(match discovery {
-                    Some(d) => ShardedHandle::build_with_discovery(dataset, d.clone(), config),
-                    None => ShardedHandle::build(dataset, config),
-                })
-            }
-            _ => None,
+            IndexSpec::Backend(_) => None,
+            IndexSpec::Coax { config, discovery } => Some(match discovery {
+                Some(d) => ShardedHandle::build_with_discovery(dataset, d.clone(), config),
+                None => ShardedHandle::build(dataset, config),
+            }),
         }
     }
 
@@ -120,14 +119,6 @@ impl IndexSpec {
                 None => CoaxIndex::build(dataset, config),
             }),
         }
-    }
-
-    /// Builds a live-maintained [`IndexHandle`] if this spec describes a
-    /// COAX index — the factory's entry to the [`crate::maint`] layer,
-    /// using the [`CoaxConfig::maintenance`] policy carried in the spec's
-    /// config. Substrate specs have no insert path and return `None`.
-    pub fn build_handle(&self, dataset: &Dataset) -> Option<IndexHandle> {
-        self.build_coax(dataset).map(IndexHandle::new)
     }
 
     /// Whether building over `dataset` stays inside every builder
@@ -249,25 +240,26 @@ mod tests {
         assert_eq!(boxed.name(), spec.name());
         assert_eq!(boxed.len(), 400);
         assert_eq!(boxed.range_query(&RangeQuery::unbounded(2)).len(), 400);
-        let sharded = spec.build_sharded(&ds).expect("sharded spec");
+        let sharded = spec.build_service(&ds).expect("sharded spec");
         assert_eq!(sharded.shard_count(), 3);
-        // Unsharded specs keep the plain paths.
+        // Unsharded specs keep the plain boxed path; their service has
+        // one shard.
         let plain = IndexSpec::coax(CoaxConfig::default());
         assert_eq!(plain.name(), "coax");
-        assert!(plain.build_sharded(&ds).is_none());
+        assert_eq!(plain.build(&ds).name(), "coax");
+        assert_eq!(plain.build_service(&ds).expect("coax spec").shard_count(), 1);
     }
 
     #[test]
     fn factory_builds_maintained_handles_for_coax_only() {
-        use coax_index::MultidimIndex;
         let ds = UniformConfig::cube(2, 300, 81).generate();
-        let handle = IndexSpec::coax(CoaxConfig::default())
-            .build_handle(&ds)
-            .expect("coax spec yields a handle");
-        assert_eq!(handle.len(), 300);
-        handle.insert(&[0.5, 0.5]).expect("handle accepts inserts");
-        assert_eq!(handle.len(), 301);
-        assert!(IndexSpec::from(BackendSpec::FullScan).build_handle(&ds).is_none());
+        let service = IndexSpec::coax(CoaxConfig::default())
+            .build_service(&ds)
+            .expect("coax spec yields a service");
+        assert_eq!(service.len(), 300);
+        service.insert(&[0.5, 0.5]).expect("service accepts inserts");
+        assert_eq!(service.len(), 301);
+        assert!(IndexSpec::from(BackendSpec::FullScan).build_service(&ds).is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! strategies covered.
 
 use coax_core::learn::split_rows;
-use coax_core::{CoaxConfig, CoaxIndex, IndexHandle, SplineFdModel};
+use coax_core::{CoaxConfig, CoaxIndex, ShardedHandle, SplineFdModel};
 use coax_data::synth::{Generator, PlantedConfig, PlantedDependent, PlantedGroup};
 use coax_data::{Dataset, RangeQuery};
 use coax_index::{FullScan, MultidimIndex};
@@ -242,21 +242,21 @@ fn insert_then_query_round_trip() {
     let mut rng = StdRng::seed_from_u64(0xC0_07);
     for _ in 0..12 {
         let ds = random_planted(&mut rng);
-        let handle = IndexHandle::build(&ds, &small_config(1024));
+        let service = ShardedHandle::build(&ds, &small_config(1024));
         let mut inserted = Vec::new();
         for _ in 0..rng.gen_range(0usize..20) {
             let len = rng.gen_range(0usize..8);
             let candidate: Vec<f64> =
                 (0..len).map(|_| rng.gen_range(-500.0f64..1500.0)).collect();
             if candidate.len() == ds.dims() {
-                let id = handle.insert(&candidate).unwrap();
+                let id = service.insert(&candidate).unwrap();
                 inserted.push((id, candidate));
             } else {
-                assert!(handle.insert(&candidate).is_err());
+                assert!(service.insert(&candidate).is_err());
             }
         }
         for (id, row) in &inserted {
-            let hits = handle.range_query(&RangeQuery::point(row));
+            let hits = service.range_query(&RangeQuery::point(row));
             assert!(hits.contains(id));
         }
     }

@@ -8,7 +8,7 @@
 
 use coax_core::obs::MetricsRegistry;
 use coax_core::{
-    CoaxConfig, CoaxIndex, ExecConfig, IndexHandle, ObsConfig, OutlierBackend, PrimaryBackend,
+    CoaxConfig, CoaxIndex, ExecConfig, ObsConfig, OutlierBackend, PrimaryBackend, ShardedHandle,
 };
 use coax_data::synth::{Generator, PlantedConfig, PlantedDependent, PlantedGroup};
 use coax_data::workload::{knn_rectangle_queries, point_queries};
@@ -135,7 +135,7 @@ fn coax_batch_through_boxed_trait_object() {
 }
 
 /// A custom outlier backend under the batch engine. Inserted rows live
-/// in a handle's overlay, not in the index: batch == loop over an
+/// in a shard's overlay, not in the index: batch == loop over an
 /// overlay is pinned on the snapshot surfaces of
 /// `duplicate_copies_across_chunks_match_the_loop_on_every_surface`.
 #[test]
@@ -239,24 +239,28 @@ fn batch_results_identical_across_thread_counts_and_duplicates() {
 
 /// Duplicate-heavy batches whose copies straddle chunk boundaries
 /// (`chunk_size` 3) on 1, 2 and 4 workers: the materialized batch, the
-/// scoped stream and a snapshot's detached stream each deliver
-/// every query exactly once, with ids (in order) and stats equal to the
-/// one-at-a-time loop — overlay rows included, and with an empty
-/// overlay too.
+/// scoped stream and a snapshot's batch and detached stream (one service
+/// per configuration) each deliver every query exactly once, with ids
+/// (in order) and stats equal to the one-at-a-time loop — overlay rows
+/// included, and with an empty overlay too.
 #[test]
 fn duplicate_copies_across_chunks_match_the_loop_on_every_surface() {
     let ds = planted(8_000, 194);
     let queries = duplicate_heavy(&ds);
-    let handle = IndexHandle::build(&ds, &CoaxConfig::default());
-    let empty_overlay = handle.snapshot();
-    for i in 0..30 {
-        let x = (i as f64 * 31.9) % 1000.0;
-        let y = if i % 5 == 0 { 2.0 * x + 700.0 } else { 2.0 * x + 25.0 };
-        handle.insert(&[x, y, 40.0]).expect("finite row of the right arity");
-    }
-    let with_overlay = handle.snapshot();
-    assert!(with_overlay.pending_len() > empty_overlay.pending_len());
-    let index = with_overlay.frozen();
+    // A service under `exec`, snapshotted before and after 30 inserts.
+    let sessions = |exec: ExecConfig| {
+        let service = ShardedHandle::build(&ds, &CoaxConfig { exec, ..Default::default() });
+        let empty_overlay = service.snapshot();
+        for i in 0..30 {
+            let x = (i as f64 * 31.9) % 1000.0;
+            let y = if i % 5 == 0 { 2.0 * x + 700.0 } else { 2.0 * x + 25.0 };
+            service.insert(&[x, y, 40.0]).expect("finite row of the right arity");
+        }
+        [empty_overlay, service.snapshot()]
+    };
+    let [empty_overlay, with_overlay] = sessions(ExecConfig::default());
+    assert!(with_overlay.shard(0).pending_len() > empty_overlay.shard(0).pending_len());
+    let index = with_overlay.shard(0).frozen();
     let index_loop = loop_results(index, &queries);
 
     for threads in [1usize, 2, 4] {
@@ -275,13 +279,13 @@ fn duplicate_copies_across_chunks_match_the_loop_on_every_surface() {
             &index_loop,
             streamed,
         );
-        for snapshot in [&empty_overlay, &with_overlay] {
+        for snapshot in &sessions(config) {
             let snapshot_loop = loop_results(snapshot, &queries);
-            let label = format!("{label}, overlay={}", snapshot.pending_len());
+            let label = format!("{label}, overlay={}", snapshot.shard(0).pending_len());
             assert_delivered_once(
                 &format!("snapshot stream {label}"),
                 &snapshot_loop,
-                snapshot.batch_query_streaming_with(&queries, config),
+                snapshot.batch_query_streaming(&queries),
             );
             assert_delivered_once(
                 &format!("snapshot batch {label}"),
@@ -292,7 +296,8 @@ fn duplicate_copies_across_chunks_match_the_loop_on_every_surface() {
     }
 }
 
-/// Shard label of the index below: no other test in this binary records
+/// Shard label of the one-shard service below (its shard 0 records under
+/// the configured label itself): no other test in this binary records
 /// into it, so its cells count this test's batches only.
 const COPIES_SHARD: u32 = 7_013;
 
@@ -305,8 +310,8 @@ fn a_batch_of_copies_translates_once() {
     let ds = planted(5_000, 195);
     let config =
         CoaxConfig { obs: ObsConfig::default().for_shard(COPIES_SHARD), ..Default::default() };
-    let handle = IndexHandle::build(&ds, &config);
-    let snapshot = handle.snapshot();
+    let service = ShardedHandle::build(&ds, &config);
+    let snapshot = service.snapshot();
     let mut q = RangeQuery::unbounded(3);
     q.constrain(1, 400.0, 520.0);
     let copies = vec![q.clone(); 8];
@@ -317,7 +322,7 @@ fn a_batch_of_copies_translates_once() {
     let count = registry.counter_shard("coax.query.count", Some(COPIES_SHARD));
     let answered = registry.counter_shard("coax.batch.queries", Some(COPIES_SHARD));
     let surfaces: [(&str, &dyn Fn() -> Vec<coax_index::QueryResult>); 3] = [
-        ("frozen batch_query", &|| snapshot.frozen().batch_query(&copies)),
+        ("frozen batch_query", &|| snapshot.shard(0).frozen().batch_query(&copies)),
         ("snapshot batch_query", &|| snapshot.batch_query(&copies)),
         ("snapshot stream", &|| {
             let mut results = vec![coax_index::QueryResult::default(); copies.len()];

@@ -11,7 +11,7 @@
 //! heavy-tail, and uniform.
 
 use coax_core::obs::{bucket_of, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
-use coax_core::{CoaxConfig, IndexHandle, ObsConfig};
+use coax_core::{CoaxConfig, ObsConfig, ShardedHandle};
 use coax_data::synth::{Generator, LinearPairConfig};
 use coax_data::RangeQuery;
 use coax_index::MultidimIndex;
@@ -193,8 +193,9 @@ fn registry_hammering_yields_monotone_untorn_snapshots() {
     assert_eq!(hist.max_us, max, "histogram lost its maximum under contention");
 }
 
-/// Shard label of the handle below: no other test in this binary
-/// records into the global registry, so these cells are its own.
+/// Shard label of the one-shard service below (its shard 0 records under
+/// the configured label itself): no other test in this binary records
+/// into the global registry, so these cells are its own.
 const SURFACE_SHARD: u32 = 7_001;
 
 /// Snapshots every per-query histogram of `shard`: the four phases,
@@ -212,8 +213,8 @@ fn query_histograms(shard: u32) -> Vec<HistogramSnapshot> {
     .collect()
 }
 
-/// One query through the handle, a `ReadSnapshot` or the frozen
-/// `CoaxIndex` is one span: every phase histogram it marks, the latency
+/// One query through the live service, its `ShardedSnapshot` or the
+/// frozen `CoaxIndex` is one span: every phase histogram it marks, the latency
 /// histogram and `coax.query.count` grow by exactly one (the frozen
 /// epoch has no overlay and marks no pending scan), the latency covers
 /// the phases, and the counters carry the stats the caller got (overlay
@@ -231,18 +232,18 @@ fn each_surface_records_one_span_per_query() {
         })
         .collect();
     let build = |obs: ObsConfig| {
-        let handle = IndexHandle::build(&ds, &CoaxConfig { obs, ..Default::default() });
+        let service = ShardedHandle::build(&ds, &CoaxConfig { obs, ..Default::default() });
         for i in 0..25 {
             let x = i as f64 * 37.0;
-            handle.insert(&[x, 2.0 * x + 50.0]).expect("finite row of the right arity");
+            service.insert(&[x, 2.0 * x + 50.0]).expect("finite row of the right arity");
         }
-        handle
+        service
     };
 
-    let handle = build(ObsConfig::default().for_shard(SURFACE_SHARD));
-    let snapshot = handle.snapshot();
+    let service = build(ObsConfig::default().for_shard(SURFACE_SHARD));
+    let snapshot = service.snapshot();
     let surfaces: [(&str, &dyn MultidimIndex); 3] =
-        [("handle", &handle), ("snapshot", &snapshot), ("frozen", snapshot.frozen())];
+        [("live", &service), ("snapshot", &snapshot), ("frozen", snapshot.shard(0).frozen())];
     let registry = MetricsRegistry::global();
     let count = registry.counter_shard("coax.query.count", Some(SURFACE_SHARD));
     let matches = registry.counter_shard("coax.query.matches", Some(SURFACE_SHARD));
@@ -286,12 +287,12 @@ fn each_surface_records_one_span_per_query() {
     }
 
     let before = registry.snapshot();
-    let handle = build(ObsConfig::disabled());
-    let snapshot = handle.snapshot();
+    let service = build(ObsConfig::disabled());
+    let snapshot = service.snapshot();
     for q in &queries {
-        handle.range_query_stats(q, &mut Vec::new());
+        service.range_query_stats(q, &mut Vec::new());
         snapshot.range_query_stats(q, &mut Vec::new());
-        snapshot.frozen().range_query_stats(q, &mut Vec::new());
+        snapshot.shard(0).frozen().range_query_stats(q, &mut Vec::new());
     }
     let after = registry.snapshot();
     assert_eq!(after.len(), before.len(), "a disabled build registered metrics");

@@ -4,15 +4,24 @@
 //! part-level reporting methods — runs the same three-step sequence over
 //! a frozen epoch:
 //!
-//! 1. **translate** the user query into a [`QueryPlan`]: disjoint
-//!    navigation rectangles for the primary index (Eq. 2, multi-interval
-//!    for non-monotone splines) plus the original query as the exact
-//!    filter;
+//! 1. **plan** the user query into a [`QueryPlan`]: disjoint navigation
+//!    rectangles for the primary index (Eq. 2, multi-interval for
+//!    non-monotone splines) plus the original query as the exact filter,
+//!    and the partitions a match can live in. A query that pins every
+//!    model's pair to one point (§8.2.1's point query) is decided from
+//!    the point alone: its matches sit in the primary iff every model
+//!    contains the point, so it probes exactly one partition and needs no
+//!    translation;
 //! 2. **probe the primary** index with each navigation rectangle,
 //!    filtering rows against the original query;
 //! 3. **probe the outlier** index with the original query (margins mean
-//!    nothing to outliers). Both partitions store and emit the rows' own
-//!    ids, so results concatenate with no id translation.
+//!    nothing to outliers), unless the plan ruled the outliers out. Both
+//!    partitions store and emit the rows' own ids, so results
+//!    concatenate with no id translation.
+//!
+//! The materialized executor, the plan cursor and the batch engine all
+//! read the one plan, so they skip the same probes and report the same
+//! [`ScanStats`]; a skipped probe still marks its span phase.
 //!
 //! Rows inserted since the epoch was built live in the overlay of its
 //! shard ([`crate::maint::IndexHandle`]), which the shard's live read and
@@ -95,19 +104,52 @@ pub const NAV_FAN_OUT_CAP: usize = 8;
 /// Produced once per query by [`CoaxIndex::plan`]; executing it any
 /// number of times performs no further translation work — the batch path
 /// plans every query up front and then executes the plans.
+///
+/// The plan also decides which partitions a match can live in, so every
+/// executor — materialized, cursor, batch — probes
+/// the same ones. A query **pins** a model when it sets `lo == hi` on
+/// both the model's predictor and its dependent. A row is primary iff
+/// every model contains its `(x, y)` pair (the build's split, an
+/// insert's margin verdict, kept by a fold and re-taken by a refit), and
+/// a query that pins every model matches only rows with exactly its
+/// pairs, so all its matches sit in one partition:
+///
+/// * every model contains its pair: the primary alone, navigated with
+///   the query itself — no translation, no outlier probe;
+/// * some model rejects its pair: the outliers alone — no primary probe;
+/// * any model left unpinned: both, through [`translate_all`].
+///
+/// With no models every query pins them all vacuously: nothing is ever
+/// split off, the outlier partition stays empty and is never probed.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     /// Disjoint navigation rectangles for the primary index. Empty means
-    /// translation proved no in-margin row can match.
+    /// no in-margin row can match.
     navs: Vec<RangeQuery>,
     /// The original query: the exact filter for every partition.
     filter: RangeQuery,
+    /// Whether the outlier partition can hold a match (`false` only for
+    /// a query whose pinned pairs every model contains).
+    outliers: bool,
 }
 
 impl QueryPlan {
-    /// Translates `query` against the discovered correlation groups.
+    /// Plans `query` against the discovered correlation groups: decides
+    /// the partitions a match can live in, and translates the query when
+    /// that takes more than its pinned pairs.
     pub fn new(query: &RangeQuery, groups: &[CorrelationGroup]) -> Self {
-        Self { navs: translate_all(query, groups, NAV_FAN_OUT_CAP), filter: query.clone() }
+        let models = || groups.iter().flat_map(|g| &g.models);
+        let pinned = |d: usize| query.lo(d) == query.hi(d);
+        let pins_every_model = models().all(|m| pinned(m.predictor()) && pinned(m.dependent()));
+        let (navs, outliers) = if !pins_every_model {
+            (translate_all(query, groups, NAV_FAN_OUT_CAP), true)
+        } else if models().all(|m| m.contains(query.lo(m.predictor()), query.lo(m.dependent())))
+        {
+            (vec![query.clone()], false)
+        } else {
+            (Vec::new(), true)
+        };
+        Self { navs, filter: query.clone(), outliers }
     }
 
     /// The navigation rectangles the primary probe will use.
@@ -120,10 +162,16 @@ impl QueryPlan {
         &self.filter
     }
 
-    /// `true` if translation proved the primary partition holds no match
+    /// `true` if the plan proved the primary partition holds no match
     /// (the primary probe will be skipped entirely).
     pub fn primary_pruned(&self) -> bool {
         self.navs.iter().all(RangeQuery::is_empty)
+    }
+
+    /// `true` if the plan proved the outlier partition holds no match
+    /// (the outlier probe will be skipped entirely).
+    pub fn outliers_pruned(&self) -> bool {
+        !self.outliers
     }
 }
 
@@ -145,9 +193,9 @@ pub(crate) fn probe_primary(
     stats
 }
 
-/// Runs a full plan: primary probe, then outlier probe, with per-part
-/// counters. Marks each phase on the caller's `span`, which the caller
-/// finishes.
+/// Runs a full plan: primary probe, then outlier probe where the plan
+/// says a match can live, with per-part counters. Marks each phase on
+/// the caller's `span`, which the caller finishes.
 pub(crate) fn execute(
     index: &CoaxIndex,
     plan: &QueryPlan,
@@ -156,7 +204,13 @@ pub(crate) fn execute(
 ) -> CoaxQueryStats {
     let primary = probe_primary(index, plan, out);
     span.phase(QueryPhase::PrimaryProbe);
-    let outliers = index.outliers.range_query_stats(plan.filter(), out);
+    // A skipped probe still marks its phase, so every span records the
+    // same phases in the same order.
+    let outliers = if plan.outliers {
+        index.outliers.range_query_stats(plan.filter(), out)
+    } else {
+        ScanStats::default()
+    };
     span.phase(QueryPhase::OutlierProbe);
     CoaxQueryStats { primary, outliers }
 }
@@ -188,10 +242,11 @@ pub(crate) fn answer_batched(
 
 /// Streaming counterpart of [`execute`]: a [`RowCursor`] that chains the
 /// primary probe (one sub-cursor per navigation rectangle) and the
-/// outlier probe — in exactly the order [`execute`] appends them, with
-/// the same counters, so collecting the cursor reproduces the
-/// materialized call bit for bit. First results leave as soon as the
-/// primary backend's own cursor produces its first populated chunk.
+/// outlier probe when the plan keeps it — in exactly the order
+/// [`execute`] appends them, with the same counters, so collecting the
+/// cursor reproduces the materialized call bit for bit. First results
+/// leave as soon as the primary backend's own cursor produces its first
+/// populated chunk.
 pub(crate) fn plan_cursor(index: &CoaxIndex, plan: QueryPlan) -> RowCursor<'_> {
     RowCursor::new(Box::new(PlanCursor {
         index,
@@ -264,9 +319,10 @@ impl CursorSource for PlanCursor<'_> {
                                     .range_query_filtered_cursor(nav, self.plan.filter()),
                             );
                         }
-                        None => {
+                        None if self.plan.outliers => {
                             self.stage = PlanStage::Outliers { cursor: None };
                         }
+                        None => self.stage = PlanStage::Done,
                     }
                 }
                 PlanStage::Outliers { cursor } => {

@@ -18,9 +18,11 @@
 //!    into constraints on their predictors, intersected with the direct
 //!    constraints.
 //! 6. [`exec`] — the shared query-execution layer: a query becomes a
-//!    [`exec::QueryPlan`] (translate once), executed uniformly for
-//!    single and batched queries over a frozen epoch: probe primary →
-//!    probe outliers. Every surface's batches go through one batch
+//!    [`exec::QueryPlan`] (planned once: a point that pins every model
+//!    probes only the partition it lives in, anything else is
+//!    translated), executed uniformly for single and batched queries
+//!    over a frozen epoch: probe primary → probe outliers. Every
+//!    surface's batches go through one batch
 //!    engine, which deduplicates value-equal queries, answers each
 //!    distinct query once through the surface's single-query path
 //!    (translating it once), and runs chunks on the exec layer's one
@@ -65,9 +67,10 @@
 //!     [`shard::ShardedHandle`] partitions rows across N ≥ 1 independent
 //!     [`maint::IndexHandle`] shards (one by default) on a
 //!     correlation-aware shard key ([`shard::ShardSpec`] in
-//!     [`CoaxConfig`]), validates, routes and numbers every insert, fans
-//!     single / batch / streaming queries out across the shards, and
-//!     merges results and [`coax_index::ScanStats`] in shard order.
+//!     [`CoaxConfig`]), validates, routes and numbers every insert,
+//!     reads single / batch / streaming queries from the shards that can
+//!     hold a match, and merges results and [`coax_index::ScanStats`] in
+//!     shard order.
 //!     Every shard stores its rows under their global ids, so no layer
 //!     translates an id between insert and result. Each shard keeps its
 //!     own epoch and maintenance loop — a refit on one shard never stalls

@@ -1,5 +1,6 @@
 //! The index service: rows partitioned across N ≥ 1 independent
-//! [`IndexHandle`] shards, queries fanned out and merged.
+//! [`IndexHandle`] shards, queries routed to the shards that can hold a
+//! match and merged.
 //!
 //! [`ShardedHandle`] is the one live service and [`ShardedSnapshot`] its
 //! one read session, whatever the shard count; the default
@@ -18,9 +19,10 @@
 //!      │ epoch e₀     │ epoch e₁     │ epoch e₂     │   overlays, drift
 //!      │ (global ids) │ (global ids) │ (global ids) │   monitors
 //!      └──────┬───────┴──────┬───────┴──────┬───────┘
-//!             └── fan out query, cut at the publish
-//!                 watermark, concatenate in shard order,
-//!                 merge ScanStats componentwise ──▶ one result
+//!             └── shards_for(query) ── the shards a match can live in;
+//!                 read those, cut at the publish watermark,
+//!                 concatenate in shard order, merge ScanStats
+//!                 componentwise ──▶ one result
 //! ```
 //!
 //! * **Shard-key selection** is correlation-aware: by default
@@ -54,30 +56,58 @@
 //!   no id at or above the watermark had been allocated by the end of its
 //!   capture, so reads without concurrent inserts pay nothing.
 //!
+//! # Routing reads
+//!
+//! A row's shard is a function of its key alone, so the router also
+//! names, from the query alone, the shards a match can live in
+//! ([`ShardedHandle::shards_for`]), and every read surface visits only
+//! those:
+//!
+//! * a **hash** key names one shard when the query pins the key to one
+//!   value (`lo == hi`, a point query), and every shard otherwise;
+//! * a **range** key names the shards from `route(lo)` to `route(hi)`
+//!   when `lo <= hi`, and every shard otherwise.
+//!
+//! Keys are routed as `key + 0.0`, in `route`, in `shards_for` and in the
+//! range cut points, so `−0.0` and `+0.0` — equal to
+//! [`RangeQuery::matches`] — share a shard. Inserts route by the same
+//! function and folds and refits never move a row between shards, so
+//! every row matching a query routes into the shards it names, whatever
+//! was inserted or maintained since the build (pinned by the router
+//! soundness suite). A skipped shard runs nothing: no span, no overlay
+//! scan, no epoch probe.
+//!
 //! # Merge policy and stats contract
 //!
 //! Results concatenate in **shard order** (shard 0's ids first), with
 //! each shard's internal order preserved; aggregated [`ScanStats`] are
-//! the componentwise [`ScanStats::merge`] of the per-shard stats in the
-//! same order. `matches` and `scanned_pending` therefore equal a
-//! one-shard service's (the same rows match and every buffered row is
-//! scanned exactly once, wherever it lives), while `cells_visited` /
-//! `rows_examined` may differ at N > 1 (N smaller directories are probed
-//! instead of one big one); at one shard, before any insert, ids, order
-//! and stats are bit-identical to a bare [`CoaxIndex`] built with the
-//! same config. Every query surface of the service — single, batch,
-//! streaming, cursor, live or snapshot — reports **identical** ids and
-//! stats for the same version of the data, whatever the thread count
-//! (pinned by the cross-shard equivalence suite).
+//! the componentwise [`ScanStats::merge`] of the per-shard stats of the
+//! shards `shards_for` names, in the same order. So:
+//!
+//! * `matches` equals a one-shard service's (the same rows match);
+//! * `scanned_pending` counts exactly the overlays of the shards
+//!   `shards_for` names, each buffered row of them scanned once;
+//! * `cells_visited` / `rows_examined` may differ at N > 1 (smaller
+//!   directories are probed instead of one big one, and fewer of them).
+//!
+//! At one shard, before any insert, ids, order and stats are
+//! bit-identical to a bare [`CoaxIndex`] built with the same config.
+//! Every query surface of the service — single, batch, streaming,
+//! cursor, live or snapshot — visits the same shards and reports
+//! **identical** ids and stats for the same version of the data,
+//! whatever the thread count (pinned by the cross-shard equivalence
+//! suite).
 //!
 //! # Execution
 //!
 //! Every parallel path runs on the exec layer's one worker pool
 //! ([`crate::exec`]), sized by the service's [`ExecConfig`]. A single
-//! query is one pool task per shard. A batch is deduplicated once for
-//! the whole service; each pool task answers one chunk of distinct
-//! queries on every shard and merges them in shard order, and a
-//! [`BatchStream`] is the same run driven from one detached thread.
+//! query that names one shard runs on the calling thread, straight into
+//! the caller's buffer; one that names several is one pool task per
+//! shard. A batch is deduplicated once for the whole service; each pool
+//! task answers one chunk of distinct queries, each on the shards it
+//! names, merged in shard order, and a [`BatchStream`] is the same run
+//! driven from one detached thread.
 
 use crate::discovery::{discover, Discovery};
 use crate::exec::{self, BatchStream, ExecConfig};
@@ -86,6 +116,7 @@ use crate::maint::{IndexHandle, Maintainer, MaintenanceAction, ReadSnapshot};
 use crate::obs::Obs;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 use coax_index::{CursorSource, MultidimIndex, QueryResult, RowCursor, ScanStats};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -148,13 +179,18 @@ impl ShardSpec {
     }
 }
 
-/// The resolved routing function: which shard a row belongs to.
+/// The resolved routing function: which shard a row belongs to, and
+/// which shards a query can match in.
+///
+/// Keys are routed as `key + 0.0`, which folds `−0.0` into `+0.0`:
+/// [`RangeQuery::matches`] treats the two as equal, so they must share a
+/// shard for a read that visits one shard to find both.
 #[derive(Clone, Debug)]
 enum Router {
     /// `splitmix64(key.to_bits()) % shards`.
     Hash { dim: usize, shards: usize },
-    /// `bounds` are ascending cut points (len `shards − 1`); a row goes
-    /// to the first bucket whose cut point exceeds its key.
+    /// `bounds` are ascending cut points (len `shards − 1`, no `−0.0`); a
+    /// row goes to the first bucket whose cut point exceeds its key.
     Range { dim: usize, bounds: Vec<Value> },
 }
 
@@ -167,17 +203,38 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl Router {
-    fn route(&self, row: &[Value]) -> usize {
+    /// The shard a row whose key is `key` lives in. Keys are finite: a
+    /// [`Dataset`] and an insert both refuse non-finite values.
+    fn route(&self, key: Value) -> usize {
+        let key = key + 0.0;
         match self {
-            Router::Hash { dim, shards } => {
-                (splitmix64(row[*dim].to_bits()) % *shards as u64) as usize
+            Router::Hash { shards, .. } => {
+                (splitmix64(key.to_bits()) % *shards as u64) as usize
             }
-            // `total_cmp` orders every finite value; a NaN key (possible
-            // only in a build dataset — inserts reject non-finite rows)
-            // sorts above every bound and lands in the last shard.
-            Router::Range { dim, bounds } => {
-                bounds.partition_point(|b| b.total_cmp(&row[*dim]).is_le())
+            Router::Range { bounds, .. } => {
+                bounds.partition_point(|b| b.total_cmp(&key).is_le())
             }
+        }
+    }
+
+    /// The shards a row matching `query` can live in, ascending: the one
+    /// shard of a hash key the query pins to one value, the shards a
+    /// range key's interval spans, and otherwise every shard.
+    fn shards_for(&self, query: &RangeQuery) -> Range<usize> {
+        let (dim, shards) = match self {
+            Router::Hash { dim, shards } => (*dim, *shards),
+            Router::Range { dim, bounds } => (*dim, bounds.len() + 1),
+        };
+        let (lo, hi) = (query.lo(dim), query.hi(dim));
+        match self {
+            Router::Hash { .. } if lo == hi => {
+                let s = self.route(lo);
+                s..s + 1
+            }
+            // Routing is monotone in the key, so every key in `[lo, hi]`
+            // routes between the bounds' shards.
+            Router::Range { .. } if lo <= hi => self.route(lo)..self.route(hi) + 1,
+            _ => 0..shards,
         }
     }
 }
@@ -197,17 +254,26 @@ fn auto_key_dim(discovery: &Discovery) -> usize {
 }
 
 /// `shards − 1` ascending quantile cut points of `column`, for
-/// [`Router::Range`]. Equal-occupancy by construction on the build data.
+/// [`Router::Range`]: cut point `k` is the key of rank
+/// `k · len / shards`, canonicalised like a routed key. Equal-occupancy
+/// by construction on the build data. Each rank is selected within the
+/// keys above the previous one, so no sort runs.
 fn quantile_bounds(column: &[Value], shards: usize) -> Vec<Value> {
-    let mut sorted: Vec<Value> = column.to_vec();
-    sorted.sort_unstable_by(|a, b| a.total_cmp(b));
+    let mut keys: Vec<Value> = column.to_vec();
+    let n = keys.len();
+    // `keys[..from]` holds the `from` smallest keys.
+    let mut from = 0;
     (1..shards)
         .map(|k| {
-            if sorted.is_empty() {
-                k as Value
-            } else {
-                sorted[(k * sorted.len() / shards).min(sorted.len() - 1)]
+            if n == 0 {
+                return k as Value;
             }
+            let rank = (k * n / shards).min(n - 1);
+            if rank >= from {
+                keys[from..].select_nth_unstable_by(rank - from, |a, b| a.total_cmp(b));
+                from = rank + 1;
+            }
+            keys[rank] + 0.0
         })
         .collect()
 }
@@ -252,31 +318,42 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Answers one query on every shard over the exec pool —
-    /// `query(s, ids)` appends shard `s`'s ids — and concatenates the
-    /// results into `out` in shard order, cut at `cut`. Stats merge
-    /// componentwise in the same order.
+    /// Answers `query` on the shards it can match in
+    /// ([`Router::shards_for`]) — `answer(s, ids)` appends shard `s`'s
+    /// ids — and concatenates the results into `out` in shard order, cut
+    /// at `cut`. Stats merge componentwise in the same order. One shard
+    /// answers on the calling thread straight into `out`; several fan
+    /// out over the exec pool.
     fn query_shards(
         &self,
+        query: &RangeQuery,
         cut: Option<u64>,
         out: &mut Vec<RowId>,
-        query: impl Fn(usize, &mut Vec<RowId>) -> ScanStats + Sync,
+        answer: impl Fn(usize, &mut Vec<RowId>) -> ScanStats + Sync,
     ) -> ScanStats {
-        let shards = self.handles.len();
-        let mut parts = vec![(Vec::new(), ScanStats::default()); shards];
+        let shards = self.router.shards_for(query);
+        if shards.len() == 1 {
+            let start = out.len();
+            let mut stats = answer(shards.start, out);
+            if let Some(cut) = cut {
+                drop_unpublished(cut, out, start, &mut stats);
+            }
+            return stats;
+        }
+        let mut parts = vec![(Vec::new(), ScanStats::default()); shards.len()];
         exec::run_pool(
-            self.exec.pool_threads(shards),
-            shards,
-            |s| {
+            self.exec.pool_threads(shards.len()),
+            shards.len(),
+            |i| {
                 let mut ids = Vec::new();
-                let mut stats = query(s, &mut ids);
+                let mut stats = answer(shards.start + i, &mut ids);
                 if let Some(cut) = cut {
                     drop_unpublished(cut, &mut ids, 0, &mut stats);
                 }
                 (ids, stats)
             },
-            |s, part| {
-                parts[s] = part;
+            |i, part| {
+                parts[i] = part;
                 true
             },
         );
@@ -314,10 +391,10 @@ impl Drop for PublishTicket<'_> {
 
 /// The live-maintained COAX index service: rows partitioned across
 /// N ≥ 1 independent [`IndexHandle`] shards, single/batch/streaming
-/// queries fanned out and merged back under the module-level stats
-/// contract, inserts validated, routed by the shard key and given their
-/// ids, and maintenance running per shard so a refit never stalls the
-/// other N−1.
+/// queries read from the shards that can hold a match and merged back
+/// under the module-level stats contract, inserts validated, routed by
+/// the shard key and given their ids, and maintenance running per shard
+/// so a refit never stalls the other N−1.
 ///
 /// Implements [`MultidimIndex`], so it slots behind the factory and
 /// every spec-driven comparison path like any frozen index — queries
@@ -363,13 +440,11 @@ impl ShardedHandle {
             _ => Router::Hash { dim: key_dim, shards },
         };
 
-        // Route every build row; shard s is built over its members under
-        // their global ids.
+        // Route every build row by its key; shard s is built over its
+        // members under their global ids.
         let mut members: Vec<Vec<RowId>> = vec![Vec::new(); shards];
-        let mut row = vec![0.0; dims];
-        for id in dataset.row_ids() {
-            dataset.row_into(id, &mut row);
-            members[router.route(&row)].push(id);
+        for (id, &key) in dataset.row_ids().zip(dataset.column(key_dim)) {
+            members[router.route(key)].push(id);
         }
 
         let handles = members
@@ -422,7 +497,17 @@ impl ShardedHandle {
     /// [`InsertError`] [`ShardedHandle::insert`] returns for it.
     pub fn route(&self, row: &[Value]) -> Result<usize, InsertError> {
         check_row(self.core.dims, row)?;
-        Ok(self.core.router.route(row))
+        Ok(self.core.router.route(row[self.core.key_dim]))
+    }
+
+    /// The shards a row matching `query` can live in, ascending — the
+    /// only shards every read of `query` visits. A query that pins a hash
+    /// key to one value names that value's shard; a range key names the
+    /// shards its interval spans; any other query names every shard.
+    /// Every row matching `query` routes into this range, whatever was
+    /// inserted, folded or refit since the build.
+    pub fn shards_for(&self, query: &RangeQuery) -> Range<usize> {
+        self.core.router.shards_for(query)
     }
 
     /// Shard `s`'s live handle — hang a per-shard [`Maintainer`] off it,
@@ -517,9 +602,9 @@ impl MultidimIndex for ShardedHandle {
         next.min(u64::from(RowId::MAX) + 1) as usize
     }
 
-    /// Fans the query out across shards (each shard answering through
-    /// its handle's inline one-query session) and merges per the
-    /// module-level policy.
+    /// Fans the query out across the shards it can match in (each shard
+    /// answering through its handle's inline one-query session) and
+    /// merges per the module-level policy.
     ///
     /// The shards are read one after another, so inserts can land
     /// between two shard reads. The read therefore loads the publish
@@ -531,7 +616,7 @@ impl MultidimIndex for ShardedHandle {
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let core = &self.core;
         let cut = core.published.load(Ordering::Acquire);
-        core.query_shards(Some(cut), out, |s, ids| {
+        core.query_shards(query, Some(cut), out, |s, ids| {
             core.handles[s].range_query_stats(query, ids)
         })
     }
@@ -582,11 +667,11 @@ impl ShardedSnapshot {
     }
 
     /// Streaming batch execution against this session: the batch is
-    /// deduplicated once and each distinct query answered on every shard,
-    /// on the exec pool driven by one detached thread — `(query_index,
-    /// QueryResult)` pairs in completion order, each bit-identical to
-    /// [`ShardedSnapshot::batch_query`] at that index. Dropping the
-    /// stream cancels the remaining work.
+    /// deduplicated once and each distinct query answered on the shards
+    /// it can match in, on the exec pool driven by one detached thread —
+    /// `(query_index, QueryResult)` pairs in completion order, each
+    /// bit-identical to [`ShardedSnapshot::batch_query`] at that index.
+    /// Dropping the stream cancels the remaining work.
     pub fn batch_query_streaming(&self, queries: &[RangeQuery]) -> BatchStream {
         let session = self.clone();
         BatchStream::spawn(queries, self.core.exec, self.core.obs.clone(), move |query, ids| {
@@ -594,12 +679,12 @@ impl ShardedSnapshot {
         })
     }
 
-    /// Answers one query of a batch on every shard in shard order — each
-    /// shard's part in its single-query order (overlay, then epoch) — and
-    /// cuts the result at the watermark.
+    /// Answers one query of a batch on the shards it can match in, in
+    /// shard order — each shard's part in its single-query order
+    /// (overlay, then epoch) — and cuts the result at the watermark.
     fn answer_batched(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let (start, mut stats) = (out.len(), ScanStats::default());
-        for shard in &self.shards {
+        for shard in &self.shards[self.core.router.shards_for(query)] {
             stats = stats.merge(shard.answer_batched(query, out));
         }
         if let Some(cut) = self.cut {
@@ -625,31 +710,33 @@ impl MultidimIndex for ShardedSnapshot {
         self.shards.iter().map(|s| s.len_below(cut)).sum()
     }
 
-    /// Fan-out over the frozen per-shard snapshots, merge, cut — same
-    /// policy as the live handle, against this session's versions.
+    /// Fan-out over the frozen snapshots of the shards the query can
+    /// match in, merge, cut — same policy as the live handle, against
+    /// this session's versions.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        self.core
-            .query_shards(self.cut, out, |s, ids| self.shards[s].range_query_stats(query, ids))
+        self.core.query_shards(query, self.cut, out, |s, ids| {
+            self.shards[s].range_query_stats(query, ids)
+        })
     }
 
-    /// Streaming override: one merged cursor chaining each shard's
-    /// overlay chunk and epoch plan cursor in shard order, each chunk cut
-    /// as it flows.
+    /// Streaming override: one merged cursor chaining the overlay chunk
+    /// and epoch plan cursor of each shard the query can match in, in
+    /// shard order, each chunk cut as it flows.
     /// Collected ids, order, and stats are identical to
     /// [`ShardedSnapshot::range_query_stats`].
     fn range_query_cursor(&self, query: &RangeQuery) -> RowCursor<'_> {
         RowCursor::new(Box::new(ShardedCursor {
             session: self,
             query: query.clone(),
-            shard: 0,
+            shards: self.core.router.shards_for(query),
             epoch: None,
         }))
     }
 
     /// Whole batch against this session, deduplicated once for the
     /// service: chunks of distinct queries run on the exec pool, each
-    /// query answered on every shard and merged in shard order. Per-query
-    /// results and stats are identical to one-at-a-time
+    /// query answered on the shards it can match in and merged in shard
+    /// order. Per-query results and stats are identical to one-at-a-time
     /// [`ShardedSnapshot::range_query_stats`] calls.
     fn batch_query(&self, queries: &[RangeQuery]) -> Vec<QueryResult> {
         exec::collect_batch(queries, &self.core.exec, &self.core.obs, |query, ids| {
@@ -673,12 +760,14 @@ impl MultidimIndex for ShardedSnapshot {
 }
 
 /// The incremental scan behind [`ShardedSnapshot::range_query_cursor`]:
-/// per shard in shard order, the overlay chunk and then the epoch's plan
-/// cursor chunk by chunk, each chunk cut at the session's watermark.
+/// per shard the query can match in, in shard order, the overlay chunk
+/// and then the epoch's plan cursor chunk by chunk, each chunk cut at the
+/// session's watermark.
 struct ShardedCursor<'a> {
     session: &'a ShardedSnapshot,
     query: RangeQuery,
-    shard: usize,
+    /// The shards still to read; the first is the current one.
+    shards: Range<usize>,
     /// The current shard's epoch cursor, opened with its overlay chunk.
     epoch: Option<RowCursor<'a>>,
 }
@@ -686,7 +775,7 @@ struct ShardedCursor<'a> {
 impl CursorSource for ShardedCursor<'_> {
     fn next_chunk(&mut self, out: &mut Vec<RowId>, stats: &mut ScanStats) -> bool {
         let session = self.session;
-        while let Some(snap) = session.shards.get(self.shard) {
+        while let Some(snap) = session.shards[self.shards.clone()].first() {
             let start = out.len();
             match &mut self.epoch {
                 None => {
@@ -696,7 +785,7 @@ impl CursorSource for ShardedCursor<'_> {
                 Some(cur) => {
                     if !exec::forward_chunk(cur, out, stats) {
                         self.epoch = None;
-                        self.shard += 1;
+                        self.shards.start += 1;
                         continue;
                     }
                 }
@@ -759,12 +848,64 @@ mod tests {
         assert_eq!(bounds.len(), 3);
         let router = Router::Range { dim: 0, bounds };
         // Ascending keys route to ascending shards…
-        let shards: Vec<usize> = (0..8).map(|k| router.route(&[k as f64])).collect();
+        let shards: Vec<usize> = (0..8).map(|k| router.route(k as f64)).collect();
         assert!(shards.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(shards.first(), Some(&0));
         assert_eq!(shards.last(), Some(&3));
-        // …and a NaN key lands in the last shard instead of panicking.
-        assert_eq!(router.route(&[f64::NAN]), 3);
+        // …and a NaN key, which no dataset or insert admits, still routes
+        // without panicking.
+        assert_eq!(router.route(f64::NAN), 3);
+    }
+
+    /// The sort-based cut points `quantile_bounds` must reproduce bit for
+    /// bit: rank `k · len / shards` of the `total_cmp`-sorted keys,
+    /// canonicalised.
+    fn sorted_bounds(column: &[Value], shards: usize) -> Vec<Value> {
+        let mut keys = column.to_vec();
+        keys.sort_unstable_by(|a, b| a.total_cmp(b));
+        (1..shards)
+            .map(|k| match keys.len() {
+                0 => k as Value,
+                n => keys[(k * n / shards).min(n - 1)] + 0.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn quantile_bounds_select_the_sorted_ranks() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        let bits = |v: &[Value]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for len in [0, 1, 2, 3, 6, 7, 50, 1000] {
+            for shards in [1, 2, 3, 7, 16] {
+                // Few distinct keys, so ranks land on runs of duplicates,
+                // with both zeros among them.
+                let column: Vec<Value> = (0..len)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        k => f64::from(k * 3 - 12),
+                    })
+                    .collect();
+                let bounds = quantile_bounds(&column, shards);
+                let expected = sorted_bounds(&column, shards);
+                assert_eq!(bits(&bounds), bits(&expected), "len {len}, shards {shards}");
+                assert!(bounds.iter().all(|b| b.to_bits() != (-0.0f64).to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_keys_share_a_shard() {
+        let hash = Router::Hash { dim: 0, shards: 7 };
+        let range =
+            Router::Range { dim: 0, bounds: quantile_bounds(&[-1.0, -0.0, 0.0, 1.0], 3) };
+        for router in [hash, range] {
+            assert_eq!(router.route(-0.0), router.route(0.0), "{router:?}");
+            let point = |z: Value| router.shards_for(&RangeQuery::point(&[z]));
+            assert_eq!(point(-0.0), point(0.0), "{router:?}");
+            assert_eq!(point(0.0).len(), 1, "{router:?}");
+        }
     }
 
     #[test]
@@ -865,11 +1006,19 @@ mod tests {
         let registry = MetricsRegistry::global();
         let count = |label| registry.counter_shard("coax.query.count", Some(label)).get();
         let before = (count(9_000), count(9_001));
+        for _ in 0..N {
+            sharded.range_query(&RangeQuery::unbounded(2));
+        }
+        // An unbounded query visits both shards: N spans under each label.
+        let after = (count(9_000), count(9_001));
+        assert_eq!(after, (before.0 + N, before.1 + N));
         for r in 0..N as RowId {
             sharded.point_query(&ds.row(r));
         }
-        // Every live query visits both shards: N spans under each label.
-        assert_eq!((count(9_000), count(9_001)), (before.0 + N, before.1 + N));
+        // A point query pins the hash key, so it visits the one shard its
+        // key routes to: N spans across the two labels.
+        let (a, b) = (count(9_000) - after.0, count(9_001) - after.1);
+        assert_eq!(a + b, N);
     }
 
     #[test]

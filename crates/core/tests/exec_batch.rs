@@ -5,6 +5,12 @@
 //! and `ScanStats` identical to sequential `range_query_stats` calls. That equivalence, swept over thread
 //! counts, chunk sizes, duplicate-heavy batches, and backend
 //! combinations, is the acceptance bar for the batch engine.
+//!
+//! The plan every path shares is pinned here too: a point query that
+//! pins every model's pair probes only the partition its point lives in,
+//! on margins, at `±0.0`, over splines and nested COAX primaries, and
+//! across a fold and a refit, while a query leaving any model unpinned
+//! keeps the translated two-probe plan.
 
 use coax_core::obs::MetricsRegistry;
 use coax_core::{
@@ -503,5 +509,198 @@ fn plan_cursor_collects_identically_to_execute_plan() {
         let (cursor_ids, cursor_stats) = index.range_query_cursor(&q).collect_with_stats();
         assert_eq!(cursor_ids, ids, "cursor ids diverged on {q:?}");
         assert_eq!(cursor_stats, stats, "cursor stats diverged on {q:?}");
+    }
+}
+
+/// Checks `queries` on the one shard of `service` against `FullScan`
+/// over `rows` (row `i` holds id `i`): the snapshot and its frozen epoch
+/// answer every query with `FullScan`'s ids, their materialized, cursor
+/// and batch paths agree on ids and `ScanStats`, and the epoch's plan
+/// probes only the partition a point can live in — which the partitions
+/// themselves confirm — while a query leaving any model unpinned keeps
+/// the translated two-probe plan. Returns how many plans skipped the
+/// outlier probe, skipped the primary probe, and were translated.
+fn assert_point_plans(
+    service: &ShardedHandle,
+    rows: &[Vec<f64>],
+    queries: &[RangeQuery],
+    label: &str,
+) -> [usize; 3] {
+    use coax_core::exec::NAV_FAN_OUT_CAP;
+    use coax_core::translate::translate_all;
+    let columns = (0..rows[0].len()).map(|d| rows.iter().map(|r| r[d]).collect()).collect();
+    let reference = BackendSpec::FullScan.build(&Dataset::new(columns));
+    let session = service.snapshot();
+    let epoch = session.shard(0).frozen();
+    // Every fold here drains the whole overlay, so the epoch holds a
+    // prefix of the ids.
+    let held = epoch.len() as u32;
+    for (surface, name) in [(epoch as &dyn MultidimIndex, "epoch"), (&session, "snapshot")] {
+        let batch = surface.batch_query(queries);
+        for (q, batched) in queries.iter().zip(&batch) {
+            let mut ids = Vec::new();
+            let stats = surface.range_query_stats(q, &mut ids);
+            let mut expect = sorted(reference.range_query(q));
+            if name == "epoch" {
+                expect.retain(|&id| id < held);
+            }
+            assert_eq!(sorted(ids.clone()), expect, "{label}: {name} ids on {q:?}");
+            let cursor = surface.range_query_cursor(q).collect_with_stats();
+            assert_eq!(cursor, (ids.clone(), stats), "{label}: {name} cursor on {q:?}");
+            assert_eq!((&batched.ids, batched.stats), (&ids, stats), "{label}: {name} batch");
+        }
+    }
+    let pinned = |q: &RangeQuery, d: usize| q.lo(d) == q.hi(d);
+    let mut kinds = [0; 3];
+    for q in queries {
+        let plan = epoch.plan(q);
+        let mut models = epoch.discovery().all_models();
+        if models.all(|m| pinned(q, m.predictor()) && pinned(q, m.dependent())) {
+            let inside = epoch
+                .discovery()
+                .all_models()
+                .all(|m| m.contains(q.lo(m.predictor()), q.lo(m.dependent())));
+            assert_eq!(plan.outliers_pruned(), inside, "{label}: outlier probe on {q:?}");
+            assert_eq!(plan.primary_pruned(), !inside, "{label}: primary probe on {q:?}");
+            let (mut primary, mut outliers) = (Vec::new(), Vec::new());
+            epoch.query_primary_untranslated(q, &mut primary);
+            epoch.query_outliers(q, &mut outliers);
+            let skipped = if inside { outliers } else { primary };
+            assert!(skipped.is_empty(), "{label}: the skipped partition matches {q:?}");
+            kinds[usize::from(!inside)] += 1;
+        } else {
+            assert!(!plan.outliers_pruned(), "{label}: unpinned {q:?} skips the outliers");
+            let translated = translate_all(q, epoch.groups(), NAV_FAN_OUT_CAP);
+            assert_eq!(plan.navs(), &translated[..], "{label}: unpinned {q:?} translates");
+            kinds[2] += 1;
+        }
+    }
+    kinds
+}
+
+/// Inserts `extra` into `service` (their ids follow `rows`'), then
+/// checks the point plans after the inserts, after a fold and after a
+/// refit — each time with plans of all three kinds among `queries`.
+fn check_through_maintenance(
+    service: &ShardedHandle,
+    mut rows: Vec<Vec<f64>>,
+    extra: Vec<Vec<f64>>,
+    queries: &[RangeQuery],
+    label: &str,
+) {
+    for row in extra {
+        assert_eq!(service.insert(&row), Ok(rows.len() as u32), "{label}: dense ids");
+        rows.push(row);
+    }
+    for stage in ["+rows", "+fold", "+refit"] {
+        match stage {
+            "+fold" => service.shard_handle(0).fold(),
+            "+refit" => service.shard_handle(0).refit(),
+            _ => {}
+        }
+        let kinds = assert_point_plans(service, &rows, queries, &format!("{label} {stage}"));
+        assert!(kinds.iter().all(|&k| k > 0), "{label} {stage}: plan kinds {kinds:?}");
+    }
+}
+
+/// Point plans on a hand-set line `y = 2x + 10` with margins ±5 (exact
+/// arithmetic on the half-integer lattice): rows exactly on either
+/// margin are primary and their points skip the outlier probe, a row
+/// one ulp past the margin is an outlier and its point skips the
+/// primary, and `±0.0` coordinates plan alike under either sign.
+#[test]
+fn point_plans_probe_the_one_partition_a_point_lives_in() {
+    use coax_core::{CorrelationGroup, Discovery, LinParams, SoftFdModel};
+    let model = SoftFdModel::new(0, 1, LinParams { slope: 2.0, intercept: 10.0 }, 5.0, 5.0);
+    let discovery = Discovery {
+        groups: vec![CorrelationGroup { predictor: 0, models: vec![model.into()] }],
+        dims: 3,
+    };
+    // On the band with integer noise; every 16th row 100 above it; rows
+    // 0 and 1 at x = −0.0 and +0.0.
+    let rows: Vec<Vec<f64>> = (0..2_000u32)
+        .map(|i| {
+            let x = [-0.0, 0.0].get(i as usize).copied().unwrap_or(f64::from(i) * 0.5);
+            let off = if i % 16 == 5 { 100.0 } else { 0.0 };
+            vec![x, 2.0 * x + 10.0 + f64::from(i % 9) - 4.0 + off, f64::from(i * 37 % 100)]
+        })
+        .collect();
+    let mut extra = Vec::new();
+    for x in [3.0, 250.5, 777.0] {
+        let (upper, lower) = (2.0 * x + 10.0 + 5.0, 2.0 * x + 10.0 - 5.0);
+        assert!(model.contains(x, upper) && model.contains(x, lower), "on the margins");
+        assert!(!model.contains(x, upper.next_up()), "one ulp past the margin");
+        extra.extend([vec![x, upper, 1.0], vec![x, lower, 2.0], vec![x, upper.next_up(), 3.0]]);
+    }
+    extra.extend([vec![-0.0, 10.0, -0.0], vec![0.0, 12.0, 0.0], vec![-0.0, 300.0, 5.0]]);
+
+    let flip_zeros =
+        |r: &[f64]| -> Vec<f64> { r.iter().map(|&v| if v == 0.0 { -v } else { v }).collect() };
+    let mut queries = Vec::new();
+    for r in rows.iter().step_by(97).chain(&rows[..2]).chain(&extra) {
+        queries.push(RangeQuery::point(r));
+        queries.push(RangeQuery::point(&flip_zeros(r)));
+        // Every model pinned, the independent dimension left open.
+        let mut pair = RangeQuery::unbounded(3);
+        queries.push(pair.constrain(0, r[0], r[0]).constrain(1, r[1], r[1]).clone());
+    }
+    queries.push(RangeQuery::point(&[0.0, 10.0, 55.5])); // no hit
+    let mut predictor_only = RangeQuery::unbounded(3);
+    queries.push(predictor_only.constrain(0, 3.0, 3.0).clone());
+
+    let base = Dataset::new((0..3).map(|d| rows.iter().map(|r| r[d]).collect()).collect());
+    let service = ShardedHandle::build_with_discovery(&base, discovery, &CoaxConfig::default());
+    check_through_maintenance(&service, rows, extra, &queries, "line");
+}
+
+/// A point plan needs every model pinned: with a spline `x → y1` and a
+/// line `x → y2` off one predictor, a query pinning one pair but not the
+/// other keeps the translated two-probe plan, while full points probe
+/// one partition — over the grid primary and a nested COAX primary.
+#[test]
+fn point_plans_need_every_model_pinned_over_splines_and_nested_primaries() {
+    use coax_core::{
+        CorrelationGroup, Discovery, LinParams, PrimaryBackend, SoftFdModel, SplineFdModel,
+    };
+    let curve = |x: f64| (x - 500.0) * (x - 500.0) / 250.0;
+    let xs: Vec<f64> = (0..=200).map(|i| f64::from(i) * 5.0).collect();
+    let ys: Vec<f64> = xs.iter().map(|&x| curve(x)).collect();
+    let spline = SplineFdModel::fit(0, 1, &xs, &ys, 6.0).expect("a parabola fits");
+    let line = SoftFdModel::new(0, 2, LinParams { slope: 3.0, intercept: -40.0 }, 8.0, 8.0);
+    let discovery = Discovery {
+        groups: vec![CorrelationGroup {
+            predictor: 0,
+            models: vec![spline.into(), line.into()],
+        }],
+        dims: 3,
+    };
+    // Near both curves, every 11th row off the spline and every 13th off
+    // the line.
+    let row = |i: u32| {
+        let x = f64::from(i % 1000) + f64::from(i / 1000) * 0.25;
+        let y1 = curve(x) + f64::from(i % 7) - 3.0 + if i % 11 == 3 { 80.0 } else { 0.0 };
+        let y2 = 3.0 * x - 40.0 + f64::from(i % 5) - 2.0 - if i % 13 == 4 { 90.0 } else { 0.0 };
+        vec![x, y1, y2]
+    };
+    let rows: Vec<Vec<f64>> = (0..3_000).map(row).collect();
+    let extra: Vec<Vec<f64>> = (3_000..3_040).map(row).collect();
+    let mut queries = Vec::new();
+    for r in rows.iter().step_by(61).chain(&extra) {
+        queries.push(RangeQuery::point(r));
+        let mut q = RangeQuery::point(r);
+        queries.push(q.constrain(2, r[2] - 30.0, r[2] + 30.0).clone());
+        let mut q = RangeQuery::point(r);
+        queries.push(q.constrain(1, r[1] - 30.0, r[1] + 30.0).clone());
+        let mut q = RangeQuery::point(r);
+        queries.push(q.constrain(0, r[0] - 2.0, r[0] + 2.0).clone());
+    }
+
+    let base = Dataset::new((0..3).map(|d| rows.iter().map(|r| r[d]).collect()).collect());
+    for (label, primary) in
+        [("grid", PrimaryBackend::GridFile), ("nested", PrimaryBackend::Coax(Box::default()))]
+    {
+        let config = CoaxConfig { primary_backend: primary, ..Default::default() };
+        let service = ShardedHandle::build_with_discovery(&base, discovery.clone(), &config);
+        check_through_maintenance(&service, rows.clone(), extra.clone(), &queries, label);
     }
 }

@@ -21,7 +21,15 @@
 //!
 //! The materialized executor, the plan cursor and the batch engine all
 //! read the one plan, so they skip the same probes and report the same
-//! [`ScanStats`]; a skipped probe still marks its span phase.
+//! [`ScanStats`]. A query's span marks only the phases that ran: a
+//! translation, a probe of at least one non-empty navigation rectangle,
+//! an outlier probe the plan kept. A skipped step reads no clock and
+//! records no sample, so its time (none, or the pin check) counts toward
+//! the next phase that runs.
+//!
+//! The plan borrows the caller's query, and a point's plan navigates
+//! the primary with that query itself, so a point query allocates
+//! nothing on its way through the executor.
 //!
 //! Rows inserted since the epoch was built live in the overlay of its
 //! shard ([`crate::maint::IndexHandle`]), which the shard's live read and
@@ -91,6 +99,7 @@ use crate::obs::{Obs, QueryPhase, QuerySpan};
 use crate::translate::translate_all;
 use coax_data::{RangeQuery, RowId};
 use coax_index::{CursorSource, DistinctQueries, QueryResult, RowCursor, ScanStats};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 
@@ -103,7 +112,9 @@ pub const NAV_FAN_OUT_CAP: usize = 8;
 ///
 /// Produced once per query by [`CoaxIndex::plan`]; executing it any
 /// number of times performs no further translation work — the batch path
-/// plans every query up front and then executes the plans.
+/// plans every query up front and then executes the plans. The plan
+/// borrows the caller's query as its filter; [`QueryPlan::into_owned`]
+/// gives a plan that outlives it (the plan cursor keeps one).
 ///
 /// The plan also decides which partitions a match can live in, so every
 /// executor — materialized, cursor, batch — probes
@@ -122,39 +133,64 @@ pub const NAV_FAN_OUT_CAP: usize = 8;
 /// With no models every query pins them all vacuously: nothing is ever
 /// split off, the outlier partition stays empty and is never probed.
 #[derive(Clone, Debug)]
-pub struct QueryPlan {
-    /// Disjoint navigation rectangles for the primary index. Empty means
-    /// no in-margin row can match.
-    navs: Vec<RangeQuery>,
+pub struct QueryPlan<'q> {
+    /// Navigation rectangles for the primary index: `None` navigates
+    /// with the filter itself (a point every model contains), `Some`
+    /// holds what translation left — empty when no in-margin row can
+    /// match.
+    navs: Option<Vec<RangeQuery>>,
     /// The original query: the exact filter for every partition.
-    filter: RangeQuery,
+    filter: Cow<'q, RangeQuery>,
     /// Whether the outlier partition can hold a match (`false` only for
     /// a query whose pinned pairs every model contains).
     outliers: bool,
+    /// Whether planning ran [`translate_all`]. Not the same as `navs`
+    /// being `Some`: a point some model rejects holds an empty `Some`
+    /// without translating.
+    translated: bool,
 }
 
-impl QueryPlan {
+impl<'q> QueryPlan<'q> {
     /// Plans `query` against the discovered correlation groups: decides
     /// the partitions a match can live in, and translates the query when
     /// that takes more than its pinned pairs.
-    pub fn new(query: &RangeQuery, groups: &[CorrelationGroup]) -> Self {
+    pub fn new(query: &'q RangeQuery, groups: &[CorrelationGroup]) -> Self {
+        Self::recorded(query, groups, &Obs::default())
+    }
+
+    /// [`QueryPlan::new`], recording the time of a translation it runs
+    /// on `obs` as one [`QueryPhase::Translate`] sample: a plan that
+    /// does not translate reads no clock and records nothing.
+    pub(crate) fn recorded(
+        query: &'q RangeQuery,
+        groups: &[CorrelationGroup],
+        obs: &Obs,
+    ) -> Self {
         let models = || groups.iter().flat_map(|g| &g.models);
         let pinned = |d: usize| query.lo(d) == query.hi(d);
-        let pins_every_model = models().all(|m| pinned(m.predictor()) && pinned(m.dependent()));
-        let (navs, outliers) = if !pins_every_model {
-            (translate_all(query, groups, NAV_FAN_OUT_CAP), true)
+        let translated = !models().all(|m| pinned(m.predictor()) && pinned(m.dependent()));
+        let (navs, outliers) = if translated {
+            let started = obs.timer();
+            let navs = translate_all(query, groups, NAV_FAN_OUT_CAP);
+            obs.record_phase(QueryPhase::Translate, started);
+            (Some(navs), true)
         } else if models().all(|m| m.contains(query.lo(m.predictor()), query.lo(m.dependent())))
         {
-            (vec![query.clone()], false)
+            (None, false)
         } else {
-            (Vec::new(), true)
+            (Some(Vec::new()), true)
         };
-        Self { navs, filter: query.clone(), outliers }
+        Self { navs, filter: Cow::Borrowed(query), outliers, translated }
+    }
+
+    /// This plan holding its own copy of the query, free of the borrow.
+    pub fn into_owned(self) -> QueryPlan<'static> {
+        QueryPlan { filter: Cow::Owned(self.filter.into_owned()), ..self }
     }
 
     /// The navigation rectangles the primary probe will use.
     pub fn navs(&self) -> &[RangeQuery] {
-        &self.navs
+        self.navs.as_deref().unwrap_or(std::slice::from_ref(self.filter()))
     }
 
     /// The original query (exact filter for all partitions).
@@ -165,7 +201,7 @@ impl QueryPlan {
     /// `true` if the plan proved the primary partition holds no match
     /// (the primary probe will be skipped entirely).
     pub fn primary_pruned(&self) -> bool {
-        self.navs.iter().all(RangeQuery::is_empty)
+        self.navs().iter().all(RangeQuery::is_empty)
     }
 
     /// `true` if the plan proved the outlier partition holds no match
@@ -175,49 +211,52 @@ impl QueryPlan {
     }
 }
 
-/// Step 2: probes the primary backend with every navigation rectangle
-/// (trait-level filtered probe: navigate with `nav`, accept against the
-/// original filter).
+/// Step 2: probes the primary backend with every non-empty navigation
+/// rectangle (trait-level filtered probe: navigate with `nav`, accept
+/// against the original filter), marking [`QueryPhase::PrimaryProbe`] on
+/// `span` if it probed any.
 pub(crate) fn probe_primary(
     index: &CoaxIndex,
-    plan: &QueryPlan,
+    plan: &QueryPlan<'_>,
     out: &mut Vec<RowId>,
+    span: &mut QuerySpan<'_>,
 ) -> ScanStats {
     let mut stats = ScanStats::default();
-    for nav in &plan.navs {
-        if nav.is_empty() {
-            continue;
-        }
-        stats = stats.merge(index.primary.range_query_filtered(nav, &plan.filter, out));
+    let mut probed = false;
+    for nav in plan.navs().iter().filter(|nav| !nav.is_empty()) {
+        stats = stats.merge(index.primary.range_query_filtered(nav, plan.filter(), out));
+        probed = true;
+    }
+    if probed {
+        span.phase(QueryPhase::PrimaryProbe);
     }
     stats
 }
 
 /// Runs a full plan: primary probe, then outlier probe where the plan
-/// says a match can live, with per-part counters. Marks each phase on
-/// the caller's `span`, which the caller finishes.
+/// says a match can live, with per-part counters. Marks each phase that
+/// ran on the caller's `span`, which the caller finishes.
 pub(crate) fn execute(
     index: &CoaxIndex,
-    plan: &QueryPlan,
+    plan: &QueryPlan<'_>,
     out: &mut Vec<RowId>,
     span: &mut QuerySpan<'_>,
 ) -> CoaxQueryStats {
-    let primary = probe_primary(index, plan, out);
-    span.phase(QueryPhase::PrimaryProbe);
-    // A skipped probe still marks its phase, so every span records the
-    // same phases in the same order.
+    let primary = probe_primary(index, plan, out, span);
     let outliers = if plan.outliers {
-        index.outliers.range_query_stats(plan.filter(), out)
+        let stats = index.outliers.range_query_stats(plan.filter(), out);
+        span.phase(QueryPhase::OutlierProbe);
+        stats
     } else {
         ScanStats::default()
     };
-    span.phase(QueryPhase::OutlierProbe);
     CoaxQueryStats { primary, outliers }
 }
 
-/// Steps 1–3 for one query: translates `query` (marked on `span` as
-/// [`QueryPhase::Translate`]) and runs the plan through [`execute`].
-/// The one-query path of every entry point that opens a span.
+/// Steps 1–3 for one query: plans `query` (a translation marked on
+/// `span` as [`QueryPhase::Translate`]) and runs the plan through
+/// [`execute`]. The one-query path of every entry point that opens a
+/// span.
 pub(crate) fn execute_query(
     index: &CoaxIndex,
     query: &RangeQuery,
@@ -225,11 +264,13 @@ pub(crate) fn execute_query(
     span: &mut QuerySpan<'_>,
 ) -> CoaxQueryStats {
     let plan = QueryPlan::new(query, &index.discovery.groups);
-    span.phase(QueryPhase::Translate);
+    if plan.translated {
+        span.phase(QueryPhase::Translate);
+    }
     execute(index, &plan, out, span)
 }
 
-/// Answers one query of a batch with no per-query span: planned (its
+/// Answers one query of a batch with no per-query span: planned (a
 /// translation recorded once) and executed — the ids, order and stats a
 /// single query returns, appended to `out`.
 pub(crate) fn answer_batched(
@@ -247,7 +288,7 @@ pub(crate) fn answer_batched(
 /// cursor reproduces the materialized call bit for bit. First results
 /// leave as soon as the primary backend's own cursor produces its first
 /// populated chunk.
-pub(crate) fn plan_cursor(index: &CoaxIndex, plan: QueryPlan) -> RowCursor<'_> {
+pub(crate) fn plan_cursor<'a>(index: &'a CoaxIndex, plan: QueryPlan<'a>) -> RowCursor<'a> {
     RowCursor::new(Box::new(PlanCursor {
         index,
         plan,
@@ -270,7 +311,7 @@ enum PlanStage<'a> {
 /// The incremental exec sequence behind [`plan_cursor`].
 struct PlanCursor<'a> {
     index: &'a CoaxIndex,
-    plan: QueryPlan,
+    plan: QueryPlan<'a>,
     stage: PlanStage<'a>,
 }
 

@@ -31,7 +31,7 @@ use crate::exec::{self, ExecConfig, QueryPlan};
 use crate::learn::split_rows;
 use crate::maint::MaintenancePolicy;
 use crate::model::{FdModel, SoftFdModel};
-use crate::obs::{Obs, ObsConfig, QueryPhase};
+use crate::obs::{Obs, ObsConfig, QuerySpan};
 use crate::regression::BayesianLinReg;
 use crate::shard::ShardSpec;
 use crate::translate::translate;
@@ -503,21 +503,20 @@ impl CoaxIndex {
     }
 
     /// Translates `query` once into an executable [`QueryPlan`] (step 1
-    /// of the [`crate::exec`] sequence). Plans can be executed repeatedly
-    /// and are what the batch path builds up front. Records its own
-    /// translate time; single queries translate inside their query span
-    /// instead.
-    pub fn plan(&self, query: &RangeQuery) -> QueryPlan {
-        let t = self.obs.timer();
-        let plan = QueryPlan::new(query, &self.discovery.groups);
-        self.obs.record_phase(QueryPhase::Translate, t);
-        plan
+    /// of the [`crate::exec`] sequence), borrowing it as the filter.
+    /// Plans can be executed repeatedly and are what the batch path
+    /// builds up front. A plan that runs the translation records its
+    /// time as one `coax.query.translate_us` sample; a point plan, which
+    /// translates nothing, reads no clock. Single queries translate
+    /// inside their query span instead.
+    pub fn plan<'q>(&self, query: &'q RangeQuery) -> QueryPlan<'q> {
+        QueryPlan::recorded(query, &self.discovery.groups, &self.obs)
     }
 
     /// Executes a prepared plan: primary probe + outlier probe, with
     /// per-part counters. [`CoaxIndex::query_detailed`]
     /// answers exactly as `execute_plan(&plan(query))`.
-    pub fn execute_plan(&self, plan: &QueryPlan, out: &mut Vec<RowId>) -> CoaxQueryStats {
+    pub fn execute_plan(&self, plan: &QueryPlan<'_>, out: &mut Vec<RowId>) -> CoaxQueryStats {
         let mut span = self.obs.query_span();
         let stats = exec::execute(self, plan, out, &mut span);
         span.finish(&stats.flatten());
@@ -547,7 +546,7 @@ impl CoaxIndex {
     /// same order, [`ScanStats`] equal), but the first chunk leaves after
     /// the primary's first populated cell instead of after the whole
     /// sequence.
-    pub fn execute_plan_cursor(&self, plan: QueryPlan) -> coax_index::RowCursor<'_> {
+    pub fn execute_plan_cursor<'a>(&'a self, plan: QueryPlan<'a>) -> coax_index::RowCursor<'a> {
         exec::plan_cursor(self, plan)
     }
 
@@ -594,7 +593,7 @@ impl CoaxIndex {
     /// split the scan into disjoint predictor bands instead of covering
     /// their hull.
     pub fn query_primary(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        exec::probe_primary(self, &self.plan(query), out)
+        exec::probe_primary(self, &self.plan(query), out, &mut QuerySpan::disabled())
     }
 
     /// Ablation hook: queries the primary index with the *original* query
@@ -731,7 +730,7 @@ impl MultidimIndex for CoaxIndex {
     /// stats identical to
     /// [`MultidimIndex::range_query_stats`].
     fn range_query_cursor(&self, query: &RangeQuery) -> coax_index::RowCursor<'_> {
-        self.execute_plan_cursor(self.plan(query))
+        self.execute_plan_cursor(self.plan(query).into_owned())
     }
 
     /// Batch override — the [`crate::exec`] batch engine: value-equal

@@ -397,9 +397,9 @@ fn scan_overlay(overlay: &[PendingRow], query: &RangeQuery, out: &mut Vec<RowId>
 }
 
 /// The epoch half of a one-query read whose `overlay` was just scanned
-/// under `span`: marks the overlay scan, translates and executes against
-/// `index`, adds the overlay's stats, and finishes the span with the
-/// stats the caller receives.
+/// under `span`: marks the overlay scan if the overlay held rows,
+/// translates and executes against `index`, adds the overlay's stats,
+/// and finishes the span with the stats the caller receives.
 fn query_epoch(
     index: &CoaxIndex,
     mut span: QuerySpan<'_>,
@@ -407,7 +407,9 @@ fn query_epoch(
     query: &RangeQuery,
     out: &mut Vec<RowId>,
 ) -> ScanStats {
-    span.phase(QueryPhase::PendingScan);
+    if overlay.scanned_pending > 0 {
+        span.phase(QueryPhase::PendingScan);
+    }
     let stats =
         overlay.merge(crate::exec::execute_query(index, query, out, &mut span).flatten());
     span.finish(&stats);

@@ -9,8 +9,12 @@
 //!   atomic add per counter record, two per histogram record).
 //! * [`QuerySpan`] — per-phase timing of one shard query (overlay scan →
 //!   translate → primary probe → outlier probe), opened where the query
-//!   enters and recorded once when it finishes: five clock reads and at
-//!   most fifteen atomic adds per shard query.
+//!   enters and recorded once when it finishes. It reads the clock once
+//!   at its start and once per phase that ran, at most five times; a
+//!   phase that did no work records no sample. A point query, which
+//!   translates nothing and probes one partition, reads the clock twice
+//!   with an empty overlay and typically makes six atomic adds; any
+//!   shard query makes at most fifteen.
 //! * [`EventJournal`] — a bounded ring of structural events: epoch
 //!   publishes, fold-vs-refit decisions with their
 //!   [`crate::maint::DriftReport`] scores, overlay copy-on-write
@@ -47,9 +51,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Observability switch carried in [`crate::CoaxConfig`]. Default is
-/// **on** (a query on one shard costs five clock reads and at most
-/// fifteen atomic adds); construct with [`ObsConfig::disabled`] to
-/// compile every record call down to a single `None` check.
+/// **on** (a query on one shard reads the clock once plus once per phase
+/// that ran, at most five times, and makes at most fifteen atomic adds;
+/// a point query with an empty overlay reads it twice); construct with
+/// [`ObsConfig::disabled`] to compile every record call down to a single
+/// `None` check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
     /// `true` to record metrics, spans and journal events.
@@ -225,9 +231,9 @@ impl Obs {
         }
     }
 
-    /// Records a phase slice outside a span: the `Translate` phase of a
-    /// plan built on its own ([`crate::CoaxIndex::plan`], used by the
-    /// batch and cursor paths).
+    /// Records a phase slice outside a span: the translation of a plan
+    /// built on its own ([`crate::CoaxIndex::plan`], used by the batch
+    /// and cursor paths), timed around `translate_all` alone.
     pub fn record_phase(&self, phase: QueryPhase, started: Option<Instant>) {
         if let (Some(h), Some(t)) = (&self.inner, started) {
             h.phase_histogram(phase).record_duration(t.elapsed());

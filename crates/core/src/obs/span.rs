@@ -4,14 +4,24 @@
 //! A [`QuerySpan`] is handed out by [`crate::obs::Obs::query_span`] at
 //! the entry point that first sees the query (the handle, a snapshot, or
 //! a bare `CoaxIndex`) and passed `&mut` down through translation and
-//! `exec::execute`. Each [`QuerySpan::phase`] mark reads the clock once
-//! and adds the slice since the previous mark to that phase's running
-//! total; nothing is recorded until [`QuerySpan::finish`], which records
-//! each marked phase's histogram once, the end-to-end latency (start to
-//! the last mark, so finishing reads no clock) and the query's
-//! [`ScanStats`] into the per-query counters. A query through a handle
-//! therefore reads the clock five times, and one straight to a frozen
-//! `CoaxIndex`, which has no overlay to scan, four. When observability
+//! `exec::execute`. The span reads the clock once at its start and once
+//! at the end of each phase that ran: [`QuerySpan::phase`] adds the slice
+//! since the previous mark to that phase's running total. A phase that
+//! did no work — an empty overlay, a point plan that needs no
+//! translation, a probe the plan skipped — is never marked, so it reads
+//! no clock and records no sample, and its time (if any) counts toward
+//! the next phase that runs. Nothing is recorded until
+//! [`QuerySpan::finish`], which records each marked phase's histogram
+//! once, the end-to-end latency (start to the last mark; finishing reads
+//! the clock only when no phase ran) and the query's [`ScanStats`] into
+//! the per-query counters.
+//!
+//! A query therefore reads the clock at most five times: once plus once
+//! per phase that ran. A point query, which probes one partition and
+//! translates nothing, reads it twice when its shard's overlay is empty,
+//! and three times when it is not. A phase histogram holds one sample
+//! per query that ran that phase; `coax.query.count`, the counters and
+//! the latency histogram take one record per span. When observability
 //! is off the span holds `None` — no clock reads, no atomics, nothing.
 
 use std::time::{Duration, Instant};
@@ -20,10 +30,9 @@ use coax_index::ScanStats;
 
 use super::ObsHandles;
 
-/// The phases of one query. Through a handle or snapshot the clock
-/// marks them in the order pending scan (the overlay), translate,
-/// primary probe, outlier probe; a frozen `CoaxIndex` marks no pending
-/// scan.
+/// The phases of one query. The clock marks those that ran in the order
+/// pending scan (the overlay), translate, primary probe, outlier probe;
+/// a frozen `CoaxIndex` has no overlay and marks no pending scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryPhase {
     /// Soft-FD query translation (Eq. 2): building the `QueryPlan`.
@@ -111,8 +120,10 @@ impl<'a> QuerySpan<'a> {
         self.inner.as_ref().and_then(|s| s.shard)
     }
 
-    /// Marks the end of `phase`: one clock read, adding the slice since
-    /// the previous mark (or span start) to the phase's total.
+    /// Marks the end of `phase`, which did work: one clock read, adding
+    /// the slice since the previous mark (or span start) to the phase's
+    /// total. Callers do not mark a phase that did no work, so its
+    /// slice counts toward the next mark.
     pub fn phase(&mut self, phase: QueryPhase) {
         if let Some(s) = self.inner.as_mut() {
             let now = Instant::now();
@@ -123,9 +134,9 @@ impl<'a> QuerySpan<'a> {
     }
 
     /// Finishes the span: records every marked phase's total, the
-    /// end-to-end latency (span start to the last mark) and `stats` —
-    /// the [`ScanStats`] the entry point hands its caller — into the
-    /// per-query counters.
+    /// end-to-end latency (span start to the last mark, or to now when
+    /// no phase was marked) and `stats` — the [`ScanStats`] the entry
+    /// point hands its caller — into the per-query counters.
     pub fn finish(self, stats: &ScanStats) {
         if let Some(s) = self.inner {
             let h = s.handles;
@@ -134,7 +145,9 @@ impl<'a> QuerySpan<'a> {
                     h.phase_histogram(phase).record_duration(d);
                 }
             }
-            h.query_latency_us.record_duration(s.last - s.start);
+            let ran = s.phases.iter().any(Option::is_some);
+            let end = if ran { s.last } else { Instant::now() };
+            h.query_latency_us.record_duration(end - s.start);
             h.query_count.inc();
             h.query_cells_visited.add(stats.cells_visited as u64);
             h.query_rows_examined.add(stats.rows_examined as u64);

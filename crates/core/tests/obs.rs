@@ -1,6 +1,7 @@
 //! Observability-layer contracts: histogram quantile accuracy against a
 //! sorted reference, registry consistency under concurrent hammering,
-//! and what one query records through each serving surface.
+//! and what one query records through each serving surface — one span
+//! per query, a sample only for each phase that ran.
 //!
 //! The histogram promises quantiles "within one bucket of exact": the
 //! value [`LatencyHistogram`]'s `quantile(q)` returns must land in the
@@ -13,12 +14,13 @@
 use coax_core::obs::{bucket_of, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
 use coax_core::{CoaxConfig, ObsConfig, ShardedHandle};
 use coax_data::synth::{Generator, LinearPairConfig};
+use coax_data::workload::point_queries;
 use coax_data::RangeQuery;
 use coax_index::MultidimIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 const QS: [f64; 5] = [0.5, 0.9, 0.95, 0.99, 0.999];
 
@@ -195,8 +197,14 @@ fn registry_hammering_yields_monotone_untorn_snapshots() {
 
 /// Shard label of the one-shard service below (its shard 0 records under
 /// the configured label itself): no other test in this binary records
-/// into the global registry, so these cells are its own.
+/// into these cells.
 const SURFACE_SHARD: u32 = 7_001;
+
+/// Held by every test of this binary that records into the global
+/// registry: `each_surface_records_one_span_per_query` ends by checking
+/// that a disabled build moves no global metric at all, which a test
+/// recording alongside it would break.
+static GLOBAL_RECORDING: Mutex<()> = Mutex::new(());
 
 /// Snapshots every per-query histogram of `shard`: the four phases,
 /// then `coax.query.latency_us` last.
@@ -221,6 +229,7 @@ fn query_histograms(shard: u32) -> Vec<HistogramSnapshot> {
 /// included). A disabled build records nothing at all.
 #[test]
 fn each_surface_records_one_span_per_query() {
+    let _recording = GLOBAL_RECORDING.lock().unwrap_or_else(PoisonError::into_inner);
     const N: u64 = 40;
     let ds = LinearPairConfig { rows: 4_000, seed: 11, ..Default::default() }.generate();
     let queries: Vec<RangeQuery> = (0..N)
@@ -300,4 +309,79 @@ fn each_surface_records_one_span_per_query() {
         assert_eq!((&a.name, a.shard, a.value), (&b.name, b.shard, b.value));
         assert_eq!(a.histogram, b.histogram, "a disabled build recorded into {}", a.name);
     }
+}
+
+/// Shard label of the one-shard service of the phase test below.
+const PHASE_SHARD: u32 = 7_002;
+
+/// A span samples only the phases that ran. Point queries plan without
+/// translating and probe the one partition their row can live in, so
+/// over N points on the live service, its snapshot and the frozen
+/// epoch: `translate_us` gains no sample, `primary_probe_us` and
+/// `outlier_probe_us` one per point whose plan kept that probe (both
+/// kinds occur), `pending_scan_us` one per point while the overlay holds
+/// rows and none while it is empty (or on the frozen epoch), and
+/// `latency_us` and `coax.query.count` exactly N, the latency sum
+/// covering the phase sums. A batch of the same distinct points records
+/// no translation either.
+#[test]
+fn a_span_records_only_the_phases_that_ran() {
+    let _recording = GLOBAL_RECORDING.lock().unwrap_or_else(PoisonError::into_inner);
+    const N: u64 = 200;
+    let ds =
+        LinearPairConfig { rows: 4_000, seed: 12, outlier_fraction: 0.2, ..Default::default() }
+            .generate();
+    let points = point_queries(&ds, N as usize, 13);
+    let config =
+        CoaxConfig { obs: ObsConfig::default().for_shard(PHASE_SHARD), ..Default::default() };
+    let service = ShardedHandle::build(&ds, &config);
+    let snapshot = service.snapshot();
+    let plans: Vec<_> = points.iter().map(|q| snapshot.shard(0).frozen().plan(q)).collect();
+    let primary = plans.iter().filter(|p| !p.primary_pruned()).count() as u64;
+    let outliers = plans.iter().filter(|p| !p.outliers_pruned()).count() as u64;
+    assert!(primary > 0 && outliers > 0, "points in both partitions: {primary} + {outliers}");
+    assert_eq!(primary + outliers, N, "every point plan probes exactly one partition");
+
+    let count = MetricsRegistry::global().counter_shard("coax.query.count", Some(PHASE_SHARD));
+    let check = |label: &str, index: &dyn MultidimIndex, pending: u64| {
+        let (before, counted) = (query_histograms(PHASE_SHARD), count.get());
+        for q in &points {
+            index.range_query_stats(q, &mut Vec::new());
+        }
+        let grown: Vec<HistogramSnapshot> = query_histograms(PHASE_SHARD)
+            .iter()
+            .zip(&before)
+            .map(|(after, before)| after.since(before))
+            .collect();
+        let samples: Vec<u64> = grown.iter().map(HistogramSnapshot::count).collect();
+        assert_eq!(
+            samples,
+            [0, primary, outliers, pending, N],
+            "{label}: samples per histogram"
+        );
+        assert_eq!(count.get() - counted, N, "{label}: coax.query.count");
+        let phase_sum: u64 = grown[..4].iter().map(HistogramSnapshot::sum_us).sum();
+        assert!(grown[4].sum_us() >= phase_sum, "{label}: latency below the phase sum");
+    };
+    let surfaces = |pending: u64| {
+        let snapshot = service.snapshot();
+        check("live", &service, pending);
+        check("snapshot", &snapshot, pending);
+        check("frozen", snapshot.shard(0).frozen(), 0);
+    };
+    surfaces(0);
+    for i in 0..25 {
+        let x = i as f64 * 37.0;
+        service.insert(&[x, 2.0 * x + 50.0]).expect("finite row of the right arity");
+    }
+    surfaces(N);
+
+    let registry = MetricsRegistry::global();
+    let translate = registry.histogram_shard("coax.query.translate_us", Some(PHASE_SHARD));
+    let answered = registry.counter_shard("coax.batch.queries", Some(PHASE_SHARD));
+    let (translated, batched) = (translate.snapshot(), answered.get());
+    snapshot.batch_query(&points);
+    snapshot.shard(0).frozen().batch_query(&points);
+    assert_eq!(answered.get() - batched, 2 * N, "both batches answered every point");
+    assert_eq!(translate.snapshot().since(&translated).count(), 0, "a point batch translated");
 }

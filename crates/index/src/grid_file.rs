@@ -200,6 +200,12 @@ impl GridFile {
     /// while filtering with the user's original one. `nav` must not
     /// exclude any `filter`-matching row stored in this index — COAX
     /// guarantees that through the soft-FD margin invariant.
+    ///
+    /// A `nav` pinned (`lo == hi`) on every gridded attribute names one
+    /// cell, found by arithmetic with no allocation; any other `nav`
+    /// walks the directory cell ranges it intersects in ascending
+    /// odometer order. Both apply the same per-attribute rule, so a
+    /// pinned `nav` visits the one cell the walk would.
     pub fn range_query_filtered(
         &self,
         nav: &RangeQuery,
@@ -207,43 +213,71 @@ impl GridFile {
         out: &mut Vec<RowId>,
     ) -> ScanStats {
         assert_eq!(filter.dims(), self.dims, "filter query dimensionality mismatch");
+        assert_eq!(nav.dims(), self.dims, "nav query dimensionality mismatch");
         let mut stats = ScanStats::default();
-        let Some(ranges) = self.cell_ranges(nav) else {
-            return stats;
-        };
-        for_each_address(&ranges, &self.strides, |addr| {
+        let mut scan = |addr| {
             stats.cells_visited += 1;
             let (examined, matched) = self.pages.scan_cell_narrowed(addr, nav, filter, out);
             stats.rows_examined += examined;
             stats.matches += matched;
-        });
+        };
+        if self.grid_dims.iter().all(|&d| nav.lo(d) == nav.hi(d)) {
+            if let Some(addr) = self.point_cell(nav) {
+                scan(addr);
+            }
+        } else if let Some(ranges) = self.cell_ranges(nav) {
+            for_each_address(&ranges, &self.strides, scan);
+        }
         stats
     }
 
-    /// Per gridded attribute, the inclusive directory-cell range
-    /// intersecting `nav` — `None` when no cell is visited at all (empty
-    /// store, empty rectangle, or a probe that provably misses the data
-    /// range on some attribute). Shared by the materialized scan and the
-    /// streaming cursor so their directory traversal cannot diverge.
-    fn cell_ranges(&self, nav: &RangeQuery) -> Option<Vec<(usize, usize)>> {
+    /// Whether `nav` can visit any cell at all: `false` for an empty
+    /// store or an empty rectangle.
+    fn navigable(&self, nav: &RangeQuery) -> bool {
         assert_eq!(nav.dims(), self.dims, "nav query dimensionality mismatch");
-        if self.pages.is_empty() || nav.is_empty() {
+        !self.pages.is_empty() && !nav.is_empty()
+    }
+
+    /// The one navigation rule: the inclusive cell range of gridded
+    /// attribute `i` that `nav` intersects, or `None` when `nav` misses
+    /// the attribute's data range. Each finite bound goes to its
+    /// [`cell_index`], and an infinite one to the edge cell on its side.
+    fn attribute_cells(&self, i: usize, nav: &RangeQuery) -> Option<(usize, usize)> {
+        let b = &self.boundaries[i];
+        let (lo, hi) = (nav.lo(self.grid_dims[i]), nav.hi(self.grid_dims[i]));
+        if hi < b[0] || lo > b[b.len() - 1] {
             return None;
         }
-        let mut ranges = Vec::with_capacity(self.grid_dims.len());
-        for (i, &d) in self.grid_dims.iter().enumerate() {
-            let b = &self.boundaries[i];
-            let (lo, hi) = (nav.lo(d), nav.hi(d));
-            // Early out: the query misses this attribute's data range.
-            if hi < b[0] || lo > b[b.len() - 1] {
-                return None;
-            }
-            let c_lo = if lo == f64::NEG_INFINITY { 0 } else { cell_index(b, lo) };
-            let c_hi =
-                if hi == f64::INFINITY { self.cells_per_dim - 1 } else { cell_index(b, hi) };
-            ranges.push((c_lo, c_hi));
+        let c_lo = if lo == f64::NEG_INFINITY { 0 } else { cell_index(b, lo) };
+        let c_hi = if hi == f64::INFINITY { self.cells_per_dim - 1 } else { cell_index(b, hi) };
+        Some((c_lo, c_hi))
+    }
+
+    /// Per gridded attribute, the inclusive directory-cell range
+    /// intersecting `nav` ([`GridFile::attribute_cells`]) — `None` when
+    /// no cell is visited at all (empty store, empty rectangle, or a
+    /// probe that provably misses the data range on some attribute). The
+    /// odometer walks these ranges for a ranged materialized scan and
+    /// for every streaming cursor.
+    fn cell_ranges(&self, nav: &RangeQuery) -> Option<Vec<(usize, usize)>> {
+        if !self.navigable(nav) {
+            return None;
         }
-        Some(ranges)
+        (0..self.grid_dims.len()).map(|i| self.attribute_cells(i, nav)).collect()
+    }
+
+    /// The address of the one cell a `nav` pinned on every gridded
+    /// attribute visits — each attribute's cell from
+    /// [`GridFile::attribute_cells`] times its stride, the one address
+    /// the odometer over [`GridFile::cell_ranges`] would yield — or
+    /// `None` when it visits no cell.
+    fn point_cell(&self, nav: &RangeQuery) -> Option<usize> {
+        if !self.navigable(nav) {
+            return None;
+        }
+        self.strides.iter().enumerate().try_fold(0, |addr, (i, stride)| {
+            Some(addr + self.attribute_cells(i, nav)?.0 * stride)
+        })
     }
 
     /// Streaming navigate-and-filter scan: a [`RowCursor`] yielding one
@@ -535,6 +569,93 @@ mod tests {
             let q = RangeQuery::point(&ds.row(r));
             let hits = grid.range_query(&q);
             assert!(hits.contains(&r), "point query must find its own row");
+        }
+    }
+
+    /// Answers `q` on `grid` by both traversals: the materialized probe
+    /// (the point path when `q` pins every gridded attribute) must equal
+    /// the cursor, which walks the odometer over `cell_ranges`, in ids
+    /// and `ScanStats`, and its ids must be `FullScan`'s. Returns the
+    /// probe's stats.
+    fn assert_navigation_agrees(grid: &GridFile, fs: &FullScan, q: &RangeQuery) -> ScanStats {
+        let mut ids = Vec::new();
+        let stats = grid.range_query_filtered(q, q, &mut ids);
+        let cursor = grid.filtered_cursor(q, q).collect_with_stats();
+        assert_eq!(cursor, (ids.clone(), stats), "cursor diverged on {q:?}");
+        let mut want = fs.range_query(q);
+        ids.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(ids, want, "ids diverged from FullScan on {q:?}");
+        stats
+    }
+
+    #[test]
+    fn point_navigation_matches_the_cell_ranges_walk() {
+        // Lattice columns in [-1, 1]: boundaries fall on values many rows
+        // share, and 0.0 is a data value; row 0 holds -0.0 on attribute 0.
+        let lattice = |step: usize, m: usize| -> Vec<Value> {
+            let half = (m / 2) as Value;
+            (0..600).map(|i| ((i * step) % m) as Value / half - 1.0).collect()
+        };
+        let mut cols = vec![lattice(37, 100), lattice(53, 66), lattice(11, 88)];
+        cols[0][0] = -0.0;
+        let ds = Dataset::new(cols);
+        let fs = FullScan::build(&ds);
+        for config in [
+            GridFileConfig::with_sort(3, 2, 4),
+            GridFileConfig::all_dims(3, 5),
+            GridFileConfig::subset(vec![1], None, 6),
+            GridFileConfig::subset(vec![], Some(2), 4),
+            GridFileConfig::subset(vec![], None, 4),
+        ] {
+            let grid = GridFile::build(&ds, &config);
+            let point = |r: usize| RangeQuery::point(&ds.row(r as RowId));
+            let mut queries: Vec<RangeQuery> = (0..ds.len()).step_by(29).map(point).collect();
+            for (i, &d) in grid.grid_dims.iter().enumerate() {
+                let b = &grid.boundaries[i];
+                let (first, last) = (b[0], b[b.len() - 1]);
+                // Every boundary, the first and the last included, then
+                // just outside the data range, then both signed zeros.
+                let values = b.iter().copied().chain([first - 1e-9, last + 1e-9, 0.0, -0.0]);
+                for v in values {
+                    // A row holding `v` on `d` (if any), and row 1 with
+                    // `v` put in: a hit and, most likely, a miss.
+                    let holder = (0..ds.len()).find(|&r| ds.value(r as RowId, d) == v);
+                    for r in holder.into_iter().chain([1]) {
+                        let mut q = point(r);
+                        q.constrain(d, v, v);
+                        queries.push(q);
+                    }
+                }
+            }
+            // Pinned on every gridded attribute, ranged on the rest.
+            for r in [0, 5, 300] {
+                for (lo, hi) in [(-0.5, 0.5), (Value::NEG_INFINITY, Value::INFINITY)] {
+                    let mut q = point(r);
+                    for d in (0..3).filter(|d| !grid.grid_dims.contains(d)) {
+                        q.constrain(d, lo, hi);
+                    }
+                    queries.push(q);
+                }
+            }
+            let mut hits = 0;
+            for q in &queries {
+                let stats = assert_navigation_agrees(&grid, &fs, q);
+                assert!(stats.cells_visited <= 1, "{config:?}: a pinned nav visited >1 cell");
+                hits += usize::from(stats.matches > 0);
+                let outside = grid.grid_dims.iter().enumerate().any(|(i, &d)| {
+                    let b = &grid.boundaries[i];
+                    q.lo(d) < b[0] || q.lo(d) > b[b.len() - 1]
+                });
+                if outside {
+                    assert_eq!(stats.cells_visited, 0, "{config:?}: {q:?} outside the data");
+                }
+            }
+            assert!(
+                hits * 2 > queries.len(),
+                "{config:?}: {hits} of {} queries hit",
+                queries.len()
+            );
         }
     }
 
